@@ -58,8 +58,10 @@ candidate over the whole ``didactic`` space in the test-suite.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import OrderedDict
+from itertools import islice
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -419,34 +421,52 @@ class CompiledProblem:
             )
         start = time.perf_counter()
         try:
-            spec = self._specialize_for_evaluation(candidate)
-            missing = {b.relation for b in spec.boundary_inputs} - set(self.stimuli)
-            if missing:
-                raise ModelError(
-                    f"missing stimuli for external inputs: {sorted(missing)}"
-                )
-            computer = InstantComputer(spec, record_usage=True)
+            spec = self._prepare(candidate)
         except ReproError as error:
-            return _record_evaluation(
-                CandidateEvaluation(
-                    candidate=candidate,
-                    infeasible=f"{type(error).__name__}: {error}",
-                    wall_seconds=time.perf_counter() - start,
-                )
-            )
+            return _infeasible(candidate, error, start)
+        return self._score_on_graph(
+            candidate, spec, start, steady=self._use_steady(spec, evaluator)
+        )
 
-        steady = False
-        if evaluator != "replay":
-            reason = self._steady_gate(spec)
-            if reason is None:
-                steady = True
-            else:
-                # The steady certificate cannot hold (aperiodic inputs or
-                # iteration-dependent durations): score by plain replay.
-                telemetry.count("dse.steady.fallbacks")
-                telemetry.count(f"dse.steady.fallback.{reason}")
+    def _prepare(self, candidate: MappingCandidate) -> EquivalentModelSpec:
+        """Specialise ``candidate`` and check every boundary input has a stimulus."""
+        spec = self._specialize_for_evaluation(candidate)
+        missing = {b.relation for b in spec.boundary_inputs} - set(self.stimuli)
+        if missing:
+            raise ModelError(f"missing stimuli for external inputs: {sorted(missing)}")
+        return spec
 
+    def _use_steady(self, spec: EquivalentModelSpec, evaluator: str) -> bool:
+        """Whether ``evaluator`` asks for, and ``spec`` admits, steady extrapolation."""
+        if evaluator == "replay":
+            return False
+        reason = self._steady_gate(spec)
+        if reason is None:
+            return True
+        # The steady certificate cannot hold (aperiodic inputs or
+        # iteration-dependent durations): score by plain replay.
+        telemetry.count("dse.steady.fallbacks")
+        telemetry.count(f"dse.steady.fallback.{reason}")
+        return False
+
+    def _score_on_graph(
+        self,
+        candidate: MappingCandidate,
+        spec: EquivalentModelSpec,
+        start: float,
+        steady: bool,
+        backend: str = "python",
+    ) -> CandidateEvaluation:
+        """Replay ``spec`` on its object graph and score it.
+
+        The one epilogue of every object-graph path: all of :meth:`evaluate`,
+        and in :meth:`evaluate_batch` the steady-certified candidates and the
+        specs that refuse to lower.  With ``steady`` the runner stops at the
+        certificate and the objectives come from the replayed prefix plus the
+        closed-form periodic tail (see :func:`_utilization`).
+        """
         try:
+            computer = InstantComputer(spec, record_usage=True)
             if steady:
                 with telemetry.span("dse.compile.steady", category="dse"):
                     run = self._run_steady(spec, computer)
@@ -458,30 +478,24 @@ class CompiledProblem:
         except ReproError as error:
             # Mirror of evaluate_mapping wrapping model.run(): a workload or
             # computation failure is an infeasibility fact, not a crash.
-            return _record_evaluation(
-                CandidateEvaluation(
-                    candidate=candidate,
-                    infeasible=f"{type(error).__name__}: {error}",
-                    wall_seconds=time.perf_counter() - start,
-                )
-            )
+            return _infeasible(candidate, error, start, backend)
         if run is None:
             # An output would be accepted later than computed (boundary
             # feedback): replay through the exact event-driven harness
             # (which records its own evaluation telemetry).
             telemetry.count("dse.compile.explicit_fallbacks")
             return self._explicit_fallback(candidate)
-        offers, actual, iterations = run
         return _record_evaluation(
             self._assemble(
                 candidate,
                 spec,
                 computer.usage_instants(),
-                offers,
-                actual,
-                iterations,
+                run[0],
+                run[1],
                 start,
                 evaluator="steady" if steady else "replay",
+                backend=backend,
+                tail=run[3] if steady else None,
             )
         )
 
@@ -529,66 +543,25 @@ class CompiledProblem:
         programs: List[Any] = []
         stream_cache: Dict[Any, List[int]] = {}
 
-        def infeasible(candidate: MappingCandidate, error: ReproError, start: float):
-            # Infeasibility is decided during specialisation, before any
-            # sweep, but the record still carries the batch's backend: it
-            # was scored under that backend request, and a mixed-backend
-            # store should only be reported when sweeps actually mixed.
-            return _record_evaluation(
-                CandidateEvaluation(
-                    candidate=candidate,
-                    infeasible=f"{type(error).__name__}: {error}",
-                    wall_seconds=time.perf_counter() - start,
-                    backend=backend,
-                )
-            )
-
         for position, candidate in enumerate(candidates):
             start = time.perf_counter()
             try:
-                spec = self._specialize_for_evaluation(candidate)
-                missing = {b.relation for b in spec.boundary_inputs} - set(self.stimuli)
-                if missing:
-                    raise ModelError(
-                        f"missing stimuli for external inputs: {sorted(missing)}"
-                    )
+                spec = self._prepare(candidate)
             except ReproError as error:
-                results[position] = infeasible(candidate, error, start)
+                # Infeasibility is decided before any sweep, but the record
+                # still carries the batch's backend: it was scored under that
+                # backend request, and a mixed-backend store should only be
+                # reported when sweeps actually mixed.
+                results[position] = _infeasible(candidate, error, start, backend)
                 continue
 
-            if evaluator != "replay":
-                reason = self._steady_gate(spec)
-                if reason is None:
-                    # The steady certificate holds: extrapolate per candidate
-                    # (already certified bit-identical to full replay).
-                    try:
-                        computer = InstantComputer(spec, record_usage=True)
-                        with telemetry.span("dse.compile.steady", category="dse"):
-                            run = self._run_steady(spec, computer)
-                    except ReproError as error:
-                        results[position] = infeasible(candidate, error, start)
-                        continue
-                    if run is None:
-                        telemetry.count("dse.compile.explicit_fallbacks")
-                        results[position] = self._explicit_fallback(candidate)
-                        continue
-                    offers, actual, iterations = run
-                    results[position] = _record_evaluation(
-                        self._assemble(
-                            candidate,
-                            spec,
-                            computer.usage_instants(),
-                            offers,
-                            actual,
-                            iterations,
-                            start,
-                            evaluator="steady",
-                            backend=backend,
-                        )
-                    )
-                    continue
-                telemetry.count("dse.steady.fallbacks")
-                telemetry.count(f"dse.steady.fallback.{reason}")
+            if self._use_steady(spec, evaluator):
+                # The steady certificate holds: extrapolate per candidate
+                # (already certified bit-identical to full replay).
+                results[position] = self._score_on_graph(
+                    candidate, spec, start, steady=True, backend=backend
+                )
+                continue
 
             iterations = min(
                 len(self.stimuli[b.relation]) for b in spec.boundary_inputs
@@ -602,38 +575,14 @@ class CompiledProblem:
                 # this candidate on the object graph (same instants).
                 telemetry.count("dse.engine.lower_fallbacks")
                 telemetry.count(f"dse.engine.lower_fallback.{gate.reason}")
-                try:
-                    computer = InstantComputer(spec, record_usage=True)
-                    with telemetry.span("dse.compile.replay", category="dse"):
-                        run = self._run(spec, computer)
-                        if run is not None:
-                            telemetry.count("dse.compile.replay_steps", run[2])
-                except ReproError as error:
-                    results[position] = infeasible(candidate, error, start)
-                    continue
-                if run is None:
-                    telemetry.count("dse.compile.explicit_fallbacks")
-                    results[position] = self._explicit_fallback(candidate)
-                    continue
-                offers, actual, run_iterations = run
-                results[position] = _record_evaluation(
-                    self._assemble(
-                        candidate,
-                        spec,
-                        computer.usage_instants(),
-                        offers,
-                        actual,
-                        run_iterations,
-                        start,
-                        evaluator="replay",
-                        backend=backend,
-                    )
+                results[position] = self._score_on_graph(
+                    candidate, spec, start, steady=False, backend=backend
                 )
                 continue
             except ReproError as error:
                 # Lowering surfaces the same failures the replay would
                 # (invalid workload durations, delay-0 ready arcs).
-                results[position] = infeasible(candidate, error, start)
+                results[position] = _infeasible(candidate, error, start, backend)
                 continue
             pending.append((position, candidate, spec, start))
             programs.append(program)
@@ -649,9 +598,7 @@ class CompiledProblem:
                 "dse.compile.replay_steps",
                 sum(program.iterations for program in programs),
             )
-            for (position, candidate, spec, start), program, run in zip(
-                pending, programs, runs
-            ):
+            for (position, candidate, spec, start), run in zip(pending, runs):
                 if run is None:
                     # An output would be accepted later than computed
                     # (boundary feedback): same explicit fallback as
@@ -668,7 +615,6 @@ class CompiledProblem:
                         usage,
                         offers,
                         actual,
-                        program.iterations,
                         start,
                         evaluator="replay",
                         backend=backend,
@@ -719,7 +665,8 @@ class CompiledProblem:
     def _run_steady(self, spec: EquivalentModelSpec, computer: InstantComputer):
         """Replay until the periodic regime is certified, then extrapolate.
 
-        Same contract as :meth:`_run`.  The certificate has two halves:
+        Same contract as :meth:`_run`, plus a fourth field (below).  The
+        certificate has two halves:
 
         * every node value drifted by the same ``c`` for ``max_delay + 1``
           consecutive iteration pairs, so the evaluator's whole ring state
@@ -732,7 +679,12 @@ class CompiledProblem:
           ahead (the schedule term never re-enters the ``max``).
 
         Together these imply the remaining replay would produce exactly
-        ``value + j*c`` everywhere, which is what the extrapolation appends.
+        ``value + j*c`` everywhere.  The extrapolation appends that to the
+        offer and output sequences (digests need them in full) but leaves the
+        execute-node histories at the replayed prefix: the returned
+        ``(offers, actual, iterations, tail)`` carries the certified
+        :class:`_SteadyTail` (``None`` when the horizon ran out first), from
+        which :func:`_utilization` scores the rest in closed form.
         """
         stimuli = self.stimuli
         boundary_inputs = spec.boundary_inputs
@@ -811,7 +763,6 @@ class CompiledProblem:
 
             # -- certified: extrapolate the remaining iterations -----------
             extra = iterations - (k + 1)
-            evaluator.extend_recorded(extra, delta)
             for boundary in boundary_inputs:
                 relation = boundary.relation
                 sequence = offers[relation]
@@ -831,13 +782,13 @@ class CompiledProblem:
             telemetry.count("dse.steady.extrapolations")
             telemetry.count("dse.steady.extrapolated_steps", extra)
             telemetry.gauge("dse.steady.cycle_ps", delta)
-            return offers, actual, iterations
+            return offers, actual, iterations, _SteadyTail(extra, delta, computer)
 
         # The horizon ended before the regime settled (or never settles);
         # everything was replayed, so the result is the plain replay result.
         telemetry.count("dse.compile.replay_steps", iterations)
         telemetry.count("dse.steady.exhausted")
-        return offers, actual, iterations
+        return offers, actual, iterations, None
 
     # ------------------------------------------------------------------
     def _run(self, spec: EquivalentModelSpec, computer: InstantComputer):
@@ -897,16 +848,18 @@ class CompiledProblem:
         usage: Mapping[str, List[Optional[int]]],
         offers: Mapping[str, List[int]],
         actual: Mapping[str, List[int]],
-        iterations: int,
         start: float,
         evaluator: str = "replay",
         backend: str = "python",
+        tail: Optional[_SteadyTail] = None,
     ) -> CandidateEvaluation:
         """Extract the objectives (mirror of ``evaluate_mapping``'s epilogue).
 
         ``usage`` maps observation-node names to per-iteration instants
         (ε as ``None``) -- ``InstantComputer.usage_instants()`` on the
-        object-graph paths, the lowered history on the array paths.
+        object-graph paths, the lowered history on the array paths.  A
+        steady run passes only the replayed prefix there, plus its certified
+        ``tail``; ``offers`` and ``actual`` always span the whole horizon.
         """
         outputs = self.application.external_outputs()
         if not outputs:
@@ -920,6 +873,8 @@ class CompiledProblem:
                 candidate=candidate,
                 infeasible="the model produced no output instants",
                 wall_seconds=time.perf_counter() - start,
+                evaluator=evaluator,
+                backend=backend,
             )
 
         inputs = self.application.external_inputs()
@@ -931,46 +886,9 @@ class CompiledProblem:
             (sum(instants[:pairs]) - sum(offer_list[:pairs])) / pairs if pairs else 0.0
         )
 
-        # Resource utilisation straight from the computed start/end instants
-        # (equivalent to reconstructing the activity trace and running
-        # busy_profile over one whole-window bin, without the trace objects).
-        intervals: Dict[str, List[Tuple[int, int]]] = {}
-        window_lo: Optional[int] = None
-        window_hi: Optional[int] = None
-        for entry in spec.execute_nodes:
-            starts = usage[entry.start_node][:iterations]
-            ends = usage[entry.end_node][:iterations]
-            bucket = intervals.setdefault(entry.resource, [])
-            if starts and None not in starts and None not in ends:
-                # Common case -- every iteration computed both instants:
-                # build the interval list and the window bounds with C-speed
-                # primitives instead of a per-iteration Python loop.
-                bucket.extend(zip(starts, ends))
-                lo = min(starts)
-                hi = max(ends)
-                if window_lo is None or lo < window_lo:
-                    window_lo = lo
-                if window_hi is None or hi > window_hi:
-                    window_hi = hi
-                continue
-            for start_ps, end_ps in zip(starts, ends):
-                if start_ps is None or end_ps is None:
-                    continue
-                bucket.append((start_ps, end_ps))
-                if window_lo is None or start_ps < window_lo:
-                    window_lo = start_ps
-                if window_hi is None or end_ps > window_hi:
-                    window_hi = end_ps
-
-        utilization: Dict[str, float] = {}
-        degenerate = window_lo is None or window_hi is None or window_hi <= window_lo
-        for resource in candidate.resources_used():
-            if degenerate:
-                utilization[resource] = 0.0
-            else:
-                utilization[resource] = round(
-                    _busy_fraction(intervals.get(resource, []), window_lo, window_hi), 4
-                )
+        utilization = _utilization(
+            candidate.resources_used(), spec.execute_nodes, usage, tail
+        )
         mean_utilization = (
             sum(utilization.values()) / len(utilization) if utilization else 0.0
         )
@@ -1032,10 +950,159 @@ def _uniform_delta(
     return delta
 
 
-def _busy_fraction(intervals: List[Tuple[int, int]], lo: int, hi: int) -> float:
-    """Merged busy fraction of ``[lo, hi)`` (mirror of ActivityTrace.utilization)."""
+def _infeasible(
+    candidate: MappingCandidate, error: ReproError, start: float, backend: str = "python"
+) -> CandidateEvaluation:
+    """Record ``error`` as the infeasibility fact of ``candidate``."""
+    return _record_evaluation(
+        CandidateEvaluation(
+            candidate=candidate,
+            infeasible=f"{type(error).__name__}: {error}",
+            wall_seconds=time.perf_counter() - start,
+            backend=backend,
+        )
+    )
+
+
+class _SteadyTail:
+    """The certified periodic tail of a steady run, kept in closed form.
+
+    The last ``extra`` iterations of the horizon are each the last replayed
+    iteration shifted by one more ``cycle`` (picoseconds).  Only the
+    utilisation fallback needs them written out: :meth:`materialize` does
+    that once, through the evaluator's recorded histories.
+    """
+
+    __slots__ = ("extra", "cycle", "_computer", "_usage")
+
+    def __init__(self, extra: int, cycle: int, computer: InstantComputer) -> None:
+        self.extra = extra
+        self.cycle = cycle
+        self._computer = computer
+        self._usage: Optional[Dict[str, List[Optional[int]]]] = None
+
+    def materialize(self) -> Dict[str, List[Optional[int]]]:
+        """The full-horizon usage histories (prefix followed by the tail)."""
+        if self._usage is None:
+            telemetry.count("dse.steady.tail_materialized")
+            self._computer.evaluator.extend_recorded(self.extra, self.cycle)
+            self._usage = self._computer.usage_instants()
+        return self._usage
+
+
+def _utilization(
+    resources: Sequence[str],
+    execute_nodes: Sequence[ExecuteNodes],
+    usage: Mapping[str, Sequence[Optional[int]]],
+    tail: Optional[_SteadyTail] = None,
+) -> Dict[str, float]:
+    """Busy fraction of each of ``resources``, rounded to four places.
+
+    Equivalent to reconstructing the activity trace and running
+    ``busy_profile`` over one whole-window bin: the window runs from the
+    earliest start to the latest end of any execute slot, and a resource is
+    busy for the length of the union of its slots' ``(start, end)``
+    intervals.  Each resource is scored by the closed form of
+    :func:`_disjoint_span` when its intervals are provably disjoint, and by
+    the sort-and-merge of :func:`_merged_busy` otherwise (ε instants, or
+    overlapping intervals as on a resource serving several executions at
+    once) -- after writing a steady ``tail`` out in full.
+    """
+    slots: Dict[str, List[Tuple[str, str]]] = {}
+    for entry in execute_nodes:
+        slots.setdefault(entry.resource, []).append((entry.start_node, entry.end_node))
+    busy: Dict[str, int] = {}
+    window_lo: Optional[int] = None
+    window_hi: Optional[int] = None
+    for resource, nodes in slots.items():
+        span = _disjoint_span([(usage[s], usage[e]) for s, e in nodes], tail)
+        if span is None:
+            full = tail.materialize() if tail is not None else usage
+            span = _merged_span([(full[s], full[e]) for s, e in nodes])
+            if span is None:
+                continue
+        busy[resource], lo, hi = span
+        if window_lo is None or lo < window_lo:
+            window_lo = lo
+        if window_hi is None or hi > window_hi:
+            window_hi = hi
+    if window_lo is None or window_hi is None or window_hi <= window_lo:
+        return {resource: 0.0 for resource in resources}
+    width = window_hi - window_lo
+    return {resource: round(busy.get(resource, 0) / width, 4) for resource in resources}
+
+
+def _disjoint_span(
+    slots: Sequence[Tuple[Sequence[Optional[int]], Sequence[Optional[int]]]],
+    tail: Optional[_SteadyTail] = None,
+) -> Optional[Tuple[int, int, int]]:
+    """``(busy, lo, hi)`` of one resource without sorting its intervals, or ``None``.
+
+    ``slots`` holds each execute slot's start and end histories.  The slots
+    are ordered by their first interval and their instants interleaved
+    iteration by iteration -- ``s1(0), e1(0), s2(0), e2(0), ..., s1(1), ...``
+    -- into one sequence.  If it never decreases, every interval has a
+    non-negative length and starts no earlier than the previous one ended,
+    so the intervals are disjoint (touching at most): their union is exactly
+    ``sum(ends) - sum(starts)``, ``lo`` is the first instant and ``hi`` the
+    last.  ε anywhere, or any decrease (an overlap, or an order that changes
+    between iterations), returns ``None`` for the caller to merge instead.
+
+    A steady ``tail`` appends ``extra`` iterations, each the last replayed
+    iteration ``K-1`` shifted by one more cycle ``c >= 0``; it adds
+    ``extra`` times the busy time of iteration ``K-1`` and moves ``hi`` by
+    ``extra * c``.  The tail stays disjoint: inside tail iteration ``K+j``
+    the sequence is that of ``K-1`` plus ``(j+1) * c``, so it never
+    decreases.  Across iterations, the certificate guarantees ``K >= 2``
+    and ``x(K-1) = x(K-2) + c`` for every node, and the checked prefix gives
+    ``last_end(K-2) <= first_start(K-1)``; adding ``c`` to both sides gives
+    ``last_end(K-1) <= first_start(K)``, and every later boundary is that
+    one shifted by a multiple of ``c``.  ``lo`` stays the prefix's, because
+    no tail instant is below its value at ``K-1``.
+    """
+    for starts, ends in slots:
+        if not starts or None in starts or None in ends:
+            return None
+    order = sorted(slots, key=lambda slot: (slot[0][0], slot[1][0]))
+    stride = 2 * len(order)
+    sequence: List[int] = [0] * (stride * len(order[0][0]))
+    for offset, (starts, ends) in enumerate(order):
+        sequence[2 * offset :: stride] = starts
+        sequence[2 * offset + 1 :: stride] = ends
+    if not all(map(operator.le, sequence, islice(sequence, 1, None))):
+        return None
+    busy = sum(sum(ends) - sum(starts) for starts, ends in order)
+    hi = sequence[-1]
+    if tail is not None:
+        busy += tail.extra * sum(ends[-1] - starts[-1] for starts, ends in order)
+        hi += tail.extra * tail.cycle
+    return busy, sequence[0], hi
+
+
+def _merged_span(
+    slots: Sequence[Tuple[Sequence[Optional[int]], Sequence[Optional[int]]]],
+) -> Optional[Tuple[int, int, int]]:
+    """``(busy, lo, hi)`` of one resource by sort-and-merge, or ``None`` if idle.
+
+    Iterations where either instant of a slot is ε contribute no interval.
+    """
+    intervals = [
+        (start_ps, end_ps)
+        for starts, ends in slots
+        for start_ps, end_ps in zip(starts, ends)
+        if start_ps is not None and end_ps is not None
+    ]
     if not intervals:
-        return 0.0
+        return None
+    lo = min(start_ps for start_ps, _ in intervals)
+    hi = max(end_ps for _, end_ps in intervals)
+    return _merged_busy(intervals), lo, hi
+
+
+def _merged_busy(intervals: List[Tuple[int, int]]) -> int:
+    """Length of the union of ``intervals`` (mirror of ActivityTrace.utilization)."""
+    if not intervals:
+        return 0
     intervals = sorted(intervals)
     merged_total = 0
     current_start, current_end = intervals[0]
@@ -1047,7 +1114,7 @@ def _busy_fraction(intervals: List[Tuple[int, int]], lo: int, hi: int) -> float:
             merged_total += current_end - current_start
             current_start, current_end = interval_start, interval_end
     merged_total += current_end - current_start
-    return merged_total / (hi - lo)
+    return merged_total
 
 
 # ----------------------------------------------------------------------

@@ -259,6 +259,11 @@ class TDGEvaluator:
         advances accordingly, but the ring buffers are *not* extended: after
         this call the evaluator is only good for reading recorded histories,
         not for further :meth:`step` calls.
+
+        The steady-state DSE evaluator scores a certified tail in closed form
+        and calls this only on its fallback path, when a resource's intervals
+        cannot be proven disjoint and must be merged in full
+        (``dse.steady.tail_materialized``).
         """
         if extra < 0:
             raise ComputationError("cannot extend recorded histories by a negative count")

@@ -18,7 +18,8 @@ from repro.campaign import ResultStore
 from repro.campaign.results import JobResult
 from repro.campaign.runner import run_job, run_job_batch
 from repro.campaign.spec import ScenarioSpec
-from repro.dse import MappingExplorer, get_problem
+from repro.dse import MappingExplorer, compiled_problem, get_problem
+from repro.dse import compile as compile_module
 from repro.dse.engine import numpy_available, resolve_backend
 from repro.dse.evaluate import (
     CandidateEvaluation,
@@ -115,6 +116,35 @@ class TestBatchMatchesSingle:
             assert {evaluation.backend for evaluation in scored} == {backend}
             # Provenance, not an objective: metrics() must not leak it.
             assert "backend" not in scored[0].metrics()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_output_instants_keeps_provenance(self, backend, monkeypatch):
+        """A sweep that emits no output instants is infeasible, but the
+        record still names the backend and path that scored it (a numpy
+        batch must not be stored as python and trip the mixed-backend
+        warning)."""
+        problem = get_problem("didactic")
+        parameters = PROBLEMS["didactic"]
+        candidates = candidates_of(problem, parameters, count=3)
+        compiled = compiled_problem(problem, parameters)
+        relation = compiled.application.external_outputs()[0].name
+
+        def silent_sweep(programs, backend):
+            return [({}, {relation: []}, {}) for _ in programs]
+
+        monkeypatch.setattr(compile_module, "replay_batch", silent_sweep)
+        scored = compiled.evaluate_batch(candidates, backend=backend)
+        silent = [e for e in scored if e.infeasible and "no output" in e.infeasible]
+        assert silent
+        assert {(e.backend, e.evaluator) for e in silent} == {(backend, "replay")}
+
+        spec = compiled._prepare(candidates[0])
+        steady = compiled._assemble(
+            candidates[0], spec, {}, {}, {relation: []}, 0.0,
+            evaluator="steady", backend=backend,
+        )
+        assert steady.infeasible == "the model produced no output instants"
+        assert (steady.backend, steady.evaluator) == (backend, "steady")
 
 
 class TestResolveBackend:
