@@ -9,24 +9,24 @@ vocabulary, per-node predecessor arc lists, per-iteration duration
 streams materialised up front, stimulus offer schedules as plain int
 lists) so that replaying the Reception/Emission protocol becomes a
 tight loop over list indices -- and, with the optional ``numpy``
-backend, one vectorised sweep across every candidate of an NSGA-II
-generation at once.
+backend, one call of a compiled C transcription of that loop over the
+whole batch in int64 numpy buffers.
 
 Invariants:
 
 * **Exactness.**  Both backends compute the very same (max, +)
-  recurrence as :class:`~repro.tdg.evaluator.TDGEvaluator` over int64
-  picoseconds; results are bit-identical, instant for instant, to the
-  per-candidate replay of :meth:`CompiledProblem.evaluate` (asserted by
-  the equivalence suites).  ε is represented by the sentinel
-  :data:`NEG_EPSILON`; real instants are non-negative and durations are
-  far below ``2**61``, so ``sentinel + weight`` stays below
-  :data:`EPSILON_THRESHOLD` and can never collide with a real instant
-  (and stays far from int64 overflow on the numpy path).
+  recurrence as :class:`~repro.tdg.evaluator.TDGEvaluator`; results are
+  bit-identical, instant for instant, to the per-candidate replay of
+  :meth:`CompiledProblem.evaluate` (asserted by the equivalence suites).
+  ε is the sentinel :data:`NEG_EPSILON`, and every read skips values at
+  or below :data:`EPSILON_THRESHOLD`.  The kernel checks every ``+`` for
+  int64 overflow and leaves such candidates to :func:`replay_program` on
+  Python integers, so no headroom is assumed.
 * **Reference path stays pure Python.**  The ``python`` backend has no
   third-party dependency; ``numpy`` is auto-detected and selected via
   :func:`resolve_backend` / the ``REPRO_DSE_BACKEND`` environment
-  variable, and vectorises across candidates sharing a template.
+  variable.  Its kernel is built on first use into a per-user cache;
+  without a C compiler the numpy backend sweeps with the reference.
 * **Lowering is conservative.**  Any weight that is not a constant or a
   :class:`_TabulatedWeight` stream (i.e. genuinely context-dependent)
   refuses to lower (:class:`LoweringUnsupported`), and the caller falls
@@ -39,8 +39,17 @@ This module also owns :class:`_TabulatedWeight` and :class:`_TokenTable`
 
 from __future__ import annotations
 
+import atexit
+import hashlib
+import logging
 import os
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import threading
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..archmodel.token import DataToken
@@ -68,9 +77,8 @@ BACKENDS: Tuple[str, ...] = ("python", "numpy")
 #: ε (no value yet) as an int64 sentinel.  Real instants are >= 0.
 NEG_EPSILON = -(1 << 62)
 
-#: Anything at or below this is ε.  ``NEG_EPSILON + weight`` stays below it
-#: for every valid duration (durations are validated non-negative and far
-#: below 2**61), so ε never masquerades as a real instant after a (+).
+#: Anything at or below this is ε.  Every sweep masks its reads with it, so
+#: a value that never became an instant never feeds a (+).
 EPSILON_THRESHOLD = -(1 << 61)
 
 
@@ -185,7 +193,7 @@ class LoweringUnsupported(Exception):
 Arc = Tuple[int, int, Sequence[int]]
 
 
-class ArrayProgram:
+class ArrayProgram(NamedTuple):
     """One candidate's specialised model lowered onto flat integer tables.
 
     Everything the replay needs, with every name resolved to an index and
@@ -193,10 +201,6 @@ class ArrayProgram:
 
     * ``plan_nodes[p]`` / ``plan_arcs[p]`` -- the computed (non-input) nodes
       in this candidate's topological order, each with its predecessor arcs;
-    * ``plan_levels`` -- contiguous ``(start, stop)`` position ranges such
-      that no position in a range depends (via a delay-0 arc) on another
-      position in the same range; the plan is sorted so each level is one
-      slice, letting a vectorised backend sweep a whole level per step;
     * ``inputs`` -- per boundary input, in protocol order: the relation, the
       exchange node's index, the stimulus offer schedule (ps per iteration)
       and the *delayed* arcs of the ready node (the ``peek_delayed`` set);
@@ -204,41 +208,18 @@ class ArrayProgram:
     * ``observed`` -- (node name, index) pairs whose history rebuilds
       resource usage.
 
-    The program is immutable once built and holds no references to the
-    (mutable, shared) specialised graph, so many programs from successive
-    delta-specialisations can coexist in one batch.
+    The program is immutable and holds no references to the (mutable,
+    shared) specialised graph, so programs from successive
+    delta-specialisations coexist in one batch.
     """
 
-    __slots__ = (
-        "iterations",
-        "node_count",
-        "plan_nodes",
-        "plan_arcs",
-        "plan_levels",
-        "inputs",
-        "outputs",
-        "observed",
-    )
-
-    def __init__(
-        self,
-        iterations: int,
-        node_count: int,
-        plan_nodes: List[int],
-        plan_arcs: List[Tuple[Arc, ...]],
-        plan_levels: Tuple[Tuple[int, int], ...],
-        inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]],
-        outputs: List[Tuple[str, int]],
-        observed: List[Tuple[str, int]],
-    ) -> None:
-        self.iterations = iterations
-        self.node_count = node_count
-        self.plan_nodes = plan_nodes
-        self.plan_arcs = plan_arcs
-        self.plan_levels = plan_levels
-        self.inputs = inputs
-        self.outputs = outputs
-        self.observed = observed
+    iterations: int
+    node_count: int
+    plan_nodes: List[int]
+    plan_arcs: List[Tuple[Arc, ...]]
+    inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]]
+    outputs: List[Tuple[str, int]]
+    observed: List[Tuple[str, int]]
 
 
 #: replay result: (offer instants per input relation, output instants per
@@ -325,40 +306,16 @@ def lower_spec(
         cache[index_key] = index_of
     plan_nodes: List[int] = []
     plan_arcs: List[Tuple[Arc, ...]] = []
-    # Delay-0 depth of every plan node: positions sharing a level have no
-    # same-iteration dependency on each other, so a vectorised backend can
-    # sweep each level as one block.  Delay-0 arcs from input/exchange
-    # nodes do not order plan positions (inputs resolve first each round).
-    depth_of: Dict[int, int] = {}
-    levels: List[int] = []
     for node in graph.topological_order():
         if node.is_input:
             continue
         plan_nodes.append(node.index)
-        arcs = tuple(
-            (arc.source.index, arc.delay, stream_of(arc))
-            for arc in graph.arcs_into(node)
+        plan_arcs.append(
+            tuple(
+                (arc.source.index, arc.delay, stream_of(arc))
+                for arc in graph.arcs_into(node)
+            )
         )
-        plan_arcs.append(arcs)
-        depth = 0
-        for src, delay, _ in arcs:
-            if delay == 0:
-                src_depth = depth_of.get(src)
-                if src_depth is not None and src_depth >= depth:
-                    depth = src_depth + 1
-        depth_of[node.index] = depth
-        levels.append(depth)
-    # Stable-sort the plan by level: still a topological order (a delay-0
-    # predecessor always has a strictly smaller level).
-    order = sorted(range(len(plan_nodes)), key=levels.__getitem__)
-    plan_nodes = [plan_nodes[p] for p in order]
-    plan_arcs = [plan_arcs[p] for p in order]
-    plan_levels: List[Tuple[int, int]] = []
-    start = 0
-    for position in range(1, len(order) + 1):
-        if position == len(order) or levels[order[position]] != levels[order[start]]:
-            plan_levels.append((start, position))
-            start = position
 
     inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]] = []
     for boundary in spec.boundary_inputs:
@@ -388,7 +345,6 @@ def lower_spec(
         node_count=graph.node_count,
         plan_nodes=plan_nodes,
         plan_arcs=plan_arcs,
-        plan_levels=tuple(plan_levels),
         inputs=inputs,
         outputs=outputs,
         observed=observed,
@@ -486,6 +442,7 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     }
     return offers, actual, usage
 
+
 def replay_batch(
     programs: Sequence[ArrayProgram], backend: str = "python"
 ) -> List[Optional[ProgramResult]]:
@@ -493,257 +450,299 @@ def replay_batch(
 
     Results align with ``programs``; an entry is ``None`` exactly when the
     reference replay would fall back to the event-driven harness for that
-    candidate.  The numpy backend vectorises the per-step max/+ reduction
-    across *all* candidates at once: because every arc resolves to a flat
-    index into one shared history buffer, candidates' plan structures may
-    differ freely (order arcs come and go with the allocation) and still
-    sweep together -- only the horizon and the boundary-input protocol
-    must match, so candidates are grouped by those alone.
+    candidate.  The numpy backend sweeps each horizon group with one call
+    of the compiled kernel, or with the reference if there is no kernel.
     """
     programs = list(programs)
     telemetry.count("dse.engine.batches")
     telemetry.gauge("dse.engine.batch_size", len(programs))
     telemetry.count(f"dse.engine.backend.{backend}", len(programs))
-    if backend != "numpy":
+    kernel = _sweep_kernel() if backend == "numpy" and programs else None
+    if kernel is None:
+        if backend == "numpy":
+            telemetry.count("dse.engine.kernel_unavailable", len(programs))
         return [replay_program(program) for program in programs]
     results: List[Optional[ProgramResult]] = [None] * len(programs)
-    groups: Dict[Any, List[int]] = {}
-    for position, program in enumerate(programs):
-        signature = (
-            program.iterations,
-            tuple(relation for relation, _, _, _ in program.inputs),
-        )
-        groups.setdefault(signature, []).append(position)
-    for positions in groups.values():
-        swept = _replay_sweep_numpy([programs[p] for p in positions])
+    for horizon in {program.iterations for program in programs}:
+        positions = [p for p, program in enumerate(programs) if program.iterations == horizon]
+        group = [programs[p] for p in positions]
+        try:
+            swept = _kernel_sweep(kernel, group)
+        except OverflowError:  # a duration or offer time beyond int64
+            telemetry.count("dse.engine.kernel_overflow_fallbacks", len(group))
+            swept = [replay_program(program) for program in group]
         for position, result in zip(positions, swept):
             results[position] = result
     return results
 
 
-def _replay_sweep_numpy(programs: List[ArrayProgram]) -> List[Optional[ProgramResult]]:
-    """One vectorised sweep over candidates sharing a horizon.
+def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[ProgramResult]]:
+    """Sweep programs sharing a horizon with one call of the compiled kernel.
 
-    Strategy: concatenate level ``l`` of *every* candidate's plan into one
-    row block whose arcs are flat indices into one guard-padded history
-    buffer, so one step of one topological level is four whole-array ops
-    (gather, add, max, scatter) over every candidate at once -- the per-
-    iteration Python overhead is independent of the batch size.  Two
-    layout tricks remove the validity masks the reference loop needs:
-
-    * every node row is prefixed with ``pad`` guard cells (``pad`` >= the
-      largest arc delay) that stay at ε forever, so a delayed read before
-      its first valid iteration lands on ε instead of wrapping into a
-      neighbouring row; one extra all-ε row absorbs the arc-count padding;
-    * ε is *not* re-masked after the add: with non-negative weights an
-      ε-region value can only drift up by the total weight along a path,
-      which the headroom check below proves stays under the ε threshold
-      (otherwise the batch falls back to the reference loop, preserving
-      masked semantics for adversarial weights).
-
-    Candidates advance in lockstep through ``(iteration, level)`` space;
-    their instants never interact, so failed candidates (ε or
-    non-monotonic outputs) are detected post-hoc on their output rows --
-    equivalent to the reference's early exit.
+    Every candidate's nodes get a row block of one ``[nodes, K]`` history
+    buffer; plan nodes, arcs, inputs (with their ready arcs) and outputs
+    become CSR tables of global rows, and every distinct weight stream or
+    offer schedule (by ``id()``) one row of a ``[streams, K]`` matrix.  The
+    kernel leaves a status per candidate: 0 swept, 1 an output went ε or
+    decreased (``None``), 2 a sum left int64 (or an index was out of range)
+    -- the reference re-runs it.  Raises :class:`OverflowError` when a
+    stream does not fit int64.
     """
     import numpy as np
 
-    first = programs[0]
-    iterations = first.iterations
-    n_candidates = len(programs)
-    n_inputs = len(first.inputs)
-    neg = NEG_EPSILON
-    eps = EPSILON_THRESHOLD
+    iterations = programs[0].iterations
+    streams: List[Any] = []
+    stream_of: Dict[int, int] = {}
+    src, delay, stream, arc_ptr = [], [], [], [0]
 
-    # -- weight-stream matrix: one row per distinct materialised stream ---
-    stream_arrays: List[Any] = [np.zeros(iterations, dtype=np.int64)]  # row 0 pads
-    stream_ids: Dict[int, int] = {}
-
-    def stream_row(weights: Sequence[int]) -> int:
-        key = id(weights)
-        row = stream_ids.get(key)
+    def stream_row(values: Sequence[int]) -> int:
+        row = stream_of.get(id(values))
         if row is None:
-            row = len(stream_arrays)
-            stream_arrays.append(np.asarray(weights[:iterations], dtype=np.int64))
-            stream_ids[key] = row
+            row = stream_of[id(values)] = len(streams)
+            streams.append(values[:iterations])
         return row
 
-    # -- guard padding and per-candidate row bases ------------------------
-    pad = 1
-    max_arcs = 1
-    max_ready = 0
-    n_levels = 0
-    for program in programs:
-        if len(program.plan_levels) > n_levels:
-            n_levels = len(program.plan_levels)
-        for arcs in program.plan_arcs:
-            if len(arcs) > max_arcs:
-                max_arcs = len(arcs)
-            for _, delay, _ in arcs:
-                if delay > pad:
-                    pad = delay
-        for entry in program.inputs:
-            if len(entry[3]) > max_ready:
-                max_ready = len(entry[3])
-            for _, delay, _ in entry[3]:
-                if delay > pad:
-                    pad = delay
-    span = pad + iterations
-    bases: List[int] = []
-    rows_total = 0
-    for program in programs:
-        bases.append(rows_total)
-        rows_total += program.node_count
-    pad_cell = rows_total * span + pad  # in the extra all-ε guard row
+    def add_arcs(arcs: Sequence[Arc], base: int) -> None:
+        for source, arc_delay, weights in arcs:
+            src.append(base + source)
+            delay.append(arc_delay)
+            stream.append(stream_row(weights))
+        arc_ptr.append(len(src))
 
-    # -- level-concatenated plan tables -----------------------------------
-    level_tables: List[Tuple[Any, Any, Any]] = []
-    for level in range(n_levels):
-        plan_rows: List[int] = []
-        arc_rows: List[List[int]] = []
-        stream_rows: List[List[int]] = []
-        for c, program in enumerate(programs):
-            if level >= len(program.plan_levels):
-                continue
-            start, stop = program.plan_levels[level]
-            base = bases[c]
-            for p in range(start, stop):
-                plan_rows.append((base + program.plan_nodes[p]) * span + pad)
-                row = [pad_cell] * max_arcs
-                srow = [0] * max_arcs
-                for a, (src, delay, weights) in enumerate(program.plan_arcs[p]):
-                    row[a] = (base + src) * span + pad - delay
-                    srow[a] = stream_row(weights)
-                arc_rows.append(row)
-                stream_rows.append(srow)
-        level_tables.append(
-            (
-                np.asarray(plan_rows, dtype=np.intp),
-                np.asarray(arc_rows, dtype=np.intp).reshape(len(arc_rows), max_arcs),
-                np.asarray(stream_rows, dtype=np.intp).reshape(
-                    len(stream_rows), max_arcs
-                ),
-            )
-        )
-
-    # -- boundary-input tables --------------------------------------------
-    ready_span = max(max_ready, 1)
-    exchange_idx = np.empty((n_inputs, n_candidates), dtype=np.intp)
-    ready_idx = np.full((n_inputs, n_candidates, ready_span), pad_cell, dtype=np.intp)
-    ready_streams = np.zeros((n_inputs, n_candidates, ready_span), dtype=np.intp)
+    # Per candidate, one arc group per input (its ready arcs), then one per
+    # plan node.  A program with an index the kernel could not follow
+    # safely stays empty here and is left to the reference.
+    bases, rows = [], 0
+    plan_ptr, plan_node, in_ptr, in_exchange, in_schedule = [0], [], [0], [], []
+    out_ptr, out_node = [0], []
+    status = np.zeros(len(programs), dtype=np.int64)  # the kernel skips status 2
     for c, program in enumerate(programs):
-        base = bases[c]
-        for i, (_, exch, _, ready_arcs) in enumerate(program.inputs):
-            exchange_idx[i, c] = (base + exch) * span + pad
-            for a, (src, delay, weights) in enumerate(ready_arcs):
-                ready_idx[i, c, a] = (base + src) * span + pad - delay
-                ready_streams[i, c, a] = stream_row(weights)
-    scheds: List[Any] = []
-    for i in range(n_inputs):
-        schedule = first.inputs[i][2]
-        if all(program.inputs[i][2] is schedule for program in programs):
-            scheds.append(np.asarray(schedule[:iterations], dtype=np.int64))  # [K]
-        else:
-            table = np.empty((iterations, n_candidates), dtype=np.int64)
-            for c, program in enumerate(programs):
-                table[:, c] = program.inputs[i][2][:iterations]
-            scheds.append(table)  # [K, C]
+        bases.append(rows)
+        fit = _in_bounds(program)
+        for _, exchange, schedule, ready_arcs in program.inputs if fit else ():
+            in_exchange.append(rows + exchange)
+            in_schedule.append(stream_row(schedule))
+            add_arcs(ready_arcs, rows)
+        for node, arcs in zip(program.plan_nodes, program.plan_arcs) if fit else ():
+            plan_node.append(rows + node)
+            add_arcs(arcs, rows)
+        out_node.extend(rows + offer for _, offer in program.outputs if fit)
+        status[c] = 0 if fit else 2
+        rows += program.node_count if fit else 0
+        plan_ptr.append(len(plan_node))
+        in_ptr.append(len(in_exchange))
+        out_ptr.append(len(out_node))
 
-    streams = (
-        np.vstack(stream_arrays)
-        if iterations
-        else np.zeros((len(stream_arrays), 0), dtype=np.int64)
-    )
-    # Mask-free ε semantics need non-negative weights with enough headroom
-    # that an ε value drifting up by one weight per hop can never cross
-    # the ε threshold.  Real duration tables sit many orders of magnitude
-    # below the bound; fall back to the masked reference loop otherwise.
-    if streams.size:
-        max_positions = max(len(program.plan_nodes) for program in programs)
-        max_hops = iterations * (max_positions + n_inputs) + 1
-        if int(streams.min()) < 0 or int(streams.max()) * max_hops >= eps - neg:
-            return [replay_program(program) for program in programs]
-
-    # -- the sweep --------------------------------------------------------
-    # Read/write indices advance by one cell per iteration, so each table
-    # keeps a working copy that is incremented in place; gather/add/max
-    # reuse preallocated buffers to keep the hot loop allocation-free.
-    plan_state = [
-        (
-            plan_rows.copy(),
-            arc_rows.copy(),
-            streams[stream_rows],  # [rows, arcs, K] pre-gathered weights
-            np.empty(arc_rows.shape, dtype=np.int64),
-            np.empty(len(plan_rows), dtype=np.int64),
-        )
-        for plan_rows, arc_rows, stream_rows in level_tables
+    hist = np.full((rows, iterations), NEG_EPSILON, dtype=np.int64)
+    offers = np.empty((len(in_exchange), iterations), dtype=np.int64)
+    tables = (plan_ptr, plan_node, in_ptr, in_exchange, in_schedule, out_ptr, out_node)
+    buffers = [np.asarray(t, dtype=np.int64) for t in tables + (arc_ptr, src, delay, stream)]
+    buffers += [
+        np.array(streams, dtype=np.int64).reshape(len(streams), iterations),  # OverflowError
+        hist,
+        offers,
+        np.full(len(in_exchange), NEG_EPSILON, dtype=np.int64),  # prev exchange: ε
+        status,
     ]
-    ready_state = [
-        (
-            ready_idx[i].copy(),
-            streams[ready_streams[i]],
-            np.empty((n_candidates, ready_span), dtype=np.int64),
-            np.empty(n_candidates, dtype=np.int64),
-        )
-        for i in range(n_inputs)
-    ]
-    exch_state = exchange_idx.copy()
-    hist_flat = np.full((rows_total + 1) * span, neg, dtype=np.int64)
-    now = np.zeros(n_candidates, dtype=np.int64)
-    prev = np.full((n_candidates, n_inputs), neg, dtype=np.int64)
-    offer_hist = np.zeros((n_candidates, n_inputs, iterations), dtype=np.int64)
-    for k in range(iterations):
-        for i in range(n_inputs):
-            if max_ready:
-                ridx, rweights, rval, rbest = ready_state[i]
-                hist_flat.take(ridx, out=rval)
-                np.add(rval, rweights[:, :, k], out=rval)
-                rval.max(axis=1, out=rbest)
-                np.maximum(now, rbest, out=now)
-                ridx += 1
-            arrival = np.maximum(prev[:, i], scheds[i][k])
-            offer_hist[:, i, k] = arrival
-            np.maximum(now, arrival, out=now)
-            hist_flat[exch_state[i]] = now
-            prev[:, i] = now
-        exch_state += 1
-        for plan_idx, arc_idx, weights_lk, val_buf, best_buf in plan_state:
-            hist_flat.take(arc_idx, out=val_buf)
-            np.add(val_buf, weights_lk[:, :, k], out=val_buf)
-            val_buf.max(axis=1, out=best_buf)
-            hist_flat[plan_idx] = best_buf
-            arc_idx += 1
-            plan_idx += 1
+    kernel(len(programs), iterations, *[buffer.ctypes.data for buffer in buffers])
+    telemetry.count("dse.engine.kernel_swept", len(programs))
 
-    # -- unpack per candidate (post-hoc monotonic/ε check) ----------------
-    hist_rows = hist_flat[: rows_total * span].reshape(rows_total, span)
-    results: List[Optional[ProgramResult]] = []
-    for c, program in enumerate(programs):
-        base = bases[c]
-        failed = False
-        actual: Dict[str, List[int]] = {}
-        for relation, offer_idx in program.outputs:
-            sequence = hist_rows[base + offer_idx, pad:]
-            if iterations and (
-                bool((sequence <= eps).any()) or bool((np.diff(sequence) < 0).any())
-            ):
-                failed = True
-                break
-            actual[relation] = sequence.tolist()
-        if failed:
-            results.append(None)
-            continue
-        offers = {
-            relation: offer_hist[c, i, :].tolist()
-            for i, (relation, _, _, _) in enumerate(program.inputs)
-        }
+    # Unpack with one gather and one ε test over every observed row.
+    statuses = status.tolist()
+    swept = [c for c, code in enumerate(statuses) if code == 0]
+    observed = hist[
+        np.asarray([bases[c] + i for c in swept for _, i in programs[c].observed], dtype=np.intp)
+    ]
+    observed_rows = zip(observed.tolist(), (observed <= EPSILON_THRESHOLD).any(axis=1).tolist())
+    output_values = hist[np.asarray(out_node, dtype=np.intp)].tolist()
+    offer_values = offers.tolist()
+    results: List[Optional[ProgramResult]] = [None] * len(programs)
+    for c in swept:
+        program = programs[c]
         usage: Dict[str, List[Optional[int]]] = {}
-        for name, idx in program.observed:
-            row = hist_rows[base + idx, pad:]
-            values = row.tolist()
-            if bool((row <= eps).any()):
-                keep = (row > eps).tolist()
-                values = [v if f else None for v, f in zip(values, keep)]
+        for (name, _), (values, has_eps) in zip(program.observed, observed_rows):
+            if has_eps:
+                values = [v if v > EPSILON_THRESHOLD else None for v in values]
             usage[name] = values
-        results.append((offers, actual, usage))
+        results[c] = (
+            {r: offer_values[in_ptr[c] + i] for i, (r, _, _, _) in enumerate(program.inputs)},
+            {r: output_values[out_ptr[c] + o] for o, (r, _) in enumerate(program.outputs)},
+            usage,
+        )
+    for c, code in enumerate(statuses):
+        if code == 2:
+            telemetry.count("dse.engine.kernel_overflow_fallbacks")
+            results[c] = replay_program(programs[c])
     return results
+
+
+def _in_bounds(program: ArrayProgram) -> bool:
+    """Whether every row index and delay the kernel would follow is in range."""
+    arcs = [arc for arcs in program.plan_arcs for arc in arcs]
+    arcs += [arc for entry in program.inputs for arc in entry[3]]
+    rows = [source for source, _, _ in arcs] + [entry[1] for entry in program.inputs]
+    rows += [*program.plan_nodes, *(node for _, node in [*program.outputs, *program.observed])]
+    n = program.node_count
+    return all(delay >= 0 for _, delay, _ in arcs) and all(0 <= row < n for row in rows)
+
+
+#: The numpy backend's sweep: :func:`replay_program` transcribed line for
+#: line over :func:`_kernel_sweep`'s tables.  Its sha256 keys the build cache.
+_KERNEL_SOURCE = r"""
+#include <stdint.h>
+
+#define NEG (-(INT64_C(1) << 62))
+#define EPS (-(INT64_C(1) << 61))
+
+/* (max, +) over arcs [a, stop): hist[src][k - delay] + weights[stream][k] for
+   every defined (> EPS) source value, NEG when none.  1 on int64 overflow. */
+static int best_of(int64_t a, int64_t stop, int64_t k, int64_t K, const int64_t *src,
+                   const int64_t *delay, const int64_t *stream, const int64_t *weights,
+                   const int64_t *hist, int64_t *out)
+{
+    int64_t best = NEG, value, sum;
+    for (; a < stop; a++)
+        if (k >= delay[a] && (value = hist[src[a] * K + k - delay[a]]) > EPS) {
+            if (__builtin_add_overflow(value, weights[stream[a] * K + k], &sum))
+                return 1;
+            if (sum > best)
+                best = sum;
+        }
+    *out = best;
+    return 0;
+}
+
+/* status[c]: 0 swept, 1 an output went epsilon or decreased, 2 int64 overflow.
+   Candidates entering with a non-zero status are skipped.  Arc groups run per
+   candidate, inputs' ready arcs first: input i reads group plan_ptr[c] + i
+   and plan node p group in_ptr[c + 1] + p. */
+void repro_sweep(int64_t n_candidates, int64_t K, const int64_t *plan_ptr,
+                 const int64_t *plan_node, const int64_t *in_ptr, const int64_t *in_exchange,
+                 const int64_t *in_schedule, const int64_t *out_ptr, const int64_t *out_node,
+                 const int64_t *arc_ptr, const int64_t *src, const int64_t *delay,
+                 const int64_t *stream, const int64_t *weights, int64_t *hist,
+                 int64_t *offers, int64_t *prev, int64_t *status)
+{
+    for (int64_t c = 0; c < n_candidates; c++) {
+        if (status[c])
+            continue;
+        int64_t now = 0, ready;
+        for (int64_t k = 0; k < K; k++) {
+            for (int64_t i = in_ptr[c]; i < in_ptr[c + 1]; i++) {
+                /* Reception: wait until the abstracted consumer is ready. */
+                int64_t g = plan_ptr[c] + i;
+                if (best_of(arc_ptr[g], arc_ptr[g + 1], k, K, src, delay, stream, weights,
+                            hist, &ready))
+                    goto overflow;
+                if (ready > now)
+                    now = ready;
+                /* Stimulus driver: u(k) = max(previous exchange, offer time). */
+                int64_t scheduled = weights[in_schedule[i] * K + k];
+                int64_t arrival = prev[i] > scheduled ? prev[i] : scheduled;
+                offers[i * K + k] = arrival;
+                /* Rendezvous: the exchange completes when both sides arrived. */
+                if (arrival > now)
+                    now = arrival;
+                hist[in_exchange[i] * K + k] = prev[i] = now;
+            }
+            /* ComputeInstant(): the (max, +) sweep in topological order. */
+            for (int64_t p = plan_ptr[c], g = in_ptr[c + 1] + p; p < plan_ptr[c + 1]; p++, g++)
+                if (best_of(arc_ptr[g], arc_ptr[g + 1], k, K, src, delay, stream, weights,
+                            hist, &hist[plan_node[p] * K + k]))
+                    goto overflow;
+            for (int64_t o = out_ptr[c]; o < out_ptr[c + 1]; o++) {
+                const int64_t *row = hist + out_node[o] * K;
+                if (row[k] <= EPS || (k > 0 && row[k] < row[k - 1])) {
+                    status[c] = 1;
+                    goto next;
+                }
+            }
+        }
+        continue;
+    overflow:
+        status[c] = 2;
+    next:;
+    }
+}
+"""
+
+_LOG = logging.getLogger("repro.dse.engine")
+_KERNEL_LOCK = threading.Lock()
+#: ``None`` until the first numpy sweep; then the kernel, or ``False`` when it
+#: could not be built or loaded in this process.
+_kernel: Any = None
+
+
+def _sweep_kernel() -> Any:
+    """The compiled sweep, built and loaded on first use; ``None`` if unavailable."""
+    global _kernel
+    with _KERNEL_LOCK:
+        if _kernel is None:
+            try:
+                _kernel = _load_kernel()
+            except (OSError, AttributeError, subprocess.SubprocessError) as error:
+                _kernel = False
+                _LOG.warning(
+                    "compiled sweep kernel unavailable (%s); the numpy backend "
+                    "sweeps with the pure-Python reference",
+                    error,
+                )
+        return _kernel or None
+
+
+def _load_kernel() -> Any:
+    """Load the cached kernel, (re)building it once if missing or unloadable."""
+    import ctypes
+
+    key = f"{sysconfig.get_platform()}\n{_KERNEL_SOURCE}".encode()
+    path = os.path.join(_cache_dir(), f"sweep-{hashlib.sha256(key).hexdigest()[:20]}.so")
+    if not os.path.exists(path):
+        _build_kernel(path)
+    try:
+        function = ctypes.CDLL(path).repro_sweep
+    except (OSError, AttributeError):  # truncated, foreign or stale object
+        _build_kernel(path)
+        function = ctypes.CDLL(path).repro_sweep
+    function.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 16
+    function.restype = None
+    return function
+
+
+def _cache_dir() -> str:
+    """``$XDG_CACHE_HOME/repro`` (else ``~/.cache/repro``) if private, else a mkdtemp."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(root, "repro")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.stat(path)
+        owner = getattr(os, "getuid", lambda: info.st_uid)()
+        if info.st_uid == owner and not info.st_mode & 0o022:
+            return path
+    except OSError:
+        pass
+    path = tempfile.mkdtemp(prefix="repro-kernel-")
+    atexit.register(shutil.rmtree, path, True)
+    return path
+
+
+def _compiler_command() -> List[str]:
+    """Python's own C compiler (``sysconfig`` ``CC``), else ``cc``."""
+    command = shlex.split(sysconfig.get_config_var("CC") or "")
+    return command if command and shutil.which(command[0]) else ["cc"]
+
+
+def _build_kernel(path: str) -> None:
+    """Compile the kernel to a temp file beside ``path``, then rename it in place."""
+    handle, target = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(handle)
+    try:
+        command = _compiler_command() + ["-O2", "-shared", "-fPIC", "-o", target, "-x", "c", "-"]
+        subprocess.run(
+            command, input=_KERNEL_SOURCE, text=True, check=True, capture_output=True, timeout=300
+        )
+        os.replace(target, path)
+    finally:
+        if os.path.exists(target):
+            os.unlink(target)

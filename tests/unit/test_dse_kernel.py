@@ -1,0 +1,357 @@
+"""The numpy backend's compiled sweep kernel against the pure-Python reference.
+
+``replay_batch(programs, "numpy")`` flattens a batch into int64 buffers
+and sweeps it with one call of a C transcription of ``replay_program``.
+These tests hold it to the reference result for result on random lowered
+programs, check the per-candidate overflow fallback onto Python
+integers, and check that a missing compiler, a corrupt cached object and
+two concurrent builds all end in exact results.
+"""
+
+import dataclasses
+import itertools
+import logging
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("numpy")
+
+import repro  # noqa: E402
+from repro import telemetry  # noqa: E402
+from repro.dse import engine, get_problem  # noqa: E402
+from repro.dse.engine import ArrayProgram, replay_batch, replay_program  # noqa: E402
+from repro.dse.evaluate import evaluate_candidates  # noqa: E402
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    if engine._sweep_kernel() is None:
+        pytest.skip("no C compiler: the compiled sweep kernel is unavailable")
+
+
+@pytest.fixture
+def fresh_kernel(tmp_path, monkeypatch):
+    """An empty per-test cache and a process that has not loaded a kernel yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(engine, "_kernel", None)
+    return tmp_path / "repro"
+
+
+def random_streams(rng, iterations, count):
+    """Weight pools: constant, random, steeply decreasing and, rarely, huge
+    streams (ε + 2**61 would pass for an instant if a read were unmasked) or
+    negative ones (an instant plus -2**61 lands in the ε range, not on ε)."""
+    streams = []
+    for _ in range(count):
+        kind = rng.choice(("constant", "random", "decreasing") * 3 + ("huge", "negative"))
+        length = iterations + rng.randint(0, 3)  # streams may outrun the horizon
+        if kind == "huge":
+            streams.append([2**61 + rng.randint(0, 9)] * length)
+        elif kind == "negative":
+            streams.append([-(2**61) - rng.randint(0, 9)] * length)
+        elif kind == "constant":
+            streams.append([rng.randint(0, 50)] * length)
+        elif kind == "random":
+            streams.append([rng.randint(0, 400) for _ in range(length)])
+        else:
+            streams.append([max(0, 5000 - 900 * k) for k in range(length)])
+    return streams
+
+
+def random_program(rng, iterations, streams, schedules):
+    """One lowered program with levels of varying width, delays 0-4, 1-3
+    inputs, never-written (ε) sources and outputs that may go ε or drop."""
+    n_inputs = len(schedules)
+    never = rng.randint(0, 2)
+    widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+    n_plan = sum(widths)
+    node_count = n_inputs + never + n_plan
+    vocabulary = list(range(node_count))
+    rng.shuffle(vocabulary)
+    exchange = vocabulary[:n_inputs]
+    unwritten = vocabulary[n_inputs : n_inputs + never]
+    plan_nodes = vocabulary[n_inputs + never :]
+
+    plan_arcs, earlier, start = [], [], 0
+    for width in widths:
+        for node in plan_nodes[start : start + width]:
+            arcs = []
+            for _ in range(rng.randint(0, 3)):
+                roll = rng.random()
+                if roll < 0.3:
+                    source, delay = rng.choice(exchange), rng.randint(0, 4)
+                elif roll < 0.4 and unwritten:
+                    source, delay = rng.choice(unwritten), rng.randint(0, 4)
+                elif roll < 0.7 and earlier:
+                    source, delay = rng.choice(earlier), rng.randint(0, 4)
+                else:  # any plan node, itself included, one or more iterations back
+                    source, delay = rng.choice(plan_nodes), rng.randint(1, 4)
+                arcs.append((source, delay, rng.choice(streams)))
+            plan_arcs.append(tuple(arcs))
+        earlier.extend(plan_nodes[start : start + width])
+        start += width
+
+    inputs = []
+    for i, schedule in enumerate(schedules):
+        ready = tuple(
+            (rng.choice(vocabulary), rng.randint(1, 4), rng.choice(streams))
+            for _ in range(rng.randint(0, 2))
+        )
+        inputs.append((f"in{i}", exchange[i], schedule, ready))
+    outputs = [
+        (f"out{o}", rng.choice(plan_nodes + exchange + unwritten))
+        for o in range(rng.randint(1, 2))
+    ]
+    observed = [(f"n{node}", node) for node in rng.sample(vocabulary, min(4, node_count))]
+    return ArrayProgram(
+        iterations=iterations,
+        node_count=node_count,
+        plan_nodes=plan_nodes,
+        plan_arcs=plan_arcs,
+        inputs=inputs,
+        outputs=outputs,
+        observed=observed,
+    )
+
+
+def random_schedule(rng, iterations):
+    if rng.random() < 0.5:
+        return sorted(rng.randint(0, 40 * iterations + 1) for _ in range(iterations))
+    return [rng.randint(-100, 3000) for _ in range(iterations)]  # not monotonic
+
+
+def random_batch(seed):
+    rng = random.Random(seed)
+    batch = []
+    for iterations in rng.sample([0, 1, 2, 3, 5, 9, 17], rng.randint(1, 2)):
+        streams = random_streams(rng, iterations, 5)
+        n_inputs = rng.randint(1, 3)
+        shared = [random_schedule(rng, iterations) for _ in range(n_inputs)]
+        for _ in range(rng.randint(1, 5)):
+            schedules = [
+                schedule if rng.random() < 0.6 else random_schedule(rng, iterations)
+                for schedule in shared
+            ]
+            batch.append(random_program(rng, iterations, streams, schedules))
+    rng.shuffle(batch)
+    return batch
+
+
+def sweep(programs):
+    """``replay_batch`` on numpy, plus the counters it left behind."""
+    with telemetry.collect(enable=True) as scope:
+        results = replay_batch(programs, "numpy")
+        counters = scope.snapshot()["counters"]
+    return results, counters
+
+
+class TestKernelEqualsReference:
+    def test_random_batches(self, kernel):
+        seen = {"none": 0, "swept": 0, "eps_usage": 0, "empty": 0}
+        for seed in range(300):
+            batch = random_batch(seed)
+            results, counters = sweep(batch)
+            assert results == [replay_program(program) for program in batch], seed
+            assert counters["dse.engine.kernel_swept"] == len(batch)
+            assert counters.get("dse.engine.kernel_unavailable", 0) == 0
+            for program, result in zip(batch, results):
+                if result is None:
+                    seen["none"] += 1
+                    continue
+                seen["swept"] += 1
+                seen["empty"] += program.iterations == 0
+                usage = result[2]
+                seen["eps_usage"] += any(None in row for row in usage.values())
+        # The generator reaches every branch the reference has.
+        assert all(seen.values()), seen
+
+    def test_eps_reads_stay_masked(self, kernel):
+        # Node 2 reads only the never-written node 1, through a weight that
+        # would lift ε above the threshold if the read were not masked.
+        program = ArrayProgram(
+            iterations=3,
+            node_count=4,
+            plan_nodes=[2, 3],
+            plan_arcs=[((1, 0, [2**61 + 5] * 3),), ((0, 0, [1] * 3), (2, 0, [1] * 3))],
+            inputs=[("in0", 0, [0, 10, 20], ())],
+            outputs=[("out", 3)],
+            observed=[("n2", 2), ("n3", 3)],
+        )
+        results, _ = sweep([program])
+        assert results == [replay_program(program)]
+        assert results[0][2] == {"n2": [None] * 3, "n3": [1, 11, 21]}
+
+    @pytest.mark.parametrize(
+        "name, parameters",
+        [
+            ("chain", {"items": 40}),
+            ("lte", {"items": 3, "subframes": 2}),
+            ("fork", {"items": 6}),
+        ],
+    )
+    def test_registered_problems(self, kernel, name, parameters):
+        problem = get_problem(name)
+        space = problem.space(parameters)
+        candidates = list(itertools.islice(space.enumerate_candidates(), 12))
+        with telemetry.collect(enable=True) as scope:
+            batched = evaluate_candidates(problem, candidates, parameters, backend="numpy")
+            counters = scope.snapshot()["counters"]
+        reference = evaluate_candidates(problem, candidates, parameters, backend="python")
+        assert counters.get("dse.engine.kernel_swept", 0) > 0
+        for fast, slow in zip(batched, reference):
+            assert_same_evaluation(fast, slow)
+
+
+def overflow_batch(value):
+    """Four random programs; candidate 2 is a three-hop chain whose arcs all
+    carry ``value``, so its sums leave int64 (or ``value`` alone does not fit)."""
+    rng = random.Random(7)
+    streams = random_streams(rng, 6, 4)
+    schedule = list(range(0, 60, 10))
+    batch = [random_program(rng, 6, streams, [schedule]) for _ in range(4)]
+    huge = [value] * 6
+    batch[2] = ArrayProgram(
+        iterations=6,
+        node_count=4,
+        plan_nodes=[1, 2, 3],
+        plan_arcs=[((0, 0, huge),), ((1, 0, huge),), ((2, 0, huge),)],
+        inputs=[("in0", 0, schedule, ())],
+        outputs=[("out", 3)],
+        observed=[("n1", 1), ("n2", 2), ("n3", 3)],
+    )
+    return batch
+
+
+class TestOverflowFallback:
+    @pytest.mark.parametrize("value", [2**62 - 7, 2**62])
+    def test_only_the_overflowing_candidate_replays(self, kernel, monkeypatch, value):
+        batch = overflow_batch(value)
+        expected = [replay_program(program) for program in batch]
+        calls = []
+        reference = engine.replay_program
+        monkeypatch.setattr(
+            engine, "replay_program", lambda program: calls.append(program) or reference(program)
+        )
+        results, counters = sweep(batch)
+        assert results == expected
+        assert calls == [batch[2]]  # every other candidate came from the kernel
+        assert counters["dse.engine.kernel_overflow_fallbacks"] == 1
+        assert counters["dse.engine.kernel_swept"] == len(batch)
+        assert max(expected[2][1]["out"]) > 2**63 - 1
+
+    def test_durations_beyond_int64_replay_their_group(self, kernel):
+        # A duration that int64 cannot even hold: the whole horizon group
+        # goes to the reference, exactly.
+        batch = overflow_batch(2**64 + 3)
+        expected = [replay_program(program) for program in batch]
+        results, counters = sweep(batch)
+        assert results == expected
+        assert counters["dse.engine.kernel_overflow_fallbacks"] == len(batch)
+        assert "dse.engine.kernel_swept" not in counters
+
+    def test_out_of_range_indices_fail_like_the_reference(self, kernel):
+        batch = overflow_batch(1)
+        bad = batch[1]._replace(plan_arcs=[((99, 0, [1] * 6),)] + list(batch[1].plan_arcs[1:]))
+        with pytest.raises(IndexError):
+            replay_program(bad)
+        with pytest.raises(IndexError):
+            sweep([batch[0], bad])
+
+
+def assert_same_evaluation(fast, slow):
+    for field in dataclasses.fields(fast):
+        if field.name not in ("wall_seconds", "backend"):
+            assert getattr(fast, field.name) == getattr(slow, field.name), field.name
+
+
+class TestKernelUnavailable:
+    @pytest.mark.parametrize(
+        "command",
+        [["/nonexistent/cc"], [sys.executable, "-c", "raise SystemExit(1)"]],
+        ids=["missing-compiler", "failing-build"],
+    )
+    def test_build_failure_falls_back_exactly(self, fresh_kernel, monkeypatch, caplog, command):
+        monkeypatch.setattr(engine, "_compiler_command", lambda: list(command))
+        problem = get_problem("chain")
+        parameters = {"items": 20}
+        space = problem.space(parameters)
+        candidates = list(itertools.islice(space.enumerate_candidates(), 6))
+        reference = evaluate_candidates(problem, candidates, parameters, backend="python")
+        with caplog.at_level(logging.WARNING, logger="repro.dse.engine"):
+            with telemetry.collect(enable=True) as scope:
+                first = evaluate_candidates(problem, candidates, parameters, backend="numpy")
+                second = evaluate_candidates(problem, candidates, parameters, backend="numpy")
+                counters = scope.snapshot()["counters"]
+        for batch in (first, second):
+            for fast, slow in zip(batch, reference):
+                assert_same_evaluation(fast, slow)
+                assert fast.backend == "numpy"
+        assert counters["dse.engine.kernel_unavailable"] == 2 * len(candidates)
+        assert "dse.engine.kernel_swept" not in counters
+        warnings = [r for r in caplog.records if r.name == "repro.dse.engine"]
+        assert len(warnings) == 1 and "unavailable" in warnings[0].getMessage()
+        assert not fresh_kernel.exists() or not list(fresh_kernel.glob("*.so"))
+
+    def test_shared_cache_dir_is_refused(self, fresh_kernel):
+        fresh_kernel.mkdir(mode=0o700)
+        assert engine._cache_dir() == str(fresh_kernel)
+        fresh_kernel.chmod(0o777)
+        elsewhere = engine._cache_dir()
+        assert elsewhere != str(fresh_kernel) and os.path.isdir(elsewhere)
+
+
+#: Loads the kernel in a fresh interpreter and sweeps a random batch.
+CHILD = textwrap.dedent(
+    """
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    from repro.dse import engine
+    from repro.dse.engine import replay_batch, replay_program
+    sys.path.insert(0, sys.argv[2])
+    from test_dse_kernel import random_batch
+    assert engine._sweep_kernel() is not None, "kernel unavailable"
+    batch = random_batch(11)
+    assert replay_batch(batch, "numpy") == [replay_program(p) for p in batch]
+    print("ok")
+    """
+)
+
+
+def spawn(cache):
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    return subprocess.Popen(
+        [sys.executable, "-c", CHILD, SRC, str(Path(__file__).parent)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def finished(process):
+    out, err = process.communicate(timeout=300)
+    assert process.returncode == 0, err
+    return out.strip()
+
+
+class TestKernelCache:
+    def test_garbage_object_is_rebuilt(self, kernel, tmp_path):
+        assert finished(spawn(tmp_path)) == "ok"
+        (built,) = (tmp_path / "repro").glob("sweep-*.so")
+        built.write_bytes(b"not a shared object")
+        assert finished(spawn(tmp_path)) == "ok"
+        assert built.read_bytes() != b"not a shared object"
+
+    def test_concurrent_builds_into_an_empty_cache(self, kernel, tmp_path):
+        processes = [spawn(tmp_path), spawn(tmp_path)]
+        assert [finished(process) for process in processes] == ["ok", "ok"]
+        leftovers = sorted(path.name for path in (tmp_path / "repro").iterdir())
+        assert len(leftovers) == 1 and leftovers[0].endswith(".so"), leftovers
