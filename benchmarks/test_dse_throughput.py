@@ -332,7 +332,11 @@ def _batch_fixture(problem_name, items, batch):
     # cycling candidates keeps the sweep workload realistic (timing only --
     # the identity properties are asserted elsewhere on distinct candidates).
     candidates = (base * (batch // len(base) + 1))[:batch]
-    specs = [compiled._specialize_for_evaluation(c) for c in candidates]
+    # One fresh specialisation per distinct candidate.  Delta-specialisation
+    # mutates one shared graph, so specs kept from it would all carry the
+    # last candidate's arcs beside their own resource slots.
+    fresh = {id(c): compiled.specialize(c) for c in base}
+    specs = [fresh[id(c)] for c in candidates]
     iterations = [
         min(len(compiled.stimuli[b.relation]) for b in spec.boundary_inputs)
         for spec in specs

@@ -58,10 +58,8 @@ candidate over the whole ``didactic`` space in the test-suite.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import OrderedDict
-from itertools import islice
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -85,9 +83,14 @@ from ..tdg.arc import DependencyArc
 from ..environment.stimulus import Stimulus
 from ..errors import ModelError, ReproError
 from .engine import (
+    _disjoint_span,
+    _merged_busy,  # noqa: F401 -- re-exported
+    _merged_span,
+    _resource_slots,
     _TabulatedWeight,
     _TokenTable,
     LoweringUnsupported,
+    Span,
     lower_spec,
     replay_batch,
     resolve_backend,
@@ -200,6 +203,9 @@ class CompiledProblem:
         }
         #: lazily computed: do all boundary-input stimuli promise a period?
         self._periodic_inputs: Optional[bool] = None
+        #: lowering's constant streams and offer schedules, shared by every
+        #: batch (``self.stimuli`` keeps the stimulus ``id()`` keys alive).
+        self._stream_cache: Dict[Any, List[int]] = {}
 
     # ------------------------------------------------------------------
     def _candidate_overrides(
@@ -463,7 +469,7 @@ class CompiledProblem:
         and in :meth:`evaluate_batch` the steady-certified candidates and the
         specs that refuse to lower.  With ``steady`` the runner stops at the
         certificate and the objectives come from the replayed prefix plus the
-        closed-form periodic tail (see :func:`_utilization`).
+        closed-form periodic tail (see :func:`_resource_spans`).
         """
         try:
             computer = InstantComputer(spec, record_usage=True)
@@ -485,17 +491,19 @@ class CompiledProblem:
             # (which records its own evaluation telemetry).
             telemetry.count("dse.compile.explicit_fallbacks")
             return self._explicit_fallback(candidate)
+        spans = _resource_spans(
+            spec.execute_nodes, computer.usage_instants(), run[3] if steady else None
+        )
         return _record_evaluation(
             self._assemble(
                 candidate,
                 spec,
-                computer.usage_instants(),
+                spans,
                 run[0],
                 run[1],
                 start,
                 evaluator="steady" if steady else "replay",
                 backend=backend,
-                tail=run[3] if steady else None,
             )
         )
 
@@ -541,7 +549,6 @@ class CompiledProblem:
         results: List[Optional[CandidateEvaluation]] = [None] * len(candidates)
         pending: List[Tuple[int, MappingCandidate, EquivalentModelSpec, float]] = []
         programs: List[Any] = []
-        stream_cache: Dict[Any, List[int]] = {}
 
         for position, candidate in enumerate(candidates):
             start = time.perf_counter()
@@ -568,7 +575,7 @@ class CompiledProblem:
             )
             try:
                 program = lower_spec(
-                    spec, self.stimuli, iterations, stream_cache=stream_cache
+                    spec, self.stimuli, iterations, stream_cache=self._stream_cache
                 )
             except LoweringUnsupported as gate:
                 # Context-dependent weights the tables cannot hold: replay
@@ -607,12 +614,12 @@ class CompiledProblem:
                     telemetry.count("dse.engine.replay_fallbacks")
                     results[position] = self._explicit_fallback(candidate)
                     continue
-                offers, actual, usage = run
+                offers, actual, spans = run
                 results[position] = _record_evaluation(
                     self._assemble(
                         candidate,
                         spec,
-                        usage,
+                        spans,
                         offers,
                         actual,
                         start,
@@ -684,7 +691,7 @@ class CompiledProblem:
         execute-node histories at the replayed prefix: the returned
         ``(offers, actual, iterations, tail)`` carries the certified
         :class:`_SteadyTail` (``None`` when the horizon ran out first), from
-        which :func:`_utilization` scores the rest in closed form.
+        which :func:`_resource_spans` scores the rest in closed form.
         """
         stimuli = self.stimuli
         boundary_inputs = spec.boundary_inputs
@@ -845,21 +852,18 @@ class CompiledProblem:
         self,
         candidate: MappingCandidate,
         spec: EquivalentModelSpec,
-        usage: Mapping[str, List[Optional[int]]],
+        spans: Mapping[str, Span],
         offers: Mapping[str, List[int]],
         actual: Mapping[str, List[int]],
         start: float,
         evaluator: str = "replay",
         backend: str = "python",
-        tail: Optional[_SteadyTail] = None,
     ) -> CandidateEvaluation:
         """Extract the objectives (mirror of ``evaluate_mapping``'s epilogue).
 
-        ``usage`` maps observation-node names to per-iteration instants
-        (ε as ``None``) -- ``InstantComputer.usage_instants()`` on the
-        object-graph paths, the lowered history on the array paths.  A
-        steady run passes only the replayed prefix there, plus its certified
-        ``tail``; ``offers`` and ``actual`` always span the whole horizon.
+        ``spans`` maps each busy resource to its ``(busy, lo, hi)`` --
+        :func:`_resource_spans` on the object-graph paths, the replay result
+        on the array paths; ``offers`` and ``actual`` span the whole horizon.
         """
         outputs = self.application.external_outputs()
         if not outputs:
@@ -886,9 +890,7 @@ class CompiledProblem:
             (sum(instants[:pairs]) - sum(offer_list[:pairs])) / pairs if pairs else 0.0
         )
 
-        utilization = _utilization(
-            candidate.resources_used(), spec.execute_nodes, usage, tail
-        )
+        utilization = _utilization(candidate.resources_used(), spans)
         mean_utilization = (
             sum(utilization.values()) / len(utilization) if utilization else 0.0
         )
@@ -990,131 +992,51 @@ class _SteadyTail:
         return self._usage
 
 
-def _utilization(
-    resources: Sequence[str],
+def _resource_spans(
     execute_nodes: Sequence[ExecuteNodes],
     usage: Mapping[str, Sequence[Optional[int]]],
     tail: Optional[_SteadyTail] = None,
-) -> Dict[str, float]:
-    """Busy fraction of each of ``resources``, rounded to four places.
+) -> Dict[str, Span]:
+    """``(busy, lo, hi)`` of every busy resource, from object-graph histories.
 
-    Equivalent to reconstructing the activity trace and running
-    ``busy_profile`` over one whole-window bin: the window runs from the
-    earliest start to the latest end of any execute slot, and a resource is
-    busy for the length of the union of its slots' ``(start, end)``
-    intervals.  Each resource is scored by the closed form of
+    ``usage`` maps observation-node names to per-iteration instants (ε as
+    ``None``); a steady run passes only the replayed prefix, plus its
+    certified ``tail``.  Each resource is scored by the closed form of
     :func:`_disjoint_span` when its intervals are provably disjoint, and by
-    the sort-and-merge of :func:`_merged_busy` otherwise (ε instants, or
+    the sort-and-merge of :func:`_merged_span` otherwise (ε instants, or
     overlapping intervals as on a resource serving several executions at
-    once) -- after writing a steady ``tail`` out in full.
+    once) -- after writing a steady ``tail`` out in full.  Resources with no
+    interval at all are left out.
     """
-    slots: Dict[str, List[Tuple[str, str]]] = {}
-    for entry in execute_nodes:
-        slots.setdefault(entry.resource, []).append((entry.start_node, entry.end_node))
-    busy: Dict[str, int] = {}
-    window_lo: Optional[int] = None
-    window_hi: Optional[int] = None
-    for resource, nodes in slots.items():
+    spans: Dict[str, Span] = {}
+    for resource, nodes in _resource_slots(execute_nodes).items():
         span = _disjoint_span([(usage[s], usage[e]) for s, e in nodes], tail)
         if span is None:
             full = tail.materialize() if tail is not None else usage
             span = _merged_span([(full[s], full[e]) for s, e in nodes])
-            if span is None:
-                continue
-        busy[resource], lo, hi = span
-        if window_lo is None or lo < window_lo:
-            window_lo = lo
-        if window_hi is None or hi > window_hi:
-            window_hi = hi
-    if window_lo is None or window_hi is None or window_hi <= window_lo:
+        if span is not None:
+            spans[resource] = span
+    return spans
+
+
+def _utilization(resources: Sequence[str], spans: Mapping[str, Span]) -> Dict[str, float]:
+    """Busy fraction of each of ``resources``, rounded to four places.
+
+    The one window/rounding epilogue of every scoring path.  Equivalent to
+    reconstructing the activity trace and running ``busy_profile`` over one
+    whole-window bin: the window runs from the earliest ``lo`` to the latest
+    ``hi`` of any resource's span, and a resource is busy for its span's
+    ``busy`` (the union length of its slots' intervals).
+    """
+    window_lo = min((lo for _, lo, _ in spans.values()), default=0)
+    window_hi = max((hi for _, _, hi in spans.values()), default=0)
+    if window_hi <= window_lo:
         return {resource: 0.0 for resource in resources}
     width = window_hi - window_lo
-    return {resource: round(busy.get(resource, 0) / width, 4) for resource in resources}
-
-
-def _disjoint_span(
-    slots: Sequence[Tuple[Sequence[Optional[int]], Sequence[Optional[int]]]],
-    tail: Optional[_SteadyTail] = None,
-) -> Optional[Tuple[int, int, int]]:
-    """``(busy, lo, hi)`` of one resource without sorting its intervals, or ``None``.
-
-    ``slots`` holds each execute slot's start and end histories.  The slots
-    are ordered by their first interval and their instants interleaved
-    iteration by iteration -- ``s1(0), e1(0), s2(0), e2(0), ..., s1(1), ...``
-    -- into one sequence.  If it never decreases, every interval has a
-    non-negative length and starts no earlier than the previous one ended,
-    so the intervals are disjoint (touching at most): their union is exactly
-    ``sum(ends) - sum(starts)``, ``lo`` is the first instant and ``hi`` the
-    last.  ε anywhere, or any decrease (an overlap, or an order that changes
-    between iterations), returns ``None`` for the caller to merge instead.
-
-    A steady ``tail`` appends ``extra`` iterations, each the last replayed
-    iteration ``K-1`` shifted by one more cycle ``c >= 0``; it adds
-    ``extra`` times the busy time of iteration ``K-1`` and moves ``hi`` by
-    ``extra * c``.  The tail stays disjoint: inside tail iteration ``K+j``
-    the sequence is that of ``K-1`` plus ``(j+1) * c``, so it never
-    decreases.  Across iterations, the certificate guarantees ``K >= 2``
-    and ``x(K-1) = x(K-2) + c`` for every node, and the checked prefix gives
-    ``last_end(K-2) <= first_start(K-1)``; adding ``c`` to both sides gives
-    ``last_end(K-1) <= first_start(K)``, and every later boundary is that
-    one shifted by a multiple of ``c``.  ``lo`` stays the prefix's, because
-    no tail instant is below its value at ``K-1``.
-    """
-    for starts, ends in slots:
-        if not starts or None in starts or None in ends:
-            return None
-    order = sorted(slots, key=lambda slot: (slot[0][0], slot[1][0]))
-    stride = 2 * len(order)
-    sequence: List[int] = [0] * (stride * len(order[0][0]))
-    for offset, (starts, ends) in enumerate(order):
-        sequence[2 * offset :: stride] = starts
-        sequence[2 * offset + 1 :: stride] = ends
-    if not all(map(operator.le, sequence, islice(sequence, 1, None))):
-        return None
-    busy = sum(sum(ends) - sum(starts) for starts, ends in order)
-    hi = sequence[-1]
-    if tail is not None:
-        busy += tail.extra * sum(ends[-1] - starts[-1] for starts, ends in order)
-        hi += tail.extra * tail.cycle
-    return busy, sequence[0], hi
-
-
-def _merged_span(
-    slots: Sequence[Tuple[Sequence[Optional[int]], Sequence[Optional[int]]]],
-) -> Optional[Tuple[int, int, int]]:
-    """``(busy, lo, hi)`` of one resource by sort-and-merge, or ``None`` if idle.
-
-    Iterations where either instant of a slot is ε contribute no interval.
-    """
-    intervals = [
-        (start_ps, end_ps)
-        for starts, ends in slots
-        for start_ps, end_ps in zip(starts, ends)
-        if start_ps is not None and end_ps is not None
-    ]
-    if not intervals:
-        return None
-    lo = min(start_ps for start_ps, _ in intervals)
-    hi = max(end_ps for _, end_ps in intervals)
-    return _merged_busy(intervals), lo, hi
-
-
-def _merged_busy(intervals: List[Tuple[int, int]]) -> int:
-    """Length of the union of ``intervals`` (mirror of ActivityTrace.utilization)."""
-    if not intervals:
-        return 0
-    intervals = sorted(intervals)
-    merged_total = 0
-    current_start, current_end = intervals[0]
-    for interval_start, interval_end in intervals[1:]:
-        if interval_start <= current_end:
-            if interval_end > current_end:
-                current_end = interval_end
-        else:
-            merged_total += current_end - current_start
-            current_start, current_end = interval_start, interval_end
-    merged_total += current_end - current_start
-    return merged_total
+    return {
+        resource: round(spans[resource][0] / width, 4) if resource in spans else 0.0
+        for resource in resources
+    }
 
 
 # ----------------------------------------------------------------------

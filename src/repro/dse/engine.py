@@ -7,10 +7,19 @@ weight per iteration.  This module lowers one *specialised*
 :class:`ArrayProgram`: contiguous integer tables (a node index
 vocabulary, per-node predecessor arc lists, per-iteration duration
 streams materialised up front, stimulus offer schedules as plain int
-lists) so that replaying the Reception/Emission protocol becomes a
-tight loop over list indices -- and, with the optional ``numpy``
-backend, one call of a compiled C transcription of that loop over the
-whole batch in int64 numpy buffers.
+lists, and per resource the rows of its execute slots) so that replaying
+the Reception/Emission protocol becomes a tight loop over list indices
+-- and, with the optional ``numpy`` backend, one call of a compiled C
+transcription of that loop over the whole batch in int64 numpy buffers,
+followed by a second call that scores every resource's busy span in the
+same buffers.
+
+A replay returns ``(offers, actual, spans)``: the offer instants per
+input relation, the output instants per output relation, and per busy
+resource its ``(busy, lo, hi)`` -- the length of the union of its
+execute intervals and the first and last instant of any of them (idle
+resources are absent).  Both backends return exactly that shape, and
+:mod:`repro.dse.compile` turns the spans into utilisation fractions.
 
 Invariants:
 
@@ -21,7 +30,8 @@ Invariants:
   ε is the sentinel :data:`NEG_EPSILON`, and every read skips values at
   or below :data:`EPSILON_THRESHOLD`.  The kernel checks every ``+`` for
   int64 overflow and leaves such candidates to :func:`replay_program` on
-  Python integers, so no headroom is assumed.
+  Python integers, so no headroom is assumed; a resource whose span it
+  cannot prove in int64 closed form is merged exactly on Python integers.
 * **Reference path stays pure Python.**  The ``python`` backend has no
   third-party dependency; ``numpy`` is auto-detected and selected via
   :func:`resolve_backend` / the ``REPRO_DSE_BACKEND`` environment
@@ -33,8 +43,9 @@ Invariants:
   back to the object-graph replay -- never a silently wrong instant.
 
 This module also owns :class:`_TabulatedWeight` and :class:`_TokenTable`
-(shared per-iteration duration/token streams), which
-:mod:`repro.dse.compile` re-exports for backward compatibility.
+(shared per-iteration duration/token streams) and the span routines
+(:func:`_disjoint_span`, :func:`_interleaved_span`, :func:`_merged_span`,
+:func:`_merged_busy`), which :mod:`repro.dse.compile` re-exports.
 """
 
 from __future__ import annotations
@@ -205,8 +216,9 @@ class ArrayProgram(NamedTuple):
       exchange node's index, the stimulus offer schedule (ps per iteration)
       and the *delayed* arcs of the ready node (the ``peek_delayed`` set);
     * ``outputs`` -- per boundary output: the relation and offer node index;
-    * ``observed`` -- (node name, index) pairs whose history rebuilds
-      resource usage.
+    * ``slots`` -- per resource, in ``spec.execute_nodes`` order: its name
+      and the (start node index, end node index) of each execute slot it
+      serves, from which the replay scores the resource's busy span.
 
     The program is immutable and holds no references to the (mutable,
     shared) specialised graph, so programs from successive
@@ -219,14 +231,16 @@ class ArrayProgram(NamedTuple):
     plan_arcs: List[Tuple[Arc, ...]]
     inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]]
     outputs: List[Tuple[str, int]]
-    observed: List[Tuple[str, int]]
+    slots: List[Tuple[str, List[Tuple[int, int]]]]
 
+
+#: One resource's (busy, lo, hi): the union length of its execute intervals
+#: and the earliest start and latest end among them, in picoseconds.
+Span = Tuple[int, int, int]
 
 #: replay result: (offer instants per input relation, output instants per
-#: output relation, usage history per observed node with ε back as None).
-ProgramResult = Tuple[
-    Dict[str, List[int]], Dict[str, List[int]], Dict[str, List[Optional[int]]]
-]
+#: output relation, span per resource with at least one interval).
+ProgramResult = Tuple[Dict[str, List[int]], Dict[str, List[int]], Dict[str, Span]]
 
 
 def numpy_available() -> bool:
@@ -269,12 +283,11 @@ def lower_spec(
 ) -> ArrayProgram:
     """Lower one specialised equivalent-model spec onto flat tables.
 
-    ``stream_cache`` (optional, shared across a batch) memoises the
-    candidate-independent lowering artefacts -- materialised constant
-    streams, stimulus offer schedules and the node index map -- so a
-    batch of candidates builds each of them once.  Raises
-    :class:`LoweringUnsupported` when a weight cannot be materialised and
-    :class:`~repro.errors.ComputationError`/:class:`~repro.errors.GraphError`
+    ``stream_cache`` (optional) memoises the candidate-independent streams
+    -- materialised constant streams and stimulus offer schedules, keyed by
+    the stimulus ``id()`` -- so it may live as long as ``stimuli`` does.
+    Raises :class:`LoweringUnsupported` when a weight cannot be materialised
+    and :class:`~repro.errors.ComputationError`/:class:`~repro.errors.GraphError`
     exactly where the object-graph replay would (delay-0 ready arcs,
     invalid workload durations) so infeasibility reporting is unchanged.
     """
@@ -297,13 +310,7 @@ def lower_spec(
             raise LoweringUnsupported("dynamic_weight")
         return table.stream_ps(iterations)
 
-    # The node vocabulary is delta-stable (specialisation swaps arcs, never
-    # nodes), so successive candidates of one batch share the index map.
-    index_key = ("index_of", id(graph))
-    index_of = cache.get(index_key)
-    if index_of is None:
-        index_of = {node.name: node.index for node in graph.nodes}
-        cache[index_key] = index_of
+    index_of = {node.name: node.index for node in graph.nodes}
     plan_nodes: List[int] = []
     plan_arcs: List[Tuple[Arc, ...]] = []
     for node in graph.topological_order():
@@ -339,7 +346,10 @@ def lower_spec(
         )
 
     outputs = [(b.relation, index_of[b.offer_node]) for b in spec.boundary_outputs]
-    observed = [(name, index_of[name]) for name in spec.observation_nodes()]
+    slots = [
+        (resource, [(index_of[start], index_of[end]) for start, end in nodes])
+        for resource, nodes in _resource_slots(spec.execute_nodes).items()
+    ]
     return ArrayProgram(
         iterations=iterations,
         node_count=graph.node_count,
@@ -347,8 +357,20 @@ def lower_spec(
         plan_arcs=plan_arcs,
         inputs=inputs,
         outputs=outputs,
-        observed=observed,
+        slots=slots,
     )
+
+
+def _resource_slots(execute_nodes: Sequence[Any]) -> Dict[str, List[Tuple[str, str]]]:
+    """Each resource's (start node, end node) slots, in ``execute_nodes`` order.
+
+    The order breaks ties of the span routines' stable slot sort, so every
+    scoring path groups slots here.
+    """
+    slots: Dict[str, List[Tuple[str, str]]] = {}
+    for entry in execute_nodes:
+        slots.setdefault(entry.resource, []).append((entry.start_node, entry.end_node))
+    return slots
 
 
 def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
@@ -436,11 +458,125 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
             emitted.append(offered)
     offers = {relation: offer_lists[i] for i, (relation, _, _, _) in enumerate(inputs)}
     actual = {relation: out_lists[i] for i, (relation, _) in enumerate(program.outputs)}
-    usage = {
-        name: [value if value > eps else None for value in hist[idx]]
-        for name, idx in program.observed
-    }
-    return offers, actual, usage
+    spans: Dict[str, Span] = {}
+    for resource, pairs in program.slots:
+        rows = [(hist[start], hist[end]) for start, end in pairs]
+        span = _interleaved_span(rows)  # ε is the int sentinel here, not None
+        if span is None or span[1] <= eps:
+            span = _merged_rows(rows)
+        if span is not None:
+            spans[resource] = span
+    return offers, actual, spans
+
+
+def _disjoint_span(
+    slots: Sequence[Tuple[Sequence[Optional[int]], Sequence[Optional[int]]]],
+    tail: Any = None,
+) -> Optional[Span]:
+    """:func:`_interleaved_span` of histories with ε as ``None``: ``None`` on any ε."""
+    for starts, ends in slots:
+        if None in starts or None in ends:
+            return None
+    return _interleaved_span(slots, tail)
+
+
+def _interleaved_span(
+    slots: Sequence[Tuple[Sequence[int], Sequence[int]]], tail: Any = None
+) -> Optional[Span]:
+    """``(busy, lo, hi)`` of one resource without sorting its intervals, or ``None``.
+
+    ``slots`` holds each execute slot's start and end histories, of equal
+    lengths.  The slots are ordered by their first interval and their
+    instants interleaved iteration by iteration -- ``s1(0), e1(0), s2(0),
+    e2(0), ..., s1(1), ...`` -- into one sequence.  If it never decreases,
+    every interval has a non-negative length and starts no earlier than the
+    previous one ended, so the intervals are disjoint (touching at most):
+    their union is exactly ``sum(ends) - sum(starts)``, ``lo`` is the first
+    instant and ``hi`` the last.  No slot, no iteration, or any decrease (an
+    overlap, or an order that changes between iterations) returns ``None``
+    for the caller to merge instead.  Rows holding the int ε sentinel pass
+    through: a sequence that never decreases holds no ε exactly when ``lo``
+    is above :data:`EPSILON_THRESHOLD`, which the caller checks.
+
+    A steady ``tail`` (a certified ``_SteadyTail``: ``extra`` iterations,
+    each the last replayed iteration ``K-1`` shifted by one more cycle
+    ``c >= 0``) adds ``extra`` times the busy time of iteration ``K-1`` and
+    moves ``hi`` by ``extra * c``.  The tail stays disjoint: inside tail
+    iteration ``K+j`` the sequence is that of ``K-1`` plus ``(j+1) * c``, so
+    it never decreases.  Across iterations, the certificate guarantees
+    ``K >= 2`` and ``x(K-1) = x(K-2) + c`` for every node, and the checked
+    prefix gives ``last_end(K-2) <= first_start(K-1)``; adding ``c`` to both
+    sides gives ``last_end(K-1) <= first_start(K)``, and every later
+    boundary is that one shifted by a multiple of ``c``.  ``lo`` stays the
+    prefix's, because no tail instant is below its value at ``K-1``.
+    """
+    if not slots or not slots[0][0]:
+        return None
+    order = sorted(slots, key=lambda slot: (slot[0][0], slot[1][0]))
+    stride = 2 * len(order)
+    sequence: List[int] = [0] * (stride * len(order[0][0]))
+    for offset, (starts, ends) in enumerate(order):
+        sequence[2 * offset :: stride] = starts
+        sequence[2 * offset + 1 :: stride] = ends
+    # Never decreasing == already sorted; timsort confirms that in one pass.
+    if sequence != sorted(sequence):
+        return None
+    busy = sum(sum(ends) - sum(starts) for starts, ends in order)
+    hi = sequence[-1]
+    if tail is not None:
+        busy += tail.extra * sum(ends[-1] - starts[-1] for starts, ends in order)
+        hi += tail.extra * tail.cycle
+    return busy, sequence[0], hi
+
+
+def _merged_span(
+    slots: Sequence[Tuple[Sequence[Optional[int]], Sequence[Optional[int]]]],
+) -> Optional[Span]:
+    """``(busy, lo, hi)`` of one resource by sort-and-merge, or ``None`` if idle.
+
+    Iterations where either instant of a slot is ε contribute no interval.
+    """
+    intervals = [
+        (start_ps, end_ps)
+        for starts, ends in slots
+        for start_ps, end_ps in zip(starts, ends)
+        if start_ps is not None and end_ps is not None
+    ]
+    if not intervals:
+        return None
+    lo = min(start_ps for start_ps, _ in intervals)
+    hi = max(end_ps for _, end_ps in intervals)
+    return _merged_busy(intervals), lo, hi
+
+
+def _merged_busy(intervals: List[Tuple[int, int]]) -> int:
+    """Length of the union of ``intervals`` (mirror of ActivityTrace.utilization)."""
+    if not intervals:
+        return 0
+    intervals = sorted(intervals)
+    merged_total = 0
+    current_start, current_end = intervals[0]
+    for interval_start, interval_end in intervals[1:]:
+        if interval_start <= current_end:
+            if interval_end > current_end:
+                current_end = interval_end
+        else:
+            merged_total += current_end - current_start
+            current_start, current_end = interval_start, interval_end
+    merged_total += current_end - current_start
+    return merged_total
+
+
+def _merged_rows(rows: Sequence[Tuple[Sequence[int], Sequence[int]]]) -> Optional[Span]:
+    """:func:`_merged_span` of int history rows, values at or below ε as ``None``."""
+    telemetry.count("dse.engine.span_merges")
+    eps = EPSILON_THRESHOLD
+    return _merged_span(
+        [
+            ([v if v > eps else None for v in starts], [v if v > eps else None for v in ends])
+            for starts, ends in rows
+        ]
+    )
 
 
 def replay_batch(
@@ -450,8 +586,9 @@ def replay_batch(
 
     Results align with ``programs``; an entry is ``None`` exactly when the
     reference replay would fall back to the event-driven harness for that
-    candidate.  The numpy backend sweeps each horizon group with one call
-    of the compiled kernel, or with the reference if there is no kernel.
+    candidate.  The numpy backend sweeps and scores each horizon group with
+    one call of each compiled kernel, or with the reference if there is no
+    kernel.
     """
     programs = list(programs)
     telemetry.count("dse.engine.batches")
@@ -477,16 +614,18 @@ def replay_batch(
 
 
 def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[ProgramResult]]:
-    """Sweep programs sharing a horizon with one call of the compiled kernel.
+    """Sweep and score programs sharing a horizon with one call of each kernel.
 
     Every candidate's nodes get a row block of one ``[nodes, K]`` history
-    buffer; plan nodes, arcs, inputs (with their ready arcs) and outputs
-    become CSR tables of global rows, and every distinct weight stream or
-    offer schedule (by ``id()``) one row of a ``[streams, K]`` matrix.  The
-    kernel leaves a status per candidate: 0 swept, 1 an output went ε or
-    decreased (``None``), 2 a sum left int64 (or an index was out of range)
-    -- the reference re-runs it.  Raises :class:`OverflowError` when a
-    stream does not fit int64.
+    buffer; plan nodes, arcs, inputs (with their ready arcs), outputs and
+    resource slots become CSR tables of global rows, and every distinct
+    weight stream or offer schedule (by ``id()``) one row of a
+    ``[streams, K]`` matrix.  The sweep leaves a status per candidate: 0
+    swept, 1 an output went ε or decreased (``None``), 2 a sum left int64
+    (or an index or stream length was out of range) -- the reference re-runs
+    it.  The span kernel then scores every resource of each swept candidate
+    in place; a resource it flags is merged on Python integers.  Raises
+    :class:`OverflowError` when a stream does not fit int64.
     """
     import numpy as np
 
@@ -515,6 +654,7 @@ def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[Pr
     bases, rows = [], 0
     plan_ptr, plan_node, in_ptr, in_exchange, in_schedule = [0], [], [0], [], []
     out_ptr, out_node = [0], []
+    res_ptr, slot_ptr, slot_start, slot_end = [0], [0], [], []
     status = np.zeros(len(programs), dtype=np.int64)  # the kernel skips status 2
     for c, program in enumerate(programs):
         bases.append(rows)
@@ -527,11 +667,16 @@ def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[Pr
             plan_node.append(rows + node)
             add_arcs(arcs, rows)
         out_node.extend(rows + offer for _, offer in program.outputs if fit)
+        for _, pairs in program.slots if fit else ():
+            slot_start.extend(rows + start for start, _ in pairs)
+            slot_end.extend(rows + end for _, end in pairs)
+            slot_ptr.append(len(slot_start))
         status[c] = 0 if fit else 2
         rows += program.node_count if fit else 0
         plan_ptr.append(len(plan_node))
         in_ptr.append(len(in_exchange))
         out_ptr.append(len(out_node))
+        res_ptr.append(len(slot_ptr) - 1)
 
     hist = np.full((rows, iterations), NEG_EPSILON, dtype=np.int64)
     offers = np.empty((len(in_exchange), iterations), dtype=np.int64)
@@ -544,50 +689,69 @@ def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[Pr
         np.full(len(in_exchange), NEG_EPSILON, dtype=np.int64),  # prev exchange: ε
         status,
     ]
-    kernel(len(programs), iterations, *[buffer.ctypes.data for buffer in buffers])
+    kernel.sweep(len(programs), iterations, *[buffer.ctypes.data for buffer in buffers])
     telemetry.count("dse.engine.kernel_swept", len(programs))
+    # Per resource: (0, busy, lo, hi) in closed form, or 1 -> merged below.
+    spans = np.empty((len(slot_ptr) - 1, 4), dtype=np.int64)
+    tables = [np.asarray(t, dtype=np.int64) for t in (res_ptr, slot_ptr, slot_start, slot_end)]
+    order = np.empty(len(slot_start), dtype=np.int64)  # the kernel's sort scratch
+    buffers = [status, *tables, hist, order, spans]
+    kernel.spans(len(programs), iterations, *[buffer.ctypes.data for buffer in buffers])
 
-    # Unpack with one gather and one ε test over every observed row.
     statuses = status.tolist()
-    swept = [c for c, code in enumerate(statuses) if code == 0]
-    observed = hist[
-        np.asarray([bases[c] + i for c in swept for _, i in programs[c].observed], dtype=np.intp)
-    ]
-    observed_rows = zip(observed.tolist(), (observed <= EPSILON_THRESHOLD).any(axis=1).tolist())
+    span_rows = spans.tolist()
     output_values = hist[np.asarray(out_node, dtype=np.intp)].tolist()
     offer_values = offers.tolist()
     results: List[Optional[ProgramResult]] = [None] * len(programs)
-    for c in swept:
+    for c, code in enumerate(statuses):
         program = programs[c]
-        usage: Dict[str, List[Optional[int]]] = {}
-        for (name, _), (values, has_eps) in zip(program.observed, observed_rows):
-            if has_eps:
-                values = [v if v > EPSILON_THRESHOLD else None for v in values]
-            usage[name] = values
+        if code == 2:
+            telemetry.count("dse.engine.kernel_overflow_fallbacks")
+            results[c] = replay_program(program)
+            continue
+        if code:
+            continue
+        resource_spans: Dict[str, Span] = {}
+        for (resource, pairs), (flag, busy, lo, hi) in zip(
+            program.slots, span_rows[res_ptr[c] : res_ptr[c + 1]]
+        ):
+            if not flag:
+                resource_spans[resource] = (busy, lo, hi)
+                continue
+            base = bases[c]
+            merged = _merged_rows(
+                [(hist[base + s].tolist(), hist[base + e].tolist()) for s, e in pairs]
+            )
+            if merged is not None:
+                resource_spans[resource] = merged
         results[c] = (
             {r: offer_values[in_ptr[c] + i] for i, (r, _, _, _) in enumerate(program.inputs)},
             {r: output_values[out_ptr[c] + o] for o, (r, _) in enumerate(program.outputs)},
-            usage,
+            resource_spans,
         )
-    for c, code in enumerate(statuses):
-        if code == 2:
-            telemetry.count("dse.engine.kernel_overflow_fallbacks")
-            results[c] = replay_program(programs[c])
     return results
 
 
 def _in_bounds(program: ArrayProgram) -> bool:
-    """Whether every row index and delay the kernel would follow is in range."""
+    """Whether every row index, delay and stream length the kernel would follow is in range."""
     arcs = [arc for arcs in program.plan_arcs for arc in arcs]
     arcs += [arc for entry in program.inputs for arc in entry[3]]
     rows = [source for source, _, _ in arcs] + [entry[1] for entry in program.inputs]
-    rows += [*program.plan_nodes, *(node for _, node in [*program.outputs, *program.observed])]
-    n = program.node_count
-    return all(delay >= 0 for _, delay, _ in arcs) and all(0 <= row < n for row in rows)
+    rows += [*program.plan_nodes, *(node for _, node in program.outputs)]
+    rows += [row for _, pairs in program.slots for pair in pairs for row in pair]
+    streams = [weights for _, _, weights in arcs] + [entry[2] for entry in program.inputs]
+    n, k = program.node_count, program.iterations
+    return (
+        all(delay >= 0 for _, delay, _ in arcs)
+        and all(0 <= row < n for row in rows)
+        and all(len(values) >= k for values in streams)
+    )
 
 
-#: The numpy backend's sweep: :func:`replay_program` transcribed line for
-#: line over :func:`_kernel_sweep`'s tables.  Its sha256 keys the build cache.
+#: The numpy backend's kernels over :func:`_kernel_sweep`'s tables: the sweep,
+#: :func:`replay_program` transcribed line for line, and the per-resource span
+#: scoring of :func:`_interleaved_span`.  The sha256 of the source keys the build
+#: cache.
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
 
@@ -664,6 +828,59 @@ void repro_sweep(int64_t n_candidates, int64_t K, const int64_t *plan_ptr,
     next:;
     }
 }
+
+/* _interleaved_span transcribed, per resource r of each candidate whose status is
+   0 (resources res_ptr[c] to res_ptr[c + 1], slots slot_ptr[r] to
+   slot_ptr[r + 1]).  The slots are ordered stably by their first (start, end),
+   like Python's sorted, and their instants interleaved iteration by iteration.
+   spans[r] = (0, busy, lo, hi) when that sequence never decreases and starts
+   above EPS (so no instant is epsilon), else (1, ...): also for no slot,
+   K == 0 and an int64 overflow of busy; the caller then merges.  order is
+   scratch for the sorted slots. */
+void repro_spans(int64_t n_candidates, int64_t K, const int64_t *status,
+                 const int64_t *res_ptr, const int64_t *slot_ptr, const int64_t *slot_start,
+                 const int64_t *slot_end, const int64_t *hist, int64_t *order, int64_t *spans)
+{
+    for (int64_t c = 0; c < n_candidates; c++) {
+        if (status[c])
+            continue;
+        for (int64_t r = res_ptr[c]; r < res_ptr[c + 1]; r++) {
+            int64_t a = slot_ptr[r], n = slot_ptr[r + 1] - a, *ord = order + a;
+            int64_t *out = spans + 4 * r;
+            out[0] = 1;
+            if (n == 0 || K == 0)
+                continue;
+            for (int64_t i = 0, j; i < n; i++) { /* insertion sort: stable */
+                int64_t s0 = hist[slot_start[a + i] * K], e0 = hist[slot_end[a + i] * K];
+                for (j = i; j > 0; j--) {
+                    int64_t t0 = hist[slot_start[ord[j - 1]] * K];
+                    if (t0 < s0 || (t0 == s0 && hist[slot_end[ord[j - 1]] * K] <= e0))
+                        break;
+                    ord[j] = ord[j - 1];
+                }
+                ord[j] = a + i;
+            }
+            /* last starts just above EPS: the first start must be an instant,
+               and a sequence that never decreases keeps every later one so. */
+            int64_t last = EPS + 1, busy = 0, length;
+            for (int64_t k = 0; k < K; k++)
+                for (int64_t i = 0; i < n; i++) {
+                    int64_t start = hist[slot_start[ord[i]] * K + k];
+                    int64_t end = hist[slot_end[ord[i]] * K + k];
+                    if (start < last || end < start ||
+                        __builtin_sub_overflow(end, start, &length) ||
+                        __builtin_add_overflow(busy, length, &busy))
+                        goto merge;
+                    last = end;
+                }
+            out[0] = 0;
+            out[1] = busy;
+            out[2] = hist[slot_start[ord[0]] * K];
+            out[3] = last;
+        merge:;
+        }
+    }
+}
 """
 
 _LOG = logging.getLogger("repro.dse.engine")
@@ -673,8 +890,15 @@ _KERNEL_LOCK = threading.Lock()
 _kernel: Any = None
 
 
-def _sweep_kernel() -> Any:
-    """The compiled sweep, built and loaded on first use; ``None`` if unavailable."""
+class _Kernel(NamedTuple):
+    """The two entry points of one loaded kernel object."""
+
+    sweep: Any
+    spans: Any
+
+
+def _sweep_kernel() -> Optional[_Kernel]:
+    """The compiled kernel, built and loaded on first use; ``None`` if unavailable."""
     global _kernel
     with _KERNEL_LOCK:
         if _kernel is None:
@@ -690,7 +914,7 @@ def _sweep_kernel() -> Any:
         return _kernel or None
 
 
-def _load_kernel() -> Any:
+def _load_kernel() -> _Kernel:
     """Load the cached kernel, (re)building it once if missing or unloadable."""
     import ctypes
 
@@ -699,13 +923,16 @@ def _load_kernel() -> Any:
     if not os.path.exists(path):
         _build_kernel(path)
     try:
-        function = ctypes.CDLL(path).repro_sweep
+        library = ctypes.CDLL(path)
+        kernel = _Kernel(library.repro_sweep, library.repro_spans)
     except (OSError, AttributeError):  # truncated, foreign or stale object
         _build_kernel(path)
-        function = ctypes.CDLL(path).repro_sweep
-    function.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 16
-    function.restype = None
-    return function
+        library = ctypes.CDLL(path)
+        kernel = _Kernel(library.repro_sweep, library.repro_spans)
+    kernel.sweep.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 16
+    kernel.spans.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
+    kernel.sweep.restype = kernel.spans.restype = None
+    return kernel
 
 
 def _cache_dir() -> str:

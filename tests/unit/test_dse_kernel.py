@@ -1,11 +1,14 @@
-"""The numpy backend's compiled sweep kernel against the pure-Python reference.
+"""The numpy backend's compiled kernels against the pure-Python reference.
 
-``replay_batch(programs, "numpy")`` flattens a batch into int64 buffers
-and sweeps it with one call of a C transcription of ``replay_program``.
-These tests hold it to the reference result for result on random lowered
-programs, check the per-candidate overflow fallback onto Python
-integers, and check that a missing compiler, a corrupt cached object and
-two concurrent builds all end in exact results.
+``replay_batch(programs, "numpy")`` flattens a batch into int64 buffers,
+sweeps it with one call of a C transcription of ``replay_program`` and
+scores every resource's busy span with a second call.  These tests hold
+it to the reference result for result on random lowered programs, hold
+the spans to a brute-force union oracle (with the Python merge taking
+every resource the closed form refuses), check the per-candidate
+overflow fallback onto Python integers, and check that a missing
+compiler, a corrupt cached object and two concurrent builds all end in
+exact results.
 """
 
 import dataclasses
@@ -25,7 +28,15 @@ pytest.importorskip("numpy")
 import repro  # noqa: E402
 from repro import telemetry  # noqa: E402
 from repro.dse import engine, get_problem  # noqa: E402
-from repro.dse.engine import ArrayProgram, replay_batch, replay_program  # noqa: E402
+from repro.dse.engine import (  # noqa: E402
+    EPSILON_THRESHOLD,
+    NEG_EPSILON,
+    ArrayProgram,
+    _disjoint_span,
+    _merged_span,
+    replay_batch,
+    replay_program,
+)
 from repro.dse.evaluate import evaluate_candidates  # noqa: E402
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -110,7 +121,16 @@ def random_program(rng, iterations, streams, schedules):
         (f"out{o}", rng.choice(plan_nodes + exchange + unwritten))
         for o in range(rng.randint(1, 2))
     ]
-    observed = [(f"n{node}", node) for node in rng.sample(vocabulary, min(4, node_count))]
+    slots = []
+    for r in range(rng.randint(1, 3)):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:  # an exchange row never decreases: disjoint
+                node = rng.choice(exchange)
+                pairs.append((node, node))
+            else:
+                pairs.append((rng.choice(vocabulary), rng.choice(vocabulary)))
+        slots.append((f"R{r}", pairs))
     return ArrayProgram(
         iterations=iterations,
         node_count=node_count,
@@ -118,7 +138,7 @@ def random_program(rng, iterations, streams, schedules):
         plan_arcs=plan_arcs,
         inputs=inputs,
         outputs=outputs,
-        observed=observed,
+        slots=slots,
     )
 
 
@@ -155,21 +175,25 @@ def sweep(programs):
 
 class TestKernelEqualsReference:
     def test_random_batches(self, kernel):
-        seen = {"none": 0, "swept": 0, "eps_usage": 0, "empty": 0}
+        seen = {"none": 0, "swept": 0, "empty": 0, "closed_spans": 0, "span_merges": 0}
         for seed in range(300):
             batch = random_batch(seed)
             results, counters = sweep(batch)
             assert results == [replay_program(program) for program in batch], seed
             assert counters["dse.engine.kernel_swept"] == len(batch)
             assert counters.get("dse.engine.kernel_unavailable", 0) == 0
+            merges = counters.get("dse.engine.span_merges", 0)
+            seen["span_merges"] += merges
+            spans = 0
             for program, result in zip(batch, results):
                 if result is None:
                     seen["none"] += 1
                     continue
                 seen["swept"] += 1
                 seen["empty"] += program.iterations == 0
-                usage = result[2]
-                seen["eps_usage"] += any(None in row for row in usage.values())
+                spans += len(result[2])
+            # Every span the merge did not produce came from the closed form.
+            seen["closed_spans"] += max(0, spans - merges)
         # The generator reaches every branch the reference has.
         assert all(seen.values()), seen
 
@@ -183,11 +207,13 @@ class TestKernelEqualsReference:
             plan_arcs=[((1, 0, [2**61 + 5] * 3),), ((0, 0, [1] * 3), (2, 0, [1] * 3))],
             inputs=[("in0", 0, [0, 10, 20], ())],
             outputs=[("out", 3)],
-            observed=[("n2", 2), ("n3", 3)],
+            slots=[("R0", [(2, 2)]), ("R1", [(0, 3)])],
         )
-        results, _ = sweep([program])
+        results, counters = sweep([program])
         assert results == [replay_program(program)]
-        assert results[0][2] == {"n2": [None] * 3, "n3": [1, 11, 21]}
+        # R0 never holds an instant (idle, merged); R1 is busy 0-1, 10-11, 20-21.
+        assert results[0][2] == {"R1": (3, 0, 21)}
+        assert counters["dse.engine.span_merges"] == 1
 
     @pytest.mark.parametrize(
         "name, parameters",
@@ -210,6 +236,155 @@ class TestKernelEqualsReference:
             assert_same_evaluation(fast, slow)
 
 
+INT64_MAX = 2**63 - 1
+#: the lowest instant (just above the ε threshold)
+LOWEST = EPSILON_THRESHOLD + 1
+
+
+def span_program(resources, iterations):
+    """A program whose plan rows are exactly the histories of ``resources``.
+
+    ``resources`` is ``[(name, [(starts, ends), ...])]`` with ``None`` for ε.
+    Node 0 is the only input; its schedule is all 0, so its row stays 0 and
+    every history becomes a plan node reading node 0 through a weight stream
+    equal to the wanted values (ε as ``NEG_EPSILON``).
+    """
+    plan_nodes, plan_arcs = [], []
+
+    def row(values):
+        plan_nodes.append(len(plan_nodes) + 1)
+        plan_arcs.append(((0, 0, [NEG_EPSILON if v is None else v for v in values]),))
+        return plan_nodes[-1]
+
+    slots = [
+        (name, [(row(starts), row(ends)) for starts, ends in histories])
+        for name, histories in resources
+    ]
+    return ArrayProgram(
+        iterations=iterations,
+        node_count=1 + len(plan_nodes),
+        plan_nodes=plan_nodes,
+        plan_arcs=plan_arcs,
+        inputs=[("in0", 0, [0] * iterations, ())],
+        outputs=[("out", 0)],
+        slots=slots,
+    )
+
+
+def union_oracle(histories):
+    """Brute force: the elementary segments between distinct endpoints that
+    some interval covers, summed (no sort-and-merge, no closed form)."""
+    intervals = [
+        (start, end)
+        for starts, ends in histories
+        for start, end in zip(starts, ends)
+        if start is not None and end is not None
+    ]
+    if not intervals:
+        return None
+    points = sorted({point for interval in intervals for point in interval})
+    busy = sum(
+        b - a
+        for a, b in zip(points, points[1:])
+        if any(start <= a and b <= end for start, end in intervals)
+    )
+    return busy, min(s for s, _ in intervals), max(e for _, e in intervals)
+
+
+def random_histories(rng, iterations):
+    """One resource's slot histories: back-to-back by default, with touching
+    and zero-length intervals, and optionally overlaps, ε, order changes
+    between iterations, equal first intervals, and instants near the ends of
+    int64 (just above ε, or close to 2**62 and 2**63)."""
+    slots = rng.choice((0, 1, 1, 2, 3, 4))
+    overlap = rng.choice((0.0, 0.0, 0.2))
+    epsilon = rng.choice((0.0, 0.0, 0.05))
+    shuffle = rng.choice((0.0, 0.0, 0.3))
+    now = rng.choice((0, 50, LOWEST, 2**62 - 500, INT64_MAX - 10**4))
+    histories = [([], []) for _ in range(slots)]
+    for _ in range(iterations):
+        order = list(range(slots))
+        if rng.random() < shuffle:
+            rng.shuffle(order)
+        for slot in order:
+            start = now + rng.choice((0, 0, rng.randrange(1, 20)))
+            if rng.random() < overlap:
+                start = max(LOWEST, start - rng.randrange(1, 30))
+            start = min(start, INT64_MAX)
+            end = min(INT64_MAX, start + rng.choice((0, rng.randrange(1, 25))))
+            now = max(now, end)
+            starts, ends = histories[slot]
+            starts.append(None if rng.random() < epsilon else start)
+            ends.append(None if rng.random() < epsilon else end)
+    if slots >= 2 and iterations and rng.random() < 0.3:  # tie on (start[0], end[0])
+        histories[1][0][0], histories[1][1][0] = histories[0][0][0], histories[0][1][0]
+    return histories
+
+
+#: Resources the closed form must refuse: busy leaves int64 by subtraction
+#: (one interval longer than 2**63) or by addition (two shorter ones).
+OVERFLOW_CASES = {
+    "sub": [([LOWEST], [INT64_MAX])],
+    "add": [([LOWEST, 2**62], [2**62, INT64_MAX])],
+}
+
+
+def closed_form_holds(histories):
+    """Whether the kernel must score this resource itself: the Python closed
+    form holds (stable slot order, no ε, no decrease) and busy fits int64."""
+    span = _disjoint_span(histories)
+    return span is not None and span[0] <= INT64_MAX
+
+
+class TestKernelSpans:
+    def test_spans_equal_the_union_oracle(self, kernel):
+        closed = merged = 0
+        for case in range(150):
+            rng = random.Random(case)
+            iterations = rng.choice((0, 1, 2, 3, 5, 8))
+            resources = [
+                (f"R{r}", random_histories(rng, iterations)) for r in range(rng.randint(1, 4))
+            ]
+            program = span_program(resources, iterations)
+            results, counters = sweep([program])
+            ((_, _, spans),) = results
+            assert results == [replay_program(program)], case
+            for name, histories in resources:
+                expected = union_oracle(histories)
+                assert _merged_span(histories) == expected, case
+                assert spans.get(name) == expected, case
+            # Each resource takes the branch the Python ladder takes.
+            merges = counters.get("dse.engine.span_merges", 0)
+            holds = sum(closed_form_holds(histories) for _, histories in resources)
+            assert merges == len(resources) - holds, case
+            merged += merges
+            closed += holds
+        assert closed > 50 and merged > 50, (closed, merged)
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+    def test_int64_overflow_merges_on_python_ints(self, kernel, case):
+        histories = OVERFLOW_CASES[case]
+        program = span_program([("R", histories)], len(histories[0][0]))
+        results, counters = sweep([program])
+        assert results == [replay_program(program)]
+        assert results[0][2]["R"] == union_oracle(histories)
+        assert results[0][2]["R"][0] > INT64_MAX
+        assert counters["dse.engine.span_merges"] == 1
+
+    def test_degenerate_resources(self, kernel):
+        # K == 0, a resource with no slot, a resource with one slot, and one
+        # whose first start sits on the ε threshold itself (so it is ε).
+        empty = span_program([("R", [([], [])]), ("none", [])], 0)
+        single = span_program([("R", [([0, 5], [5, 9])]), ("none", [])], 2)
+        threshold = span_program([("R", [([EPSILON_THRESHOLD, 5], [0, 9])])], 2)
+        programs = [empty, single, threshold]
+        results, counters = sweep(programs)
+        assert results == [replay_program(program) for program in programs]
+        spans = [result[2] for result in results]
+        assert spans == [{}, {"R": (9, 0, 9)}, {"R": (4, 5, 9)}]
+        assert counters["dse.engine.span_merges"] == 4  # all but the single slot
+
+
 def overflow_batch(value):
     """Four random programs; candidate 2 is a three-hop chain whose arcs all
     carry ``value``, so its sums leave int64 (or ``value`` alone does not fit)."""
@@ -225,7 +400,7 @@ def overflow_batch(value):
         plan_arcs=[((0, 0, huge),), ((1, 0, huge),), ((2, 0, huge),)],
         inputs=[("in0", 0, schedule, ())],
         outputs=[("out", 3)],
-        observed=[("n1", 1), ("n2", 2), ("n3", 3)],
+        slots=[("R0", [(0, 1), (2, 3)]), ("R1", [(1, 2)])],
     )
     return batch
 
@@ -264,6 +439,35 @@ class TestOverflowFallback:
             replay_program(bad)
         with pytest.raises(IndexError):
             sweep([batch[0], bad])
+
+    def test_short_streams_fail_like_the_reference(self, kernel):
+        # A weight stream or offer schedule shorter than the horizon: the
+        # kernel must not read past it, so the reference decides.
+        base = ArrayProgram(
+            iterations=3,
+            node_count=2,
+            plan_nodes=[1],
+            plan_arcs=[((0, 0, [1, 1]),)],
+            inputs=[("in0", 0, [0, 10, 20], ())],
+            outputs=[("out", 1)],
+            slots=[("R", [(0, 1)])],
+        )
+        short_schedule = base._replace(
+            plan_arcs=[((0, 0, [1, 1, 1]),)], inputs=[("in0", 0, [0, 10], ())]
+        )
+        for program in (base, short_schedule):
+            with pytest.raises(IndexError):
+                replay_program(program)
+            with pytest.raises(IndexError):
+                sweep([program])
+        # A short stream behind a never-written source is never read.
+        unread = base._replace(node_count=3, plan_arcs=[((2, 0, [1]),)])
+        full = base._replace(plan_arcs=[((0, 0, [1, 1, 1]),)])
+        results, counters = sweep([unread, full])
+        assert results == [replay_program(unread), replay_program(full)]
+        assert results[0] is None  # its output never holds an instant
+        assert results[1][2] == {"R": (3, 0, 21)}
+        assert counters["dse.engine.kernel_overflow_fallbacks"] == 1
 
 
 def assert_same_evaluation(fast, slow):

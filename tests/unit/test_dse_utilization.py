@@ -1,13 +1,16 @@
-"""The one utilisation routine of ``CompiledProblem._assemble``.
+"""The utilisation routines of ``CompiledProblem._assemble``.
 
-Properties under test: the sort-free closed form (interleave each
-resource's slots, check the sequence never decreases, subtract the sums)
-equals the sort-and-merge reference exactly -- as integer busy totals and
-as the rounded fraction -- on random multi-slot interval sets with
-overlaps, touching and zero-length intervals and ε gaps; a steady run's
-closed-form periodic tail equals the same tail written out in full; and a
-resource whose intervals overlap takes the materialise-and-merge fallback
-while staying bit-identical to replay.
+``_resource_spans`` scores each resource's ``(busy, lo, hi)`` on the
+object-graph paths and ``_utilization`` is the one window/rounding
+epilogue of every path.  Properties under test: the sort-free closed
+form (interleave each resource's slots, check the sequence never
+decreases, subtract the sums) equals the sort-and-merge reference
+exactly -- as integer busy totals and as the rounded fraction -- on
+random multi-slot interval sets with overlaps, touching and zero-length
+intervals and ε gaps; a steady run's closed-form periodic tail equals
+the same tail written out in full; and a resource whose intervals
+overlap takes the materialise-and-merge fallback while staying
+bit-identical to replay.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ from repro.dse.compile import (
     _disjoint_span,
     _merged_busy,
     _merged_span,
+    _resource_spans,
     _SteadyTail,
     _utilization,
 )
@@ -138,7 +142,7 @@ class TestClosedFormMatchesMerge:
                     )
             everything = [pair for pairs in reference.values() for pair in pairs]
             requested = resources + ["idle"]  # a used resource with no slot
-            got = _utilization(requested, execute_nodes, usage)
+            got = _utilization(requested, _resource_spans(execute_nodes, usage))
             if not everything:
                 assert got == {resource: 0.0 for resource in requested}
                 continue
@@ -209,11 +213,10 @@ class TestClosedFormTail:
             certified += 1
             tail = run[3]
             prefix = computer.usage_instants()
-            resources = candidate.resources_used()
-            closed = _utilization(resources, spec.execute_nodes, prefix, tail)
+            closed = _resource_spans(spec.execute_nodes, prefix, tail)
             full = tail.materialize()  # extend_recorded on the live evaluator
             assert len(next(iter(full.values()))) == run[2]
-            assert closed == _utilization(resources, spec.execute_nodes, full)
+            assert closed == _resource_spans(spec.execute_nodes, full)
         assert certified > 0
 
 
