@@ -19,6 +19,14 @@ that do not need them.  The ``evaluator`` mode is excluded for the same
 reason: every mode is certified to produce identical objectives, so it is
 provenance, not identity.
 
+Each identity is derived once per object.  A spec's ``parameters`` pass
+through one canonical walk on construction (plain JSON types, sorted keys,
+finite floats; the path of a rejected value is assembled only on error),
+and both digests serialise that normalised content directly and keep the
+hex string in the instance ``__dict__``.  The memo is not a dataclass
+field, so equality and hashing ignore it; copies and pickles carry it
+along with the content it was derived from.
+
 Seeds derive deterministically per job: replication 0 uses the spec's
 ``seed`` parameter verbatim (an explicit ``--seed`` really is the seed
 that reaches the stimulus), later replications get decorrelated 63-bit
@@ -37,32 +45,77 @@ from ..errors import CampaignError
 __all__ = ["ScenarioSpec", "JobSpec", "canonical_json", "derive_seed"]
 
 
-def _normalise(value: Any, path: str = "parameters") -> Any:
-    """Coerce ``value`` to plain JSON types, rejecting anything non-serialisable."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+_INFINITIES = (float("inf"), float("-inf"))
+
+
+class _Invalid(Exception):
+    """A value the canonical walk rejects.
+
+    Raised at the failing leaf with the tail of the message; every enclosing
+    list or mapping appends its path segment (``[index]`` or ``.key``) as the
+    exception unwinds, so the path costs nothing unless a value is rejected.
+    """
+
+    def __init__(self, problem: str) -> None:
+        super().__init__(problem)
+        self.problem = problem
+        self.segments: List[str] = []
+
+
+def _walk(value: Any) -> Any:
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise CampaignError(f"{path} must be finite, got {value!r}")
+        if value != value or value in _INFINITIES:
+            raise _Invalid(f" must be finite, got {value!r}")
         return value
     if isinstance(value, (list, tuple)):
-        return [_normalise(item, f"{path}[{index}]") for index, item in enumerate(value)]
+        items: List[Any] = []
+        index = 0
+        try:
+            for index, item in enumerate(value):
+                items.append(_walk(item))
+        except _Invalid as error:
+            error.segments.append(f"[{index}]")
+            raise
+        return items
     if isinstance(value, Mapping):
         normalised: Dict[str, Any] = {}
         for key in sorted(value):
             if not isinstance(key, str):
-                raise CampaignError(f"{path} keys must be strings, got {key!r}")
-            normalised[key] = _normalise(value[key], f"{path}.{key}")
+                raise _Invalid(f" keys must be strings, got {key!r}")
+            try:
+                normalised[key] = _walk(value[key])
+            except _Invalid as error:
+                error.segments.append(f".{key}")
+                raise
         return normalised
-    raise CampaignError(
-        f"{path} must be JSON-serialisable (str/int/float/bool/list/dict), "
+    raise _Invalid(
+        " must be JSON-serialisable (str/int/float/bool/list/dict), "
         f"got {type(value).__name__}"
     )
 
 
+def _normalise(value: Any, root: str = "parameters") -> Any:
+    """Coerce ``value`` to plain JSON types, rejecting anything non-serialisable.
+
+    Idempotent: an already-normalised value comes back equal.  A rejected
+    value raises :class:`CampaignError` naming its path from ``root``.
+    """
+    try:
+        return _walk(value)
+    except _Invalid as error:
+        path = root + "".join(reversed(error.segments))
+        raise CampaignError(path + error.problem) from None
+
+
+#: The digest serialisation: sorted keys, no whitespace.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def canonical_json(value: Any) -> str:
     """Stable JSON encoding (sorted keys, no whitespace) used for digests."""
-    return json.dumps(_normalise(value, "value"), sort_keys=True, separators=(",", ":"))
+    return _dumps(_normalise(value, "value"))
 
 
 def _sha256(text: str) -> str:
@@ -137,7 +190,11 @@ class ScenarioSpec:
 
     def digest(self) -> str:
         """Content hash identifying the experiment point (not its replications)."""
-        return _sha256(canonical_json(self.canonical()))
+        memo = self.__dict__.get("_digest")
+        if memo is None:
+            # ``parameters`` were normalised on construction; no second walk.
+            memo = self.__dict__["_digest"] = _sha256(_dumps(self.canonical()))
+        return memo
 
     def job(self, replication: int) -> "JobSpec":
         if not 0 <= replication < self.replications:
@@ -165,9 +222,12 @@ class JobSpec:
 
     def digest(self) -> str:
         """Cache key of this job in the result store."""
-        content = self.spec.canonical()
-        content["replication"] = self.replication
-        return _sha256(canonical_json(content))
+        memo = self.__dict__.get("_digest")
+        if memo is None:
+            content = self.spec.canonical()
+            content["replication"] = self.replication
+            memo = self.__dict__["_digest"] = _sha256(_dumps(content))
+        return memo
 
     def payload(self) -> Dict[str, Any]:
         """JSON-safe form shipped to worker processes."""

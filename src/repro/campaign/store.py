@@ -14,7 +14,8 @@ wanted.
 Lines that fail to parse (e.g. a truncated final line after a crash) are
 skipped -- counted in :attr:`ResultStore.skipped_lines` and reported
 through the ``repro.campaign.store`` logger -- rather than failing the
-whole campaign.
+whole campaign.  The next :meth:`ResultStore.put` after loading such a
+torn tail starts a new line, so the record it appends survives a reload.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class ResultStore:
         self._path = Path(path) if path is not None else None
         self._records: Dict[str, Mapping[str, Any]] = {}
         self.skipped_lines = 0
+        # True when the file ends without a newline (a write torn by a
+        # crash): the next put starts a fresh line instead of appending its
+        # record onto the broken one.
+        self._torn_tail = False
         if self._path is not None and self._path.exists():
             self._load()
 
@@ -55,6 +60,7 @@ class ResultStore:
         assert self._path is not None
         with self._path.open("r", encoding="utf-8") as handle:
             for line in handle:
+                self._torn_tail = not line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -94,7 +100,8 @@ class ResultStore:
         if self._path is not None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             with self._path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+                handle.write(("\n" if self._torn_tail else "") + line + "\n")
+                self._torn_tail = False
                 handle.flush()
                 os.fsync(handle.fileno())
 
@@ -119,6 +126,7 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
         tmp_path.replace(self._path)
+        self._torn_tail = False
         return len(self._records)
 
     def __contains__(self, digest: str) -> bool:

@@ -120,9 +120,16 @@ class MappingCandidate:
         )
 
     def digest(self) -> str:
-        """Content hash of the canonical encoding (stable across processes)."""
-        text = canonical_json(self.to_parameters())
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        """Content hash of the canonical encoding (stable across processes).
+
+        Computed on the first call and kept in the instance ``__dict__``;
+        the memo is not a field, so equality and hashing are unaffected.
+        """
+        memo = self.__dict__.get("_digest")
+        if memo is None:
+            text = canonical_json(self.to_parameters())
+            memo = self.__dict__["_digest"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return memo
 
     # -- realisation ------------------------------------------------------------
     def build_mapping(self, name: str = "candidate") -> ArchMapping:

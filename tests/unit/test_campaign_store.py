@@ -98,6 +98,36 @@ class TestPersistence:
         assert clean.skipped_lines == 0
         assert clean.digests() == ["d1", "d3"]
 
+    def test_put_after_torn_tail_survives_reload(self, tmp_path):
+        """Regression: a record appended after a torn line used to be lost."""
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        store.put("a", {"value": 1})
+        store.put("b", {"value": 2})
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 10])  # cut b's line mid-record
+        reopened = ResultStore(path)
+        assert reopened.skipped_lines == 1
+        reopened.put("c", {"value": 3})
+        reloaded = ResultStore(path)
+        assert reloaded.digests() == ["a", "c"]
+        assert reloaded.skipped_lines == 1
+        # Only the first put after the torn tail starts a fresh line.
+        reloaded.put("d", {"value": 4})
+        assert ResultStore(path).digests() == ["a", "c", "d"]
+        assert path.read_text().count("\n\n") == 0
+
+    def test_compaction_clears_a_torn_tail(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        ResultStore(path).put("a", {"value": 1})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"digest": "b"')
+        store = ResultStore(path)
+        store.compact()
+        store.put("c", {"value": 3})
+        assert path.read_text().splitlines()[-1].startswith('{"digest": "c"')
+        assert len(path.read_text().splitlines()) == 2
+
     def test_clean_store_loads_without_warning(self, tmp_path, caplog):
         path = tmp_path / "results.jsonl"
         ResultStore(path).put("d1", {"value": 1})
