@@ -307,13 +307,15 @@ BATCH_CASES = [
 ]
 
 #: Feasible candidates + lowered programs per problem, shared between the
-#: backend parametrisations so the (backend-independent) baselines are
-#: measured once.
+#: backend parametrisations so the (backend-independent) end-to-end baseline
+#: is measured once.
 _batch_fixtures = {}
+
+#: Interleaved (object-graph walk, array sweep) timing pairs per case.
+BATCH_PAIRS = 7
 
 
 def _batch_fixture(problem_name, items, batch):
-    from repro.core.compute import InstantComputer
     from repro.dse.engine import lower_spec, replay_batch
 
     if problem_name in _batch_fixtures:
@@ -347,18 +349,14 @@ def _batch_fixture(problem_name, items, batch):
         for spec, count in zip(specs, iterations)
     ]
 
-    best_single = best_objgraph = float("inf")
+    best_single = float("inf")
     for _ in range(3):
         tick = time.perf_counter()
         for candidate in candidates:  # the pre-batch-engine inner loop
             compiled.evaluate(candidate)
         best_single = min(best_single, time.perf_counter() - tick)
-        tick = time.perf_counter()
-        for spec in specs:  # its replay stage alone (object-graph walk)
-            compiled._run(spec, InstantComputer(spec, record_usage=True))
-        best_objgraph = min(best_objgraph, time.perf_counter() - tick)
 
-    fixture = (compiled, candidates, programs, best_single, best_objgraph, replay_batch)
+    fixture = (compiled, candidates, specs, programs, best_single, replay_batch)
     _batch_fixtures[problem_name] = fixture
     return fixture
 
@@ -381,22 +379,31 @@ def test_dse_batch_speedup(problem_name, items, batch, backend, dse_bench):
       around 2.5x on chain), so throughput readers see the whole story
       and not just the kernel figure.
 
-    Best-of-three plain timing; holds under ``--benchmark-disable``.  The
-    numpy parametrisation skips (not fails) when numpy is absent -- the
+    Plain best-of-N timing; holds under ``--benchmark-disable``.  The walk
+    and the sweep are timed in interleaved pairs inside the test, so a slow
+    spell of a shared host stretches both sides of ``batch_speedup`` alike.
+    The numpy parametrisation skips (not fails) when numpy is absent -- the
     pure-Python path is the reference and keeps the install zero-dependency.
     """
+    from repro.core.compute import InstantComputer
     from repro.dse.engine import numpy_available
 
     if backend == "numpy" and not numpy_available():
         pytest.skip("numpy is not installed; the pure-Python array path is the reference")
-    compiled, candidates, programs, best_single, best_objgraph, replay = _batch_fixture(
+    compiled, candidates, specs, programs, best_single, replay = _batch_fixture(
         problem_name, items, batch
     )
-    best_sweep = best_batch = float("inf")
-    for _ in range(3):
+    best_objgraph = best_sweep = float("inf")
+    for _ in range(BATCH_PAIRS):
+        tick = time.perf_counter()
+        for spec in specs:  # the per-candidate replay stage (object-graph walk)
+            compiled._run(spec, InstantComputer(spec, record_usage=True))
+        best_objgraph = min(best_objgraph, time.perf_counter() - tick)
         tick = time.perf_counter()
         replay(programs, backend)
         best_sweep = min(best_sweep, time.perf_counter() - tick)
+    best_batch = float("inf")
+    for _ in range(3):
         tick = time.perf_counter()
         evaluations = compiled.evaluate_batch(candidates, backend=backend)
         best_batch = min(best_batch, time.perf_counter() - tick)

@@ -5,8 +5,10 @@ Performance models do not describe functionality; they describe the
 executes (Section II of the paper).  A workload model answers two
 questions for the ``(k+1)``-th execution of a function:
 
-* :meth:`ExecutionTimeModel.duration` -- how long does the execution
-  occupy its resource?
+* :meth:`ExecutionTimeModel.duration_ps` -- how long does the execution
+  occupy its resource, in integer picoseconds?
+  (:meth:`~ExecutionTimeModel.duration` is the same value as a
+  :class:`~repro.kernel.simtime.Duration`.)
 * :meth:`ExecutionTimeModel.operations` -- how many operations does it
   perform?  This is only used by the observation layer to plot the
   computational complexity per time unit (GOPS) of Fig. 6; it does not
@@ -21,16 +23,30 @@ deterministic function of ``(k, token)``; the stochastic model draws
 its samples lazily from a private seeded RNG and memoises them per
 iteration, so two architecture models *sharing the same instance* see
 the same sequence.
+
+Integer-picosecond contract
+---------------------------
+``duration_ps(k, token) -> int`` is the one primitive every model
+implements; ``duration()`` is a concrete wrapper around it.  Timing hot
+paths (the equivalent model's arc weights, the explicit processes, the
+DSE duration tables) call ``duration_ps`` so no :class:`Duration` is
+built per execution.  Models validate their :class:`Duration` arguments
+once, at construction, and keep them as integers.  Only values that
+arrive with a call are checked on every call, because user code produces
+them: the result of a :class:`DataDependentExecutionTime` callable, each
+draw of a custom :class:`StochasticExecutionTime` sampler, the cycle
+count of a :class:`CycleAccurateExecutionTime` and the token attribute a
+:class:`PerUnitExecutionTime` reads.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 from ..errors import ModelError
-from ..kernel.simtime import Duration
+from ..kernel.simtime import PS_PER_SECOND, Duration
 from .platform import ProcessingResource, ResourceKind
 from .token import DataToken
 
@@ -48,12 +64,25 @@ __all__ = [
 ]
 
 
+def _checked_ps(value: object, what: str) -> int:
+    """``value`` as integer picoseconds, after checking it is a non-negative Duration."""
+    if not isinstance(value, Duration):
+        raise ModelError(f"{what} must be a Duration, got {type(value).__name__}")
+    if value.is_negative():
+        raise ModelError(f"{what} cannot be negative")
+    return value.picoseconds
+
+
 class ExecutionTimeModel(abc.ABC):
     """Abstract execution-time / computation-load model."""
 
     @abc.abstractmethod
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
+        """Execution duration of the ``(k+1)``-th execution, in integer picoseconds."""
+
     def duration(self, k: int, token: Optional[DataToken]) -> Duration:
         """Execution duration of the ``(k+1)``-th execution."""
+        return Duration(self.duration_ps(k, token))
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         """Number of operations of the ``(k+1)``-th execution (default 0)."""
@@ -68,15 +97,11 @@ class ConstantExecutionTime(ExecutionTimeModel):
     """Fixed execution time (and optional fixed operation count)."""
 
     def __init__(self, duration: Duration, operations: float = 0.0) -> None:
-        if not isinstance(duration, Duration):
-            raise ModelError("ConstantExecutionTime expects a Duration")
-        if duration.is_negative():
-            raise ModelError("execution time cannot be negative")
-        self._duration = duration
+        self._duration_ps = _checked_ps(duration, "ConstantExecutionTime duration")
         self._operations = float(operations)
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
-        return self._duration
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
+        return self._duration_ps
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         return self._operations
@@ -97,15 +122,9 @@ class DataDependentExecutionTime(ExecutionTimeModel):
         self._operations_fn = operations_fn
         self.description = description
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
-        duration = self._duration_fn(k, token)
-        if not isinstance(duration, Duration):
-            raise ModelError(
-                f"duration_fn returned {type(duration).__name__}; expected Duration"
-            )
-        if duration.is_negative():
-            raise ModelError("duration_fn returned a negative duration")
-        return duration
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
+        # User code: checked on every call.
+        return _checked_ps(self._duration_fn(k, token), "the result of duration_fn")
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         if self._operations_fn is None:
@@ -131,28 +150,30 @@ class PerUnitExecutionTime(ExecutionTimeModel):
         operations_per_unit: float = 0.0,
         base_operations: float = 0.0,
     ) -> None:
-        if base.is_negative() or per_unit.is_negative():
-            raise ModelError("base and per_unit durations cannot be negative")
-        self._base = base
-        self._per_unit = per_unit
+        self._base_ps = _checked_ps(base, "PerUnitExecutionTime base")
+        self._per_unit_ps = _checked_ps(per_unit, "PerUnitExecutionTime per_unit")
         self.attribute = attribute
-        self.default_units = default_units
+        self.default_units = self._checked_units(default_units, "default_units")
         self._operations_per_unit = float(operations_per_unit)
         self._base_operations = float(base_operations)
+
+    @staticmethod
+    def _checked_units(units: object, what: str) -> int:
+        # bool is an int subclass: True would silently count as one unit.
+        if not isinstance(units, int) or isinstance(units, bool) or units < 0:
+            raise ModelError(f"{what} must be a non-negative integer, got {units!r}")
+        return units
 
     def _units(self, token: Optional[DataToken]) -> int:
         if token is None:
             return self.default_units
         units = token.get(self.attribute, self.default_units)
-        if not isinstance(units, int) or units < 0:
-            raise ModelError(
-                f"token attribute {self.attribute!r} must be a non-negative integer, "
-                f"got {units!r}"
-            )
-        return units
+        if type(units) is int and units >= 0:
+            return units
+        return self._checked_units(units, f"token attribute {self.attribute!r}")
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
-        return self._base + self._per_unit * self._units(token)
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
+        return self._base_ps + self._per_unit_ps * self._units(token)
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         return self._base_operations + self._operations_per_unit * self._units(token)
@@ -174,22 +195,19 @@ class TableExecutionTime(ExecutionTimeModel):
     ) -> None:
         if not durations:
             raise ModelError("TableExecutionTime requires at least one duration")
-        for duration in durations:
-            if not isinstance(duration, Duration) or duration.is_negative():
-                raise ModelError("table entries must be non-negative Durations")
         if operations is not None and len(operations) != len(durations):
             raise ModelError("operations table must have the same length as the durations table")
-        self._durations = list(durations)
+        self._durations_ps = [_checked_ps(duration, "a table entry") for duration in durations]
         self._operations = [float(value) for value in operations] if operations else None
         self.cyclic = cyclic
 
     def _index(self, k: int) -> int:
         if self.cyclic:
-            return k % len(self._durations)
-        return min(k, len(self._durations) - 1)
+            return k % len(self._durations_ps)
+        return min(k, len(self._durations_ps) - 1)
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
-        return self._durations[self._index(k)]
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
+        return self._durations_ps[self._index(k)]
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         if self._operations is None:
@@ -220,29 +238,27 @@ class StochasticExecutionTime(ExecutionTimeModel):
         if sampler is None:
             if low is None or high is None:
                 raise ModelError("provide either low/high bounds or a sampler")
-            if low.is_negative() or high < low:
+            low_ps = _checked_ps(low, "StochasticExecutionTime low")
+            high_ps = _checked_ps(high, "StochasticExecutionTime high")
+            if high_ps < low_ps:
                 raise ModelError("require 0 <= low <= high")
-            self._sampler = lambda rng: Duration(
-                rng.randint(low.picoseconds, high.picoseconds)
+            self._draw_ps: Callable[[random.Random], int] = (
+                lambda rng: rng.randint(low_ps, high_ps)
             )
         else:
-            self._sampler = sampler
+            # User code: every draw is checked.
+            self._draw_ps = lambda rng: _checked_ps(sampler(rng), "a sampler draw")
         self._rng = random.Random(seed)
-        self._cache: Dict[int, Duration] = {}
-        self._next_expected = 0
+        self._cache_ps: List[int] = []
         self._operations = float(operations)
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
-        if k not in self._cache:
-            # Draw samples in iteration order so the sequence is independent of
-            # which model asks first.
-            while self._next_expected <= k:
-                sample = self._sampler(self._rng)
-                if not isinstance(sample, Duration) or sample.is_negative():
-                    raise ModelError("sampler must return a non-negative Duration")
-                self._cache[self._next_expected] = sample
-                self._next_expected += 1
-        return self._cache[k]
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
+        cache = self._cache_ps
+        # Draw samples in iteration order so the sequence is independent of
+        # which model asks first.
+        while len(cache) <= k:
+            cache.append(self._draw_ps(self._rng))
+        return cache[k]
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         return self._operations
@@ -268,11 +284,12 @@ class CycleAccurateExecutionTime(ExecutionTimeModel):
         self.frequency_hz = float(frequency_hz)
         self._operations_fn = operations_fn
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
         cycles = self._cycles_fn(k, token)
         if cycles < 0:
             raise ModelError("cycle count cannot be negative")
-        return Duration.from_seconds(cycles / self.frequency_hz)
+        # Duration.from_seconds' rounding, without the Duration.
+        return round(cycles / self.frequency_hz * PS_PER_SECOND)
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         if self._operations_fn is None:
@@ -304,7 +321,7 @@ class ResourceDependentExecutionTime(ExecutionTimeModel):
     def binding_key(self, resource: ProcessingResource) -> Hashable:
         """Hashable key such that equal keys imply identical bound durations."""
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
         raise ModelError(
             f"{type(self).__name__} is resource-dependent; bind it to a "
             "processing resource (bind_workload) before asking for durations"
@@ -325,8 +342,8 @@ class _ScaledExecutionTime(ExecutionTimeModel):
         self._base = base
         self._factor = factor
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
-        return Duration(round(self._base.duration(k, token).picoseconds * self._factor))
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
+        return round(self._base.duration_ps(k, token) * self._factor)
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         return self._base.operations(k, token)
@@ -409,9 +426,8 @@ class KindScaledExecutionTime(ResourceDependentExecutionTime):
         if isinstance(self.base, ConstantExecutionTime):
             # Constant stays constant, so the bound weight keeps the graph
             # exportable to the linear (max, +) matrix form.
-            base = self.base.duration(0, None)
             return ConstantExecutionTime(
-                Duration(round(base.picoseconds * factor)),
+                Duration(round(self.base.duration_ps(0, None) * factor)),
                 operations=self.base.operations(0, None),
             )
         if factor == 1.0:

@@ -1328,24 +1328,32 @@ def _run_obs_trend(arguments: argparse.Namespace) -> int:
 def _resolve_run(
     manifests: Sequence["telemetry.RunManifest"], token: str
 ) -> "telemetry.RunManifest":
-    """A ledger run by id prefix, or by index (``-1`` = newest append)."""
+    """A ledger run by index (``-1`` = newest append), or by run-id prefix.
+
+    An integer inside the ledger's index range is an index; any other token
+    is a run-id prefix.  Run ids are hex digests, so all-digit prefixes such
+    as ``12345678`` are common: they are far outside any ledger's range and
+    resolve as prefixes.
+    """
     try:
-        index = int(token)
+        index: Optional[int] = int(token)
     except ValueError:
-        matches = [manifest for manifest in manifests if manifest.run_id.startswith(token)]
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise CampaignError(f"no ledger run with id prefix {token!r}")
+        index = None
+    if index is not None and -len(manifests) <= index < len(manifests):
+        return manifests[index]
+    matches = [manifest for manifest in manifests if manifest.run_id.startswith(token)]
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
         raise CampaignError(
             f"run id prefix {token!r} is ambiguous ({len(matches)} ledger matches)"
         )
-    try:
-        return manifests[index]
-    except IndexError:
+    if index is not None:
         raise CampaignError(
-            f"run index {index} is out of range (the ledger holds {len(manifests)} run(s))"
-        ) from None
+            f"run index {index} is out of range (the ledger holds {len(manifests)} run(s)) "
+            "and no run id starts with it"
+        )
+    raise CampaignError(f"no ledger run with id prefix {token!r}")
 
 
 def _diff_cell(before: object, after: object) -> str:

@@ -98,16 +98,24 @@ __all__ = [
 
 
 class _WorkloadWeight:
-    """Arc-weight callable evaluating a workload model on the iteration's token."""
+    """Arc-weight callable evaluating a workload model on the iteration's token.
 
-    __slots__ = ("workload",)
+    :meth:`weight_ps` is the evaluator's integer fast path (see
+    :attr:`~repro.tdg.arc.DependencyArc.weight_callable`); the workload's
+    ``duration_ps`` is already validated, so no :class:`Duration` is built.
+    """
+
+    __slots__ = ("workload", "_duration_ps")
 
     def __init__(self, workload: ExecutionTimeModel) -> None:
         self.workload = workload
+        self._duration_ps = workload.duration_ps
+
+    def weight_ps(self, k: int, context: Mapping[str, object]) -> int:
+        return self._duration_ps(k, context.get("token") if context else None)
 
     def __call__(self, k: int, context: Mapping[str, object]) -> Duration:
-        token = context.get("token") if context else None
-        return self.workload.duration(k, token)
+        return Duration(self.weight_ps(k, context))
 
 
 def workload_weight(workload: ExecutionTimeModel):
@@ -118,7 +126,7 @@ def workload_weight(workload: ExecutionTimeModel):
     other model becomes a per-iteration callable.
     """
     if isinstance(workload, ConstantExecutionTime):
-        return workload.duration(0, None)
+        return Duration(workload.duration_ps(0, None))
     return _WorkloadWeight(workload)
 
 

@@ -50,6 +50,9 @@ class InstantComputer:
             recorded.update(spec.observation_nodes())
         self._record_usage = record_usage
         self.evaluator = TDGEvaluator(spec.graph, record_nodes=sorted(recorded))
+        self._input_slots = tuple((b.relation, b.exchange_node) for b in spec.boundary_inputs)
+        self._output_slots = tuple((b.relation, b.offer_node) for b in spec.boundary_outputs)
+        self._ready_nodes = {b.relation: b.ready_node for b in spec.boundary_inputs}
         self._tokens: List[Optional[DataToken]] = []
         self._compute_calls = 0
         self._missed_feedback = 0
@@ -67,10 +70,10 @@ class InstantComputer:
 
         ``None`` means "no constraint yet" (first iterations).
         """
-        for boundary in self.spec.boundary_inputs:
-            if boundary.relation == relation:
-                return self.evaluator.peek_delayed(boundary.ready_node)
-        raise ComputationError(f"{relation!r} is not a boundary input of the equivalent model")
+        node = self._ready_nodes.get(relation)
+        if node is None:
+            raise ComputationError(f"{relation!r} is not a boundary input of the equivalent model")
+        return self.evaluator.peek_delayed(node)
 
     def compute_iteration(
         self,
@@ -84,30 +87,25 @@ class InstantComputer:
         ``tokens`` maps the same relation names to the received tokens.
         Returns a mapping of boundary-output relation names to the computed
         output (offer) instants.
+
+        Data-dependent arc weights receive the context ``{"token": primary
+        token, "tokens": tokens, "iteration": k}``; ``tokens`` is the caller's
+        mapping itself, not a copy, so weights must not mutate it.
         """
         node_inputs: Dict[str, Optional[int]] = {}
-        for boundary in self.spec.boundary_inputs:
-            if boundary.relation not in input_instants:
-                raise ComputationError(
-                    f"missing exchange instant for boundary input {boundary.relation!r}"
-                )
-            node_inputs[boundary.exchange_node] = input_instants[boundary.relation]
+        for relation, node in self._input_slots:
+            if relation not in input_instants:
+                raise ComputationError(f"missing exchange instant for boundary input {relation!r}")
+            node_inputs[node] = input_instants[relation]
 
         primary_token = None
         if self.spec.primary_input is not None:
             primary_token = tokens.get(self.spec.primary_input)
-        context = {
-            "token": primary_token,
-            "tokens": dict(tokens),
-            "iteration": self.evaluator.iteration,
-        }
+        context = {"token": primary_token, "tokens": tokens, "iteration": self.evaluator.iteration}
         self._tokens.append(primary_token)
         outputs_by_node = self.evaluator.step(node_inputs, context)
         self._compute_calls += 1
-        return {
-            boundary.relation: outputs_by_node[boundary.offer_node]
-            for boundary in self.spec.boundary_outputs
-        }
+        return {relation: outputs_by_node[node] for relation, node in self._output_slots}
 
     def feedback(self, relation: str, iteration: int, actual_ps: int) -> bool:
         """Record the actual exchange instant of a boundary output.

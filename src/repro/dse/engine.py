@@ -28,7 +28,9 @@ Invariants:
   bit-identical, instant for instant, to the per-candidate replay of
   :meth:`CompiledProblem.evaluate` (asserted by the equivalence suites).
   ε is the sentinel :data:`NEG_EPSILON`, and every read skips values at
-  or below :data:`EPSILON_THRESHOLD`.  The kernel checks every ``+`` for
+  or below :data:`EPSILON_THRESHOLD`.  :func:`replay_program` drops that
+  test once it has proved that no ε can be read any more (see there); the
+  kernel keeps it on every read.  The kernel checks every ``+`` for
   int64 overflow and leaves such candidates to :func:`replay_program` on
   Python integers, so no headroom is assumed; a resource whose span it
   cannot prove in int64 closed form is merged exactly on Python integers.
@@ -117,16 +119,16 @@ class _TabulatedWeight:
         cache = self._cache_ps
         while len(cache) <= k:
             index = len(cache)
-            duration = self.workload.duration(index, self._tokens[index])
-            # Same validation the arc's weight_ps applies to untrusted
-            # callables, so a misbehaving workload stays an infeasibility
-            # report instead of a silently wrong instant.
-            if not isinstance(duration, Duration) or duration.is_negative():
+            duration_ps = self.workload.duration_ps(index, self._tokens[index])
+            # Checked once per table entry, so a misbehaving workload
+            # subclass stays an infeasibility report instead of a silently
+            # wrong instant.
+            if type(duration_ps) is not int or duration_ps < 0:
                 raise GraphError(
                     f"workload {type(self.workload).__name__} returned an invalid "
-                    f"duration for iteration {index}: {duration!r}"
+                    f"duration for iteration {index}: {duration_ps!r}"
                 )
-            cache.append(duration.picoseconds)
+            cache.append(duration_ps)
         return cache[k]
 
     def __call__(self, k: int, context: Mapping[str, object]) -> Duration:
@@ -384,20 +386,46 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     iterations = program.iterations
     neg = NEG_EPSILON
     eps = EPSILON_THRESHOLD
-    hist: List[List[int]] = [[neg] * iterations for _ in range(program.node_count)]
     inputs = program.inputs
+    # Every history row starts with `pad` ε entries, so iteration k lives at
+    # k + pad and a delayed read k + pad - delay never reaches before the
+    # row: iterations before 0 read ε without a bounds check.
+    arc_groups = [*program.plan_arcs, *(ready_arcs for _, _, _, ready_arcs in inputs)]
+    pad = max((delay for arcs in arc_groups for _, delay, _ in arcs), default=0)
+    hist: List[List[int]] = [[neg] * (pad + iterations) for _ in range(program.node_count)]
     offer_lists: List[List[int]] = [[] for _ in inputs]
     out_lists: List[List[int]] = [[] for _ in program.outputs]
     prev = [neg] * len(inputs)  # previous exchange instants (ε = neg)
+    # Each distinct weight stream is classified once: is it all zero over the
+    # horizon (the arc is then a plain max over its source) and free of
+    # negative weights?  A stream shorter than the horizon stays weighted and
+    # fails where it is read.
+    kinds: Dict[int, Tuple[bool, bool]] = {}
+    for weights in {id(w): w for arcs in program.plan_arcs for _, _, w in arcs}.values():
+        zero = len(weights) >= iterations and not any(weights)
+        kinds[id(weights)] = (zero, min(weights, default=0) >= 0)
     # Bind history rows into the tables once, so the hot loop below works
     # on list references instead of re-indexing the vocabulary per visit.
-    plan = [
-        (
-            hist[node_idx],
-            tuple((hist[src], delay, weights) for src, delay, weights in arcs),
-        )
-        for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs)
-    ]
+    # Each node's arcs are split into zero-weight (row, delay) pairs and
+    # weighted (row, delay, stream) triples; a node whose only arc is
+    # weighted also carries that arc alone, so the settled sweep computes it
+    # without a loop.
+    plan = []
+    for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs):
+        zero_arcs = tuple((hist[src], delay) for src, delay, w in arcs if kinds[id(w)][0])
+        weighted = tuple((hist[src], delay, w) for src, delay, w in arcs if not kinds[id(w)][0])
+        single = weighted[0] if len(weighted) == 1 and not zero_arcs else None
+        plan.append((hist[node_idx], zero_arcs, weighted, single))
+    # Iterations in a row in which no plan node was ε.  Once they cover
+    # every delay, no read can meet ε again: delayed reads land in that
+    # window, and same-iteration reads follow the topological order up from
+    # the exchange instants, which are never ε; with no negative weight, no
+    # sum falls back to ε either.  From then on the sweep skips the ε test.
+    written = {*program.plan_nodes, *(exchange_idx for _, exchange_idx, _, _ in inputs)}
+    can_settle = all(
+        src in written and kinds[id(w)][1] for arcs in program.plan_arcs for src, _, w in arcs
+    )
+    settled = 0
     bound_inputs = [
         (
             i,
@@ -413,18 +441,17 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     ]
     now = 0  # the Reception process's local clock, persistent across iterations
     for k in range(iterations):
+        at = k + pad
         for i, exchange_row, schedule, ready_arcs in bound_inputs:
             # Reception: wait until the abstracted consumer is ready
             # (peek_delayed over the ready node's delayed arcs).
             ready = neg
             for source_row, delay, weights in ready_arcs:
-                j = k - delay
-                if j >= 0:
-                    value = source_row[j]
-                    if value > eps:
-                        candidate = value + weights[k]
-                        if candidate > ready:
-                            ready = candidate
+                value = source_row[at - delay]
+                if value > eps:
+                    candidate = value + weights[k]
+                    if candidate > ready:
+                        ready = candidate
             if ready > now:
                 now = ready
             # Stimulus driver: resumes after its previous exchange, then
@@ -436,22 +463,45 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
             # Rendezvous: the exchange completes when both sides arrived.
             if arrival > now:
                 now = arrival
-            exchange_row[k] = now
+            exchange_row[at] = now
             prev[i] = now
         # ComputeInstant(): the (max, +) sweep in topological order.
-        for node_row, arcs in plan:
-            best = neg
-            for source_row, delay, weights in arcs:
-                j = k - delay
-                if j >= 0:
-                    value = source_row[j]
+        if can_settle and settled > pad:
+            for node_row, zero_arcs, weighted, single in plan:
+                if single is not None:
+                    source_row, delay, weights = single
+                    node_row[at] = source_row[at - delay] + weights[k]
+                    continue
+                best = neg
+                for source_row, delay in zero_arcs:
+                    value = source_row[at - delay]
+                    if value > best:
+                        best = value
+                if weighted:  # even an empty loop builds an iterator
+                    for source_row, delay, weights in weighted:
+                        candidate = source_row[at - delay] + weights[k]
+                        if candidate > best:
+                            best = candidate
+                node_row[at] = best
+        else:
+            settled += 1
+            for node_row, zero_arcs, weighted, _ in plan:
+                best = neg
+                for source_row, delay in zero_arcs:
+                    value = source_row[at - delay]
+                    if value > best and value > eps:
+                        best = value
+                for source_row, delay, weights in weighted:
+                    value = source_row[at - delay]
                     if value > eps:
                         candidate = value + weights[k]
                         if candidate > best:
                             best = candidate
-            node_row[k] = best
+                node_row[at] = best
+                if best <= eps:
+                    settled = 0
         for offer_row, emitted in bound_outputs:
-            offered = offer_row[k]
+            offered = offer_row[at]
             if offered <= eps or (emitted and offered < emitted[-1]):
                 return None
             # Always-ready observer: the exchange happens at the offer.
@@ -460,7 +510,7 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     actual = {relation: out_lists[i] for i, (relation, _) in enumerate(program.outputs)}
     spans: Dict[str, Span] = {}
     for resource, pairs in program.slots:
-        rows = [(hist[start], hist[end]) for start, end in pairs]
+        rows = [(hist[start][pad:], hist[end][pad:]) for start, end in pairs]
         span = _interleaved_span(rows)  # ε is the int sentinel here, not None
         if span is None or span[1] <= eps:
             span = _merged_rows(rows)
@@ -749,9 +799,9 @@ def _in_bounds(program: ArrayProgram) -> bool:
 
 
 #: The numpy backend's kernels over :func:`_kernel_sweep`'s tables: the sweep,
-#: :func:`replay_program` transcribed line for line, and the per-resource span
-#: scoring of :func:`_interleaved_span`.  The sha256 of the source keys the build
-#: cache.
+#: :func:`replay_program`'s masked form transcribed line for line, and the
+#: per-resource span scoring of :func:`_interleaved_span`.  The sha256 of the
+#: source keys the build cache.
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
 

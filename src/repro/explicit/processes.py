@@ -20,7 +20,7 @@ from ..channels.base import ChannelBase
 from ..environment.sink import Sink
 from ..environment.stimulus import Stimulus
 from ..errors import SimulationError
-from ..kernel.simtime import Time
+from ..kernel.simtime import Duration, Time
 from ..observation.activity import ActivityTrace
 from .arbiter import StaticOrderArbiter
 
@@ -58,20 +58,20 @@ def function_process(
             elif kind == "execute":
                 slot = yield from arbiter.acquire(function.name, step_index)
                 workload = workloads[step_index]
-                duration = workload.duration(iteration, token)
-                start = simulator.now
+                duration_ps = workload.duration_ps(iteration, token)
                 if trace is not None:
+                    start = simulator.now
                     trace.record(
                         resource=resource.name,
                         function=function.name,
                         label=step.label,
                         iteration=iteration,
                         start=start,
-                        end=start + duration,
+                        end=start + Duration(duration_ps),
                         operations=workload.operations(iteration, token),
                     )
-                if duration:
-                    yield duration
+                if duration_ps:
+                    yield Duration(duration_ps)
                 arbiter.release(slot)
             elif kind == "delay":
                 if step.duration:

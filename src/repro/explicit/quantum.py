@@ -77,7 +77,7 @@ def _loosely_timed_function_process(
             elif kind == "write":
                 yield from channels[step.relation].write(token)
             elif kind == "execute":
-                local_offset += workloads[step_index].duration(iteration, token).picoseconds
+                local_offset += workloads[step_index].duration_ps(iteration, token)
                 if local_offset >= quantum_ps and local_offset > 0:
                     yield Duration(local_offset)
                     local_offset = 0

@@ -42,6 +42,7 @@ __all__ = [
     "Time",
     "ZERO_DURATION",
     "ZERO_TIME",
+    "PS_PER_SECOND",
     "picoseconds",
     "nanoseconds",
     "microseconds",
@@ -53,6 +54,9 @@ _PS_PER_NS = 1_000
 _PS_PER_US = 1_000_000
 _PS_PER_MS = 1_000_000_000
 _PS_PER_S = 1_000_000_000_000
+
+#: Picoseconds per second, the scale :meth:`Duration.from_seconds` rounds at.
+PS_PER_SECOND = _PS_PER_S
 
 Number = Union[int, float]
 

@@ -26,7 +26,7 @@ from typing import Dict, Optional
 
 from ..archmodel.token import DataToken
 from ..archmodel.workload import ExecutionTimeModel
-from ..kernel.simtime import Duration
+from ..kernel.simtime import PS_PER_SECOND, Duration
 
 __all__ = ["LteFunctionLoad", "lte_function_loads", "lte_workload_models"]
 
@@ -102,10 +102,11 @@ class _LoadExecutionTime(ExecutionTimeModel):
         self._load = load
         self._variable_rate = variable_rate
 
-    def duration(self, k: int, token: Optional[DataToken]) -> Duration:
+    def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
         operations = self._load.operations(token)
         rate = _decoder_rate(token) if self._variable_rate else self._load.rate_ops_per_second
-        return Duration.from_seconds(operations / rate)
+        # Duration.from_seconds' rounding, without the Duration.
+        return round(operations / rate * PS_PER_SECOND)
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
         return self._load.operations(token)

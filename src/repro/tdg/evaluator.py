@@ -12,11 +12,15 @@ this very computation erodes the simulation speed-up.
 History handling
 ----------------
 Delayed dependencies (``x(k-d)``) only need the last ``max_delay``
-iterations, so values are kept in small per-node ring buffers.  Nodes
-whose complete history is needed -- boundary outputs checked for
-accuracy, instants used to rebuild resource usage -- can be *recorded*
-(``record_nodes`` / ``record_all``), in which case the full value list
-is retained.
+iterations.  The ring buffer is *iteration-major*: ``ring[k % size]``
+is the whole value list of iteration ``k`` (``size = max_delay + 1``).
+Each step fills one fresh list from an ε template and stores it in its
+slot, so there is no per-node write-back.  Slots no iteration has
+written yet hold ε, which is exactly what a delayed arc reaching before
+iteration 0 must read.  Nodes whose complete history is needed --
+boundary outputs checked for accuracy, instants used to rebuild
+resource usage -- can be *recorded* (``record_nodes`` / ``record_all``),
+in which case the full value list is retained.
 
 Boundary feedback
 -----------------
@@ -39,6 +43,9 @@ __all__ = ["TDGEvaluator"]
 
 InstantListener = Callable[[int, InstantNode, Optional[int]], None]
 
+#: One planned incoming arc: (source index, delay, constant ps, weight function).
+_PlanArc = Tuple[int, int, Optional[int], Optional[Callable[[int, Mapping[str, Any]], int]]]
+
 
 class TDGEvaluator:
     """Stateful evaluator computing evolution instants iteration by iteration."""
@@ -54,12 +61,11 @@ class TDGEvaluator:
         self._nodes = list(graph.nodes)
         self._index_of = {node.name: node.index for node in self._nodes}
         self._ring_size = graph.max_delay + 1
-        node_count = len(self._nodes)
-        # ring[i][k % ring_size] holds the value of node i at iteration k
-        self._ring: List[List[Optional[int]]] = [
-            [None] * self._ring_size for _ in range(node_count)
-        ]
-        self._current: List[Optional[int]] = [None] * node_count
+        # ε template every iteration's value list is copied from.
+        self._blank: List[Optional[int]] = [None] * len(self._nodes)
+        # ring[k % ring_size] is the value list of iteration k.
+        self._ring: List[List[Optional[int]]] = [list(self._blank) for _ in range(self._ring_size)]
+        self._current: List[Optional[int]] = self._ring[-1]
         self._iteration = 0
 
         record_set = set(record_nodes or [])
@@ -69,31 +75,36 @@ class TDGEvaluator:
         if record_all:
             record_set = set(self._index_of)
         self._recorded: Dict[str, List[Optional[int]]] = {name: [] for name in record_set}
+        self._record_slots: Tuple[Tuple[List[Optional[int]], int], ...] = tuple(
+            (values, self._index_of[name]) for name, values in self._recorded.items()
+        )
 
         self._listeners: List[InstantListener] = []
 
         # Pre-compile the evaluation plan: for every computed node (in
-        # topological order) the list of (source index, delay, constant weight
-        # or callable) triples of its incoming arcs.
-        self._plan: List[Tuple[int, List[Tuple[int, int, Optional[int], Any]]]] = []
+        # topological order) the (source index, delay, constant weight,
+        # weight function) tuples of its incoming arcs.  Exactly one of the
+        # constant and the weight function is None.
+        plan = []
         for node in graph.topological_order():
             if node.is_input:
                 continue
             incoming = []
             for arc in graph.arcs_into(node):
                 if arc.is_constant:
-                    constant: Optional[int] = arc.constant_weight.picoseconds
-                    weight_fn = None
+                    constant = arc.constant_weight.picoseconds
+                    incoming.append((arc.source.index, arc.delay, constant, None))
                 else:
-                    constant = None
                     # Trusted weight objects expose an integer fast path that
                     # skips the per-call Duration validation of weight_ps.
                     weight_fn = getattr(arc.weight_callable, "weight_ps", None) or arc.weight_ps
-                incoming.append((arc.source.index, arc.delay, constant, weight_fn))
-            self._plan.append((node.index, incoming))
+                    incoming.append((arc.source.index, arc.delay, None, weight_fn))
+            plan.append((node.index, tuple(incoming)))
+        self._plan: Tuple[Tuple[int, Tuple[_PlanArc, ...]], ...] = tuple(plan)
+        self._incoming: Dict[int, Tuple[_PlanArc, ...]] = dict(plan)
 
-        self._input_indices = [node.index for node in graph.input_nodes]
-        self._output_nodes = list(graph.output_nodes)
+        self._input_slots = tuple((node.name, node.index) for node in graph.input_nodes)
+        self._output_slots = tuple((node.name, node.index) for node in graph.output_nodes)
 
     # ------------------------------------------------------------------
     # observers
@@ -123,43 +134,37 @@ class TDGEvaluator:
         """
         k = self._iteration
         context = context if context is not None else {}
-        current = self._current
         ring = self._ring
-        ring_slot = k % self._ring_size
-
-        for index in range(len(current)):
-            current[index] = None
-        for node_index in self._input_indices:
-            name = self._nodes[node_index].name
+        size = self._ring_size
+        current = self._blank.copy()
+        for name, index in self._input_slots:
             if name not in inputs:
                 raise ComputationError(
                     f"missing input instant for node {name!r} at iteration {k}"
                 )
-            current[node_index] = inputs[name]
+            current[index] = inputs[name]
+        # rows[d] holds the values of iteration k - d (ε before iteration 0).
+        rows = [current]
+        rows.extend(ring[(k - delay) % size] for delay in range(1, size))
 
         for node_index, incoming in self._plan:
             best: Optional[int] = None
             for source_index, delay, constant, weight_fn in incoming:
-                if delay == 0:
-                    source_value = current[source_index]
-                else:
-                    source_iteration = k - delay
-                    if source_iteration < 0:
-                        source_value = None
-                    else:
-                        source_value = ring[source_index][source_iteration % self._ring_size]
-                if source_value is None:
+                value = rows[delay][source_index]
+                if value is None:
                     continue
-                weight = constant if constant is not None else weight_fn(k, context)
-                candidate = source_value + weight
-                if best is None or candidate > best:
-                    best = candidate
+                if weight_fn is None:
+                    value += constant
+                else:
+                    value += weight_fn(k, context)
+                if best is None or value > best:
+                    best = value
             current[node_index] = best
 
-        for node_index, value in enumerate(current):
-            ring[node_index][ring_slot] = value
-        for name, values in self._recorded.items():
-            values.append(current[self._index_of[name]])
+        ring[k % size] = current
+        self._current = current
+        for values, index in self._record_slots:
+            values.append(current[index])
         if self._listeners:
             for node in self._nodes:
                 value = current[node.index]
@@ -167,7 +172,7 @@ class TDGEvaluator:
                     listener(k, node, value)
 
         self._iteration = k + 1
-        return {node.name: current[node.index] for node in self._output_nodes}
+        return {name: current[index] for name, index in self._output_slots}
 
     def peek_delayed(self, name: str) -> Optional[int]:
         """Evaluate node ``name`` for the *upcoming* iteration using only delayed arcs.
@@ -181,23 +186,25 @@ class TDGEvaluator:
         i.e. there is no constraint.
         """
         index = self._require_node(name)
-        k = self._iteration
-        best: Optional[int] = None
-        for arc in self.graph.arcs_into(self._nodes[index]):
-            if arc.delay == 0:
+        incoming = self._incoming.get(index, ())
+        for source_index, delay, _constant, _weight_fn in incoming:
+            if delay == 0:
                 raise ComputationError(
                     f"peek_delayed({name!r}) requires delayed arcs only, but the arc from "
-                    f"{arc.source.name!r} has delay 0"
+                    f"{self._nodes[source_index].name!r} has delay 0"
                 )
-            source_iteration = k - arc.delay
-            if source_iteration < 0:
+        k = self._iteration
+        ring = self._ring
+        size = self._ring_size
+        best: Optional[int] = None
+        for source_index, delay, constant, weight_fn in incoming:
+            # Slots before iteration 0 were never written and hold ε.
+            value = ring[(k - delay) % size][source_index]
+            if value is None:
                 continue
-            source_value = self._ring[arc.source.index][source_iteration % self._ring_size]
-            if source_value is None:
-                continue
-            candidate = source_value + arc.weight_ps(k, {})
-            if best is None or candidate > best:
-                best = candidate
+            value += constant if weight_fn is None else weight_fn(k, {})
+            if best is None or value > best:
+                best = value
         return best
 
     def value(self, name: str, k: Optional[int] = None) -> Optional[int]:
@@ -220,7 +227,7 @@ class TDGEvaluator:
                 f"iteration {k} of node {name!r} is no longer buffered; add it to "
                 "record_nodes to keep its full history"
             )
-        return self._ring[index][k % self._ring_size]
+        return self._ring[k % self._ring_size][index]
 
     def recorded(self, name: str) -> List[Optional[int]]:
         """Full value history of a recorded node."""
@@ -296,9 +303,15 @@ class TDGEvaluator:
                 f"cannot override iteration {k}: it is no longer buffered "
                 f"(ring size {self._ring_size})"
             )
-        self._ring[index][k % self._ring_size] = value
+        slot = k % self._ring_size
+        row = self._ring[slot]
         if k == self._iteration - 1:
             self._current[index] = value
+        elif row is self._current:
+            # Only after extend_recorded: the slot still holds the last
+            # stepped iteration, whose values_snapshot() must not change.
+            row = self._ring[slot] = list(row)
+        row[index] = value
         if name in self._recorded:
             self._recorded[name][k] = value
 

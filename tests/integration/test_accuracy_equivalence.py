@@ -213,6 +213,40 @@ class TestRelationAndWorkloadVariants:
             build, lambda: {"IN": PeriodicStimulus(microseconds(10), 150)}
         )
 
+    @pytest.mark.parametrize("equivalent_first", [False, True])
+    def test_stochastic_instance_shared_in_either_run_order(self, equivalent_first):
+        # The explicit model reads duration_ps per execution, the equivalent
+        # model through its arc weights; the memoised draws must agree
+        # whichever model asks first.
+        shared = StochasticExecutionTime(microseconds(1), microseconds(12), seed=5)
+
+        def build():
+            application = ApplicationModel("stochastic-order")
+            application.add_function(
+                AppFunction("A").read("IN").execute("EA", shared).write("MID")
+            )
+            application.add_function(
+                AppFunction("B").read("MID").execute("EB", shared).write("OUT")
+            )
+            platform = PlatformModel("p")
+            platform.add_processor("CPU")
+            mapping = Mapping().allocate("A", "CPU").allocate("B", "CPU")
+            return ArchitectureModel("stochastic-order", application, platform, mapping)
+
+        def stimuli():
+            return {"IN": PeriodicStimulus(microseconds(10), 80)}
+
+        explicit = ExplicitArchitectureModel(build(), stimuli())
+        architecture = build()
+        equivalent = EquivalentArchitectureModel(
+            architecture, stimuli(), spec=build_equivalent_spec(architecture)
+        )
+        for model in (equivalent, explicit) if equivalent_first else (explicit, equivalent):
+            model.run()
+        reference = explicit.output_instants("OUT")
+        assert len(reference) == 80
+        assert equivalent.output_instants("OUT") == reference
+
     def test_multiple_execute_steps_and_delay_steps(self):
         def build():
             application = ApplicationModel("multi")

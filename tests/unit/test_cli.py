@@ -502,6 +502,32 @@ class TestObsLedgerCommands:
         assert main(argv) == 0
         assert first.run_id[:12] in capsys.readouterr().out
 
+    def test_obs_diff_resolves_all_digit_run_id_prefixes(self, tmp_path, capsys):
+        # Run ids are hex digests, so an 8-character prefix is all digits
+        # about 2% of the time; it must not be read as a ledger index.
+        from repro import telemetry
+
+        ledger = telemetry.RunLedger(tmp_path / "ledger.jsonl")
+        run_ids = ["12345678" + "a" * 56, "87654321" + "b" * 56, "1" + "c" * 63]
+        for run_id in run_ids:
+            manifest = telemetry.RunManifest.build("dse", "didactic")
+            manifest.run_id = run_id
+            ledger.append(manifest)
+        path = str(ledger.path)
+        capsys.readouterr()
+        assert main(["obs", "diff", "12345678", "87654321", "--ledger", path]) == 0
+        out = capsys.readouterr().out
+        assert f"# diff {run_ids[0][:12]} " in out and f"-> {run_ids[1][:12]} " in out
+        # In-range indexes stay indexes, even when a run id starts with them.
+        assert main(["obs", "diff", "1", "-1", "--ledger", path]) == 0
+        out = capsys.readouterr().out
+        assert f"# diff {run_ids[1][:12]} " in out and f"-> {run_ids[2][:12]} " in out
+        assert main(["obs", "diff", "0", "-3", "--ledger", path]) == 0
+        assert f"# diff {run_ids[0][:12]} " in capsys.readouterr().out
+        # Out of range and matching no run id: still an error.
+        assert main(["obs", "diff", "7", "-1", "--ledger", path]) == 2
+        assert "out of range" in capsys.readouterr().err
+
     def test_obs_diff_unknown_run_is_an_error(self, tmp_path, capsys):
         ledger = str(tmp_path / "ledger.jsonl")
         assert self._run_dse(ledger) == 0

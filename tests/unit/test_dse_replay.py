@@ -1,0 +1,240 @@
+"""``replay_program`` against the fully masked sweep it was derived from.
+
+The pure-Python reference sweep pads every history row with ε instead of
+bounds-checking delayed reads, skips the add on zero-weight arcs, and --
+once no plan node has been ε for more than ``max_delay`` iterations in a
+row, in a program with no negative weight and no arc from a row nothing
+writes -- drops the ε test altogether.  :func:`masked_replay` below is
+the previous sweep, which tests every read; on random programs (ε rows,
+arc-less nodes, zero, huge and negative weight streams, delays 0-4) both
+must return the same result.  Needs no numpy and no C compiler.
+"""
+
+import random
+from typing import List, Optional
+
+import pytest
+
+from repro.dse.engine import (
+    EPSILON_THRESHOLD,
+    NEG_EPSILON,
+    ArrayProgram,
+    ProgramResult,
+    Span,
+    _interleaved_span,
+    _merged_rows,
+    replay_program,
+)
+
+
+def masked_replay(program: ArrayProgram) -> Optional[ProgramResult]:
+    """The sweep before padding, zero-arc and settling (kept verbatim)."""
+    iterations = program.iterations
+    neg = NEG_EPSILON
+    eps = EPSILON_THRESHOLD
+    hist: List[List[int]] = [[neg] * iterations for _ in range(program.node_count)]
+    inputs = program.inputs
+    offer_lists: List[List[int]] = [[] for _ in inputs]
+    out_lists: List[List[int]] = [[] for _ in program.outputs]
+    prev = [neg] * len(inputs)  # previous exchange instants (ε = neg)
+    plan = [
+        (
+            hist[node_idx],
+            tuple((hist[src], delay, weights) for src, delay, weights in arcs),
+        )
+        for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs)
+    ]
+    bound_inputs = [
+        (
+            i,
+            hist[exchange_idx],
+            schedule,
+            tuple((hist[src], delay, weights) for src, delay, weights in ready_arcs),
+        )
+        for i, (_, exchange_idx, schedule, ready_arcs) in enumerate(inputs)
+    ]
+    bound_outputs = [
+        (hist[offer_idx], out_lists[out_i])
+        for out_i, (_, offer_idx) in enumerate(program.outputs)
+    ]
+    now = 0  # the Reception process's local clock, persistent across iterations
+    for k in range(iterations):
+        for i, exchange_row, schedule, ready_arcs in bound_inputs:
+            ready = neg
+            for source_row, delay, weights in ready_arcs:
+                j = k - delay
+                if j >= 0:
+                    value = source_row[j]
+                    if value > eps:
+                        candidate = value + weights[k]
+                        if candidate > ready:
+                            ready = candidate
+            if ready > now:
+                now = ready
+            scheduled = schedule[k]
+            previous = prev[i]
+            arrival = previous if previous > scheduled else scheduled
+            offer_lists[i].append(arrival)
+            if arrival > now:
+                now = arrival
+            exchange_row[k] = now
+            prev[i] = now
+        for node_row, arcs in plan:
+            best = neg
+            for source_row, delay, weights in arcs:
+                j = k - delay
+                if j >= 0:
+                    value = source_row[j]
+                    if value > eps:
+                        candidate = value + weights[k]
+                        if candidate > best:
+                            best = candidate
+            node_row[k] = best
+        for offer_row, emitted in bound_outputs:
+            offered = offer_row[k]
+            if offered <= eps or (emitted and offered < emitted[-1]):
+                return None
+            emitted.append(offered)
+    offers = {relation: offer_lists[i] for i, (relation, _, _, _) in enumerate(inputs)}
+    actual = {relation: out_lists[i] for i, (relation, _) in enumerate(program.outputs)}
+    spans = {}
+    for resource, pairs in program.slots:
+        rows = [(hist[start], hist[end]) for start, end in pairs]
+        span: Optional[Span] = _interleaved_span(rows)
+        if span is None or span[1] <= EPSILON_THRESHOLD:
+            span = _merged_rows(rows)
+        if span is not None:
+            spans[resource] = span
+    return offers, actual, spans
+
+
+def random_program(rng: random.Random, iterations: int) -> ArrayProgram:
+    """A random lowered program over a weight pool chosen for this draw."""
+    pools = {
+        "plain": lambda: [rng.randint(0, 400) for _ in range(iterations)],
+        "zero": lambda: [0] * iterations,
+        "constant": lambda: [rng.randint(1, 60)] * iterations,
+        # ε + 2**61 + x is above the ε threshold: an unmasked ε read shows.
+        "huge": lambda: [2**61 + rng.randint(1, 9)] * iterations,
+        # Beyond int64: an ε read plus this beats every real candidate.
+        "giant": lambda: [2**63 + rng.randint(1, 9)] * iterations,
+        # An instant plus this lands in the ε range.
+        "negative": lambda: [-(2**61) - rng.randint(0, 9)] * iterations,
+        # Mostly small, now and then into the ε range: a node that was an
+        # instant for many iterations can fall back to ε.
+        "dips": lambda: [
+            -(2**62) if rng.random() < 0.2 else rng.randint(0, 50) for _ in range(iterations)
+        ],
+    }
+    kinds = ["plain", "zero", "constant"]
+    kinds += rng.sample(["huge", "giant", "negative", "dips"], rng.randint(1, 3))
+    streams = [pools[rng.choice(kinds)]() for _ in range(5)]
+    n_inputs = rng.randint(1, 2)
+    never = rng.choice([0, 1])
+    n_plan = rng.randint(1, 9)
+    vocabulary = list(range(n_inputs + never + n_plan))
+    rng.shuffle(vocabulary)
+    exchange = vocabulary[:n_inputs]
+    unwritten = vocabulary[n_inputs : n_inputs + never]
+    plan_nodes = vocabulary[n_inputs + never :]
+    plan_arcs = []
+    for position, node in enumerate(plan_nodes):
+        arcs = []
+        for _ in range(rng.choice([0, 1, 1, 2, 2, 3])):
+            roll = rng.random()
+            if roll < 0.35:
+                source, delay = rng.choice(exchange), rng.randint(0, 4)
+            elif roll < 0.5 and unwritten:
+                source, delay = rng.choice(unwritten), rng.randint(0, 4)
+            elif roll < 0.75 and position:
+                source, delay = rng.choice(plan_nodes[:position]), rng.randint(0, 4)
+            else:
+                source, delay = rng.choice(plan_nodes), rng.randint(1, 4)
+            arcs.append((source, delay, rng.choice(streams)))
+        plan_arcs.append(tuple(arcs))
+    inputs = []
+    for i, exchange_idx in enumerate(exchange):
+        schedule = sorted(rng.randint(0, 50 * iterations + 1) for _ in range(iterations))
+        ready = tuple(
+            (rng.choice(plan_nodes), rng.randint(1, 4), rng.choice(streams))
+            for _ in range(rng.randint(0, 1))
+        )
+        inputs.append((f"in{i}", exchange_idx, schedule, ready))
+    outputs = [(f"out{o}", rng.choice(plan_nodes)) for o in range(rng.randint(1, 2))]
+    slots = [
+        (f"R{r}", [(rng.choice(vocabulary), rng.choice(vocabulary)) for _ in range(2)])
+        for r in range(rng.randint(1, 2))
+    ]
+    return ArrayProgram(
+        iterations=iterations,
+        node_count=len(vocabulary),
+        plan_nodes=plan_nodes,
+        plan_arcs=plan_arcs,
+        inputs=inputs,
+        outputs=outputs,
+        slots=slots,
+    )
+
+
+def test_replay_program_equals_the_masked_sweep():
+    completed = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        program = random_program(rng, rng.choice([0, 1, 3, 8, 20, 45]))
+        expected = masked_replay(program)
+        assert replay_program(program) == expected, seed
+        completed += expected is not None
+    # Enough programs run to their horizon for the settled sweep to matter.
+    assert completed >= 300, completed
+
+
+def _two_node_program(arcs_b, arcs_c, node_count=3, output=2, slots=()):
+    """Exchange row 0 (offers at 0, 10, 20, ...) and plan nodes 1 (B), 2 (C)."""
+    iterations = 12
+    return ArrayProgram(
+        iterations=iterations,
+        node_count=node_count,
+        plan_nodes=[1, 2],
+        plan_arcs=[tuple(arcs_b), tuple(arcs_c)],
+        inputs=[("in", 0, [10 * k for k in range(iterations)], ())],
+        outputs=[("out", output)],
+        slots=list(slots),
+    )
+
+
+def test_a_negative_weight_keeps_the_eps_test():
+    # B = E + dips falls into the ε range at iteration 6, long after every
+    # node became an instant.  C = B + 2**61 + 7 must then read B as ε and
+    # stay ε itself, which the span of C's execute slot shows.
+    dips = [0] * 6 + [-(2**62)] + [0] * 5
+    program = _two_node_program(
+        [(0, 0, dips)], [(1, 0, [2**61 + 7] * 12)], output=0, slots=[("R", [(2, 2)])]
+    )
+    result = replay_program(program)
+    assert result == masked_replay(program)
+    assert result[2]["R"] == (0, 2**61 + 7, 110 + 2**61 + 7)
+
+
+def test_a_row_nothing_writes_keeps_the_eps_test():
+    # B = max(E, U + 2**63) with U (row 3) never written: B is E throughout.
+    giant = [2**63] * 12
+    program = _two_node_program([(0, 0, [0] * 12), (3, 0, giant)], [(1, 0, [5] * 12)], 4)
+    result = replay_program(program)
+    assert result == masked_replay(program)
+    assert result[1]["out"] == [10 * k + 5 for k in range(12)]
+
+
+def test_zero_and_weighted_arcs_of_one_node_both_count():
+    # B = max(E(k), E(k-1) + 3): the zero-weight arc wins once E(k-1) exists.
+    program = _two_node_program([(0, 0, [0] * 12), (0, 1, [3] * 12)], [(1, 0, [5] * 12)])
+    result = replay_program(program)
+    assert result == masked_replay(program)
+    assert result[1]["out"] == [10 * k + 5 for k in range(12)]
+
+
+def test_a_short_zero_stream_still_fails_where_read():
+    # Malformed on purpose: the stream stops before the horizon.
+    program = _two_node_program([(0, 0, [0] * 5)], [(1, 0, [0] * 12)])
+    for replay in (masked_replay, replay_program):
+        with pytest.raises(IndexError):
+            replay(program)

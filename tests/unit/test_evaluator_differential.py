@@ -1,0 +1,413 @@
+"""Differential test of :class:`~repro.tdg.evaluator.TDGEvaluator`.
+
+The evaluator's ``step`` runs on flat plan tuples and an iteration-major
+ring of value lists.  :class:`ReferenceEvaluator` below is the previous
+implementation (per-node rings, a per-node write-back after every step),
+kept verbatim as the oracle.  Hypothesis builds random graphs -- delays
+0-3, constant, plain-callable and workload-backed weights, ε inputs --
+and interleaves ``step`` with ``override_value``, ``peek_delayed``,
+``value``, recorded histories, listeners and ``extend_recorded``; both
+evaluators must agree on every result and every error.
+"""
+
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.archmodel import DataToken, PerUnitExecutionTime
+from repro.core.builder import workload_weight
+from repro.errors import ComputationError
+from repro.kernel.simtime import Duration, Time
+from repro.tdg import TDGEvaluator, TemporalDependencyGraph
+from repro.tdg.node import InstantNode
+
+InstantListener = Callable[[int, InstantNode, Optional[int]], None]
+
+
+class ReferenceEvaluator:
+    """The node-major evaluator the flat one replaced (docstrings trimmed)."""
+
+    def __init__(
+        self,
+        graph: TemporalDependencyGraph,
+        record_nodes: Optional[Iterable[str]] = None,
+        record_all: bool = False,
+    ) -> None:
+        graph.validate()
+        self.graph = graph
+        self._nodes = list(graph.nodes)
+        self._index_of = {node.name: node.index for node in self._nodes}
+        self._ring_size = graph.max_delay + 1
+        node_count = len(self._nodes)
+        # ring[i][k % ring_size] holds the value of node i at iteration k
+        self._ring: List[List[Optional[int]]] = [
+            [None] * self._ring_size for _ in range(node_count)
+        ]
+        self._current: List[Optional[int]] = [None] * node_count
+        self._iteration = 0
+
+        record_set = set(record_nodes or [])
+        unknown = record_set - set(self._index_of)
+        if unknown:
+            raise ComputationError(f"cannot record unknown nodes: {sorted(unknown)}")
+        if record_all:
+            record_set = set(self._index_of)
+        self._recorded: Dict[str, List[Optional[int]]] = {name: [] for name in record_set}
+
+        self._listeners: List[InstantListener] = []
+
+        # Pre-compile the evaluation plan: for every computed node (in
+        # topological order) the list of (source index, delay, constant weight
+        # or callable) triples of its incoming arcs.
+        self._plan: List[Tuple[int, List[Tuple[int, int, Optional[int], Any]]]] = []
+        for node in graph.topological_order():
+            if node.is_input:
+                continue
+            incoming = []
+            for arc in graph.arcs_into(node):
+                if arc.is_constant:
+                    constant: Optional[int] = arc.constant_weight.picoseconds
+                    weight_fn = None
+                else:
+                    constant = None
+                    # Trusted weight objects expose an integer fast path that
+                    # skips the per-call Duration validation of weight_ps.
+                    weight_fn = getattr(arc.weight_callable, "weight_ps", None) or arc.weight_ps
+                incoming.append((arc.source.index, arc.delay, constant, weight_fn))
+            self._plan.append((node.index, incoming))
+
+        self._input_indices = [node.index for node in graph.input_nodes]
+        self._output_nodes = list(graph.output_nodes)
+
+    def add_listener(self, listener: InstantListener) -> None:
+        self._listeners.append(listener)
+
+    @property
+    def iteration(self) -> int:
+        return self._iteration
+
+    def step(
+        self,
+        inputs: Mapping[str, Optional[int]],
+        context: Optional[Mapping[str, Any]] = None,
+    ) -> Dict[str, Optional[int]]:
+        """Compute iteration ``k = self.iteration`` and return the output instants.
+
+        ``inputs`` maps every input-node name to its instant in integer
+        picoseconds (or ``None`` for ε).  ``context`` is forwarded to
+        data-dependent arc weights.
+        """
+        k = self._iteration
+        context = context if context is not None else {}
+        current = self._current
+        ring = self._ring
+        ring_slot = k % self._ring_size
+
+        for index in range(len(current)):
+            current[index] = None
+        for node_index in self._input_indices:
+            name = self._nodes[node_index].name
+            if name not in inputs:
+                raise ComputationError(
+                    f"missing input instant for node {name!r} at iteration {k}"
+                )
+            current[node_index] = inputs[name]
+
+        for node_index, incoming in self._plan:
+            best: Optional[int] = None
+            for source_index, delay, constant, weight_fn in incoming:
+                if delay == 0:
+                    source_value = current[source_index]
+                else:
+                    source_iteration = k - delay
+                    if source_iteration < 0:
+                        source_value = None
+                    else:
+                        source_value = ring[source_index][source_iteration % self._ring_size]
+                if source_value is None:
+                    continue
+                weight = constant if constant is not None else weight_fn(k, context)
+                candidate = source_value + weight
+                if best is None or candidate > best:
+                    best = candidate
+            current[node_index] = best
+
+        for node_index, value in enumerate(current):
+            ring[node_index][ring_slot] = value
+        for name, values in self._recorded.items():
+            values.append(current[self._index_of[name]])
+        if self._listeners:
+            for node in self._nodes:
+                value = current[node.index]
+                for listener in self._listeners:
+                    listener(k, node, value)
+
+        self._iteration = k + 1
+        return {node.name: current[node.index] for node in self._output_nodes}
+
+    def peek_delayed(self, name: str) -> Optional[int]:
+        index = self._require_node(name)
+        k = self._iteration
+        best: Optional[int] = None
+        for arc in self.graph.arcs_into(self._nodes[index]):
+            if arc.delay == 0:
+                raise ComputationError(
+                    f"peek_delayed({name!r}) requires delayed arcs only, but the arc from "
+                    f"{arc.source.name!r} has delay 0"
+                )
+            source_iteration = k - arc.delay
+            if source_iteration < 0:
+                continue
+            source_value = self._ring[arc.source.index][source_iteration % self._ring_size]
+            if source_value is None:
+                continue
+            candidate = source_value + arc.weight_ps(k, {})
+            if best is None or candidate > best:
+                best = candidate
+        return best
+
+    def value(self, name: str, k: Optional[int] = None) -> Optional[int]:
+        index = self._require_node(name)
+        if self._iteration == 0:
+            raise ComputationError("no iteration has been evaluated yet")
+        if k is None:
+            k = self._iteration - 1
+        if k < 0 or k >= self._iteration:
+            raise ComputationError(f"iteration {k} has not been evaluated")
+        if name in self._recorded:
+            return self._recorded[name][k]
+        if k < self._iteration - self._ring_size:
+            raise ComputationError(
+                f"iteration {k} of node {name!r} is no longer buffered; add it to "
+                "record_nodes to keep its full history"
+            )
+        return self._ring[index][k % self._ring_size]
+
+    def recorded(self, name: str) -> List[Optional[int]]:
+        if name not in self._recorded:
+            raise ComputationError(f"node {name!r} is not recorded")
+        return list(self._recorded[name])
+
+    def recorded_times(self, name: str) -> List[Optional[Time]]:
+        return [None if value is None else Time(value) for value in self.recorded(name)]
+
+    def last_values(self) -> Dict[str, Optional[int]]:
+        if self._iteration == 0:
+            raise ComputationError("no iteration has been evaluated yet")
+        return {node.name: self._current[node.index] for node in self._nodes}
+
+    def values_snapshot(self) -> List[Optional[int]]:
+        if self._iteration == 0:
+            raise ComputationError("no iteration has been evaluated yet")
+        return list(self._current)
+
+    def extend_recorded(self, extra: int, delta_ps: int) -> None:
+        if extra < 0:
+            raise ComputationError("cannot extend recorded histories by a negative count")
+        if self._iteration == 0:
+            raise ComputationError("no iteration has been evaluated yet")
+        for values in self._recorded.values():
+            last = values[-1] if values else None
+            if last is None:
+                raise ComputationError(
+                    "cannot extrapolate a recorded node whose last value is ε"
+                )
+            if delta_ps:
+                values.extend(range(last + delta_ps, last + delta_ps * (extra + 1), delta_ps))
+            else:
+                values.extend([last] * extra)
+        self._iteration += extra
+
+    def override_value(self, name: str, k: int, value: Optional[int]) -> None:
+        index = self._require_node(name)
+        if k < 0 or k >= self._iteration:
+            raise ComputationError(f"cannot override iteration {k}: it has not been evaluated")
+        if k < self._iteration - self._ring_size:
+            raise ComputationError(
+                f"cannot override iteration {k}: it is no longer buffered "
+                f"(ring size {self._ring_size})"
+            )
+        self._ring[index][k % self._ring_size] = value
+        if k == self._iteration - 1:
+            self._current[index] = value
+        if name in self._recorded:
+            self._recorded[name][k] = value
+
+    def _require_node(self, name: str) -> int:
+        try:
+            return self._index_of[name]
+        except KeyError:
+            raise ComputationError(f"unknown node {name!r}") from None
+
+
+# ----------------------------------------------------------------------
+# random graphs and operation sequences
+# ----------------------------------------------------------------------
+class _AffineWeight:
+    """A plain weight callable (no integer fast path): ``a * (k % 5) + b`` ps."""
+
+    def __init__(self, a: int, b: int) -> None:
+        self.a, self.b = a, b
+
+    def __call__(self, k: int, context: Mapping[str, Any]) -> Duration:
+        return Duration(self.a * (k % 5) + self.b)
+
+
+_weights = st.one_of(
+    st.none(),
+    st.integers(0, 50).map(Duration),
+    st.builds(_AffineWeight, st.integers(0, 7), st.integers(0, 40)),
+    # Workload-backed: the integer fast path, reading the context's token.
+    st.builds(
+        lambda base, per_unit: workload_weight(
+            PerUnitExecutionTime(Duration(base), Duration(per_unit))
+        ),
+        st.integers(0, 30),
+        st.integers(1, 5),
+    ),
+)
+
+
+@st.composite
+def _graphs(draw) -> TemporalDependencyGraph:
+    graph = TemporalDependencyGraph("fuzz")
+    inputs = [f"u{i}" for i in range(draw(st.integers(1, 2)))]
+    for name in inputs:
+        graph.add_input(name)
+    computed = []
+    for j in range(draw(st.integers(1, 7))):
+        name = f"y{j}" if draw(st.booleans()) else f"x{j}"
+        (graph.add_output if name[0] == "y" else graph.add_internal)(name)
+        computed.append(name)
+    for j, target in enumerate(computed):
+        for _ in range(draw(st.integers(1, 3))):
+            delay = draw(st.integers(0, 3))
+            # Zero-delay arcs only come from earlier nodes, so the
+            # same-iteration structure stays acyclic; delayed ones may loop.
+            sources = inputs + computed[:j] if delay == 0 else inputs + computed
+            source = draw(st.sampled_from(sources))
+            graph.add_arc(source, target, draw(_weights), delay=delay)
+    return graph
+
+
+_node = st.integers(0, 50)  # taken modulo the node count
+_instant = st.one_of(st.none(), st.integers(0, 400))
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("step"), st.lists(_instant, min_size=2, max_size=2), st.integers(0, 9)),
+        st.tuples(st.just("step"), st.lists(_instant, min_size=2, max_size=2), st.integers(0, 9)),
+        st.tuples(st.just("override"), _node, st.integers(-1, 5), _instant),
+        st.tuples(st.just("peek"), _node),
+        st.tuples(st.just("value"), _node, st.one_of(st.none(), st.integers(-1, 6))),
+        st.tuples(st.just("listen")),
+        st.tuples(st.just("extend"), st.integers(-1, 3), st.integers(0, 25)),
+    ),
+    max_size=40,
+)
+
+
+def _outcome(call: Callable[[], Any]) -> Tuple[str, Any]:
+    try:
+        return ("ok", call())
+    except ComputationError as error:
+        return ("error", str(error))
+
+
+def _state(evaluator) -> Tuple[Any, ...]:
+    recorded = sorted(evaluator._recorded)
+    return (
+        evaluator.iteration,
+        _outcome(evaluator.values_snapshot),
+        _outcome(evaluator.last_values),
+        [(name, evaluator.recorded(name), evaluator.recorded_times(name)) for name in recorded],
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_graphs(), st.data(), _operations)
+def test_flat_step_matches_the_reference_evaluator(graph, data, operations):
+    names = [node.name for node in graph.nodes]
+    record_all = data.draw(st.booleans(), label="record_all")
+    record = data.draw(st.lists(st.sampled_from(names), unique=True), label="record")
+    flat = TDGEvaluator(graph, record_nodes=record, record_all=record_all)
+    reference = ReferenceEvaluator(graph, record_nodes=record, record_all=record_all)
+    pair = (flat, reference)
+    logs: Tuple[List[Any], List[Any]] = ([], [])
+    inputs = [node.name for node in graph.input_nodes]
+
+    for operation in operations:
+        kind = operation[0]
+        k = reference.iteration
+        if kind == "step":
+            instants = dict(zip(inputs, operation[1]))
+            context = {
+                "token": DataToken(k, {"size": operation[2]}),
+                "tokens": {},
+                "iteration": k,
+            }
+            results = [evaluator.step(instants, context) for evaluator in pair]
+        elif kind == "override":
+            name = names[operation[1] % len(names)]
+            results = [
+                _outcome(lambda e=e: e.override_value(name, k - operation[2], operation[3]))
+                for e in pair
+            ]
+        elif kind == "peek":
+            name = names[operation[1] % len(names)]
+            results = [_outcome(lambda e=e: e.peek_delayed(name)) for e in pair]
+        elif kind == "value":
+            name = names[operation[1] % len(names)]
+            back = operation[2]
+            at = None if back is None else k - 1 - back
+            results = [_outcome(lambda e=e: e.value(name, at)) for e in pair]
+        elif kind == "listen":
+            for evaluator, log in zip(pair, logs):
+                evaluator.add_listener(
+                    lambda k, node, value, log=log: log.append((k, node.name, value))
+                )
+            results = [None, None]
+        else:  # extend
+            results = [
+                _outcome(lambda e=e: e.extend_recorded(operation[1], operation[2]))
+                for e in pair
+            ]
+        assert results[0] == results[1], operation
+        assert _state(flat) == _state(reference), operation
+        assert logs[0] == logs[1], operation
+
+
+def test_override_after_extend_recorded_matches_the_reference():
+    # extend_recorded advances the iteration without stepping, so the latest
+    # iteration's ring slot is no longer the last stepped value list; an
+    # override of that iteration must still reach the snapshot.
+    graph = TemporalDependencyGraph("extend")
+    graph.add_input("u")
+    graph.add_output("y")
+    graph.add_arc("u", "y", Duration(3))
+    graph.add_arc("y", "y", Duration(5), delay=1)
+    flat, reference = TDGEvaluator(graph), ReferenceEvaluator(graph)
+    for evaluator in (flat, reference):
+        for k in range(3):
+            evaluator.step({"u": 10 * k})
+        evaluator.extend_recorded(1, 7)
+        evaluator.override_value("y", evaluator.iteration - 1, 99)
+    assert _state(flat) == _state(reference)
+    assert flat.values_snapshot() == [20, 99]
+
+
+def test_override_of_the_last_stepped_slot_after_extend_matches_the_reference():
+    # extend_recorded moves the iteration on without stepping, so the ring
+    # slot of an older, still buffered iteration can be the list of the last
+    # stepped one; overriding it must leave values_snapshot() alone.
+    graph = TemporalDependencyGraph("aliased-slot")
+    graph.add_input("u")
+    graph.add_output("y")
+    graph.add_arc("u", "y", Duration(2), delay=2)
+    flat, reference = TDGEvaluator(graph), ReferenceEvaluator(graph)
+    for evaluator in (flat, reference):
+        evaluator.step({"u": 7})
+        evaluator.extend_recorded(2, 0)
+        evaluator.override_value("u", 0, None)
+    assert _state(flat) == _state(reference)
+    assert flat.values_snapshot() == [7, None]
+    assert flat.value("u", 0) is None and reference.value("u", 0) is None

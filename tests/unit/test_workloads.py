@@ -159,3 +159,174 @@ class TestCycleAccurateExecutionTime:
         model = CycleAccurateExecutionTime(lambda k, token: -5, frequency_hz=1e9)
         with pytest.raises(ModelError):
             model.duration(0, None)
+
+
+class TestInputValidation:
+    """Constructor arguments and token attributes are type-checked up front."""
+
+    def test_boolean_units_are_rejected(self):
+        model = PerUnitExecutionTime(microseconds(1), nanoseconds(10))
+        token = DataToken(0, {"size": True})
+        for query in (model.duration, model.duration_ps, model.operations):
+            with pytest.raises(ModelError, match="non-negative integer"):
+                query(0, token)
+        with pytest.raises(ModelError, match="default_units"):
+            PerUnitExecutionTime(microseconds(1), nanoseconds(10), default_units=True)
+        with pytest.raises(ModelError, match="default_units"):
+            PerUnitExecutionTime(microseconds(1), nanoseconds(10), default_units=-1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PerUnitExecutionTime(5, Duration(1)),
+            lambda: PerUnitExecutionTime(Duration(1), 2.5),
+            lambda: PerUnitExecutionTime(Duration(1), Duration(-1)),
+            lambda: StochasticExecutionTime(5, Duration(1)),
+            lambda: StochasticExecutionTime(Duration(1), 7),
+            lambda: StochasticExecutionTime(Duration(-1), Duration(1)),
+            lambda: TableExecutionTime([microseconds(1), 3]),
+            lambda: ConstantExecutionTime(1000),
+        ],
+        ids=[
+            "per-unit-int-base",
+            "per-unit-float-per-unit",
+            "per-unit-negative",
+            "stochastic-int-low",
+            "stochastic-int-high",
+            "stochastic-negative-low",
+            "table-int-entry",
+            "constant-int",
+        ],
+    )
+    def test_non_duration_arguments_are_model_errors(self, build):
+        with pytest.raises(ModelError):
+            build()
+
+    def test_user_values_are_still_checked_on_every_call(self):
+        calls = iter([microseconds(1), 5])
+        model = DataDependentExecutionTime(lambda k, token: next(calls))
+        assert model.duration_ps(0, None) == 1_000_000
+        with pytest.raises(ModelError):
+            model.duration_ps(1, None)
+        draws = iter([microseconds(2), Duration(-3)])
+        sampled = StochasticExecutionTime(sampler=lambda rng: next(draws))
+        assert sampled.duration_ps(0, None) == 2_000_000
+        with pytest.raises(ModelError):
+            sampled.duration_ps(1, None)
+
+
+def _tokens():
+    """A few tokens covering absent, zero and large data attributes."""
+    yield None
+    yield DataToken(0)
+    for index, (size, blocks, bits) in enumerate(
+        [(0, 6, 2), (1, 25, 4), (37, 50, 6), (1200, 100, 6), (99_991, 15, 2)]
+    ):
+        yield DataToken(index, {"size": size, "resource_blocks": blocks, "bits_per_symbol": bits})
+
+
+def _integer_models():
+    """(label, model, legacy oracle) for every workload class.
+
+    The oracle recomputes each duration the way the Duration-valued
+    implementations did, so the integer path must match it bit for bit.
+    """
+    from repro.archmodel import KindScaledExecutionTime, bind_workload
+    from repro.archmodel.platform import ProcessingResource, ResourceKind
+    from repro.lte.workloads import _decoder_rate, lte_function_loads, lte_workload_models
+
+    base, per_unit = microseconds(1.25), nanoseconds(3.5)
+    per_unit_model = PerUnitExecutionTime(base, per_unit, default_units=3)
+
+    def per_unit_oracle(k, t):
+        return base + per_unit * (3 if t is None else t.get("size", 3))
+
+    yield "per-unit", per_unit_model, per_unit_oracle
+    yield "constant", ConstantExecutionTime(nanoseconds(7)), lambda k, t: nanoseconds(7)
+    table = [microseconds(1), Duration(0), Duration(123_457)]
+    yield (
+        "table",
+        TableExecutionTime(table, cyclic=False),
+        lambda k, t: table[min(k, 2)],
+    )
+    yield (
+        "data-dependent",
+        DataDependentExecutionTime(lambda k, t: nanoseconds(k * 1.5)),
+        lambda k, t: nanoseconds(k * 1.5),
+    )
+    for frequency in (1e9, 3.3e8, 7.77e8):
+        yield (
+            f"cycle-accurate@{frequency:g}",
+            CycleAccurateExecutionTime(lambda k, t: 1000 * k + 333, frequency),
+            lambda k, t, f=frequency: Duration.from_seconds((1000 * k + 333) / f),
+        )
+    loads = lte_function_loads()
+    for name, model in lte_workload_models().items():
+
+        def lte_oracle(k, t, load=loads[name], variable=name == "ChannelDecoding"):
+            if variable:
+                return Duration.from_seconds(load.operations(t) / _decoder_rate(t))
+            return load.duration(t)
+
+        yield f"lte:{name}", model, lte_oracle
+    scaled = KindScaledExecutionTime(
+        per_unit_model,
+        {ResourceKind.DSP: 1.0, ResourceKind.PROCESSOR: 2.5, ResourceKind.HARDWARE: 0.37},
+        reference_frequency_hz=1e9,
+    )
+    for kind, frequency in [
+        (ResourceKind.DSP, 1e9),
+        (ResourceKind.PROCESSOR, 8e8),
+        (ResourceKind.PROCESSOR, 1.3e9),
+        (ResourceKind.HARDWARE, 3e8),
+    ]:
+        resource = ProcessingResource("R", 1, frequency, kind)
+        factor = scaled.factor_for(resource)
+        yield (
+            f"kind-scaled:{kind.value}@{frequency:g}",
+            bind_workload(scaled, resource),
+            lambda k, t, factor=factor: Duration(
+                round(per_unit_oracle(k, t).picoseconds * factor)
+            ),
+        )
+    constant_scaled = KindScaledExecutionTime(ConstantExecutionTime(nanoseconds(9)), {"dsp": 1.7})
+    yield (
+        "kind-scaled-constant",
+        constant_scaled.bind(ProcessingResource("D", 1, 1e9, ResourceKind.DSP)),
+        lambda k, t: Duration(round(9000 * 1.7)),
+    )
+
+
+class TestIntegerPicosecondContract:
+    """``duration_ps`` is the one primitive; ``duration`` wraps it exactly."""
+
+    @pytest.mark.parametrize(
+        "label,model,oracle",
+        [pytest.param(*case, id=case[0]) for case in _integer_models()],
+    )
+    def test_duration_ps_equals_duration_and_the_legacy_value(self, label, model, oracle):
+        for token in _tokens():
+            for k in (0, 1, 2, 5, 17):
+                ps = model.duration_ps(k, token)
+                assert type(ps) is int
+                assert model.duration(k, token).picoseconds == ps
+                assert oracle(k, token).picoseconds == ps, (label, k, token)
+
+    @pytest.mark.parametrize("integer_first", [True, False])
+    def test_stochastic_instance_shared_by_two_models_in_either_order(self, integer_first):
+        reference = StochasticExecutionTime(nanoseconds(1), microseconds(4), seed=23)
+        expected = [reference.duration(k, None).picoseconds for k in range(40)]
+        shared = StochasticExecutionTime(nanoseconds(1), microseconds(4), seed=23)
+
+        # One model reads integers forwards, the other Durations backwards.
+        def integer_model():
+            return [shared.duration_ps(k, None) for k in range(40)]
+
+        def duration_model():
+            return [shared.duration(k, None).picoseconds for k in reversed(range(40))][::-1]
+
+        models = [integer_model, duration_model]
+        if not integer_first:
+            models.reverse()
+        for model in models:
+            assert model() == expected
