@@ -20,36 +20,36 @@ data-dependent workload durations for the same stimulus tokens.
 * data-dependent workload durations are tabulated per iteration and
   shared across every candidate (the stimulus, and hence the token
   sequence, is identical for all of them);
-* the Reception/Emission protocol of the equivalent model is replayed
-  as a plain computation loop, with no simulation kernel: with the
-  always-ready observer of the paper's experiments the boundary
-  exchanges have closed forms.  Whenever that closed form would diverge
-  from the event-driven harness (an output offered out of order, i.e. a
-  case needing boundary feedback), the evaluation transparently falls
-  back to the exact from-scratch path.
+* each specialisation is lowered onto flat integer tables and replayed
+  by the array sweep of :mod:`repro.dse.engine` -- the Reception/Emission
+  protocol of the equivalent model as a plain computation loop, with no
+  simulation kernel: with the always-ready observer of the paper's
+  experiments the boundary exchanges have closed forms.  Whenever that
+  closed form would diverge from the event-driven harness (an output
+  offered out of order, i.e. a case needing boundary feedback), or a
+  weight cannot be tabulated, the evaluation transparently falls back to
+  the exact from-scratch path.
 
-Two further accelerations stack on top of the compiled replay:
+Two further accelerations stack on top of the array sweep:
 
 * **Incremental delta-specialisation**: inside :meth:`CompiledProblem.
-  evaluate` the previous candidate's specialised graph is kept and only
-  the *difference* to the next candidate is applied -- schedule arcs of
-  resources whose static service order changed are removed and rebuilt,
-  and resource-dependent duration weights are swapped in place.  The
-  untouched cone of the graph (every data-dependency arc and every
+  evaluate_batch` the previous candidate's specialised graph is kept and
+  only the *difference* to the next candidate is applied -- schedule arcs
+  of resources whose static service order changed are removed and
+  rebuilt, and resource-dependent duration weights are swapped in place.
+  The untouched cone of the graph (every data-dependency arc and every
   schedule whose resource kept its order) is reused verbatim, which the
   ``dse.compile.delta_arcs_reused`` counter makes visible.
 * **Steady-state evaluation** (``evaluator="steady"``/``"auto"``): on
   periodic stimuli with iteration-independent durations the evolution
-  instants enter a periodic regime ``x(k+1) = x(k) + c`` where ``c`` is
-  the (max, +) cycle time ``max(lambda, T)`` of the specialised graph
-  (:mod:`repro.maxplus.spectral`).  The steady runner replays exactly
-  until the regime is *certified* -- every node value drifted by the same
-  ``c`` for ``max_delay + 1`` consecutive iteration pairs and every input
-  schedule is provably locked -- then extrapolates the remaining
-  iterations arithmetically.  Because the certificate implies the replay
-  would have produced exactly those instants, the objectives are
-  bit-identical to the replay path; aperiodic or data-dependent problems
-  fall back to plain replay automatically.
+  instants enter a periodic regime ``x(k+1) = x(k) + c``.  When
+  :meth:`CompiledProblem._steady_gate` admits a candidate, its program is
+  lowered in steady mode and the sweep stops as soon as the regime is
+  *certified* (see :func:`repro.dse.engine.replay_program`), then writes
+  the remaining iterations arithmetically.  Because the certificate
+  implies the full sweep would have produced exactly those instants, the
+  objectives are bit-identical to replay; aperiodic or data-dependent
+  problems fall back to the full sweep automatically.
 
 The results are identical, instant for instant, to
 :func:`~repro.dse.evaluate.evaluate_mapping` -- asserted candidate by
@@ -64,7 +64,6 @@ from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..archmodel.architecture import ArchitectureModel
-from ..archmodel.token import DataToken
 from ..archmodel.workload import (
     ConstantExecutionTime,
     ResourceDependentExecutionTime,
@@ -77,16 +76,11 @@ from ..core.builder import (
     scheduled_resource_entries,
     specialize_template,
 )
-from ..core.compute import InstantComputer
 from ..core.spec import EquivalentModelSpec, ExecuteNodes
 from ..tdg.arc import DependencyArc
 from ..environment.stimulus import Stimulus
 from ..errors import ModelError, ReproError
 from .engine import (
-    _disjoint_span,
-    _merged_busy,  # noqa: F401 -- re-exported
-    _merged_span,
-    _resource_slots,
     _TabulatedWeight,
     _TokenTable,
     LoweringUnsupported,
@@ -116,7 +110,7 @@ class _DeltaCache:
     ran each function, each scheduled resource's service order and the arcs it
     contributed, and which duration table each resource-dependent execute slot
     was bound to -- so the next candidate only touches what actually differs.
-    The cache is private to :meth:`CompiledProblem.evaluate`; the public
+    The cache is private to :meth:`CompiledProblem.evaluate_batch`; the public
     :meth:`CompiledProblem.specialize` always builds a fresh graph.
     """
 
@@ -191,7 +185,7 @@ class CompiledProblem:
         #: the table, so mixed banks keep the tabulation benefit.
         self._bound_tables: Dict[Tuple[Tuple[str, int], Hashable], _TabulatedWeight] = {}
         #: previous specialisation kept for incremental re-specialisation
-        #: (private to :meth:`evaluate`; cleared whenever it goes stale).
+        #: (private to :meth:`evaluate_batch`; cleared whenever it goes stale).
         self._delta: Optional[_DeltaCache] = None
         #: (function, step_index) -> (source, target, delay, label) of the
         #: weight arc of each *resource-dependent* execute slot -- the only
@@ -245,7 +239,7 @@ class CompiledProblem:
             )
 
     # ------------------------------------------------------------------
-    # incremental delta-specialisation (private to evaluate())
+    # incremental delta-specialisation (private to evaluate_batch())
     # ------------------------------------------------------------------
     def _specialize_for_evaluation(self, candidate: MappingCandidate) -> EquivalentModelSpec:
         """Specialise ``candidate``, reusing the previous candidate's graph.
@@ -416,23 +410,14 @@ class CompiledProblem:
     ) -> CandidateEvaluation:
         """Score one candidate (same objectives as ``evaluate_mapping``).
 
-        ``evaluator`` selects the scoring path: ``"replay"`` replays every
-        iteration, ``"steady"`` and ``"auto"`` extrapolate the periodic regime
-        when the problem admits it (and fall back to replay when it does not).
-        All modes produce bit-identical objectives.
+        The pure-Python reference: a batch of one swept on the ``python``
+        backend, so the record carries ``backend="python"``.  ``evaluator``
+        selects the scoring path: ``"replay"`` sweeps every iteration,
+        ``"steady"`` and ``"auto"`` stop at the certified periodic regime
+        when the problem admits it (and sweep every iteration when it does
+        not).  All modes produce bit-identical objectives.
         """
-        if evaluator not in EVALUATOR_MODES:
-            raise ModelError(
-                f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
-            )
-        start = time.perf_counter()
-        try:
-            spec = self._prepare(candidate)
-        except ReproError as error:
-            return _infeasible(candidate, error, start)
-        return self._score_on_graph(
-            candidate, spec, start, steady=self._use_steady(spec, evaluator)
-        )
+        return self.evaluate_batch([candidate], evaluator, backend="python")[0]
 
     def _prepare(self, candidate: MappingCandidate) -> EquivalentModelSpec:
         """Specialise ``candidate`` and check every boundary input has a stimulus."""
@@ -443,69 +428,17 @@ class CompiledProblem:
         return spec
 
     def _use_steady(self, spec: EquivalentModelSpec, evaluator: str) -> bool:
-        """Whether ``evaluator`` asks for, and ``spec`` admits, steady extrapolation."""
+        """Whether ``evaluator`` asks for, and ``spec`` admits, the steady mode."""
         if evaluator == "replay":
             return False
         reason = self._steady_gate(spec)
         if reason is None:
             return True
         # The steady certificate cannot hold (aperiodic inputs or
-        # iteration-dependent durations): score by plain replay.
+        # iteration-dependent durations): sweep every iteration.
         telemetry.count("dse.steady.fallbacks")
         telemetry.count(f"dse.steady.fallback.{reason}")
         return False
-
-    def _score_on_graph(
-        self,
-        candidate: MappingCandidate,
-        spec: EquivalentModelSpec,
-        start: float,
-        steady: bool,
-        backend: str = "python",
-    ) -> CandidateEvaluation:
-        """Replay ``spec`` on its object graph and score it.
-
-        The one epilogue of every object-graph path: all of :meth:`evaluate`,
-        and in :meth:`evaluate_batch` the steady-certified candidates and the
-        specs that refuse to lower.  With ``steady`` the runner stops at the
-        certificate and the objectives come from the replayed prefix plus the
-        closed-form periodic tail (see :func:`_resource_spans`).
-        """
-        try:
-            computer = InstantComputer(spec, record_usage=True)
-            if steady:
-                with telemetry.span("dse.compile.steady", category="dse"):
-                    run = self._run_steady(spec, computer)
-            else:
-                with telemetry.span("dse.compile.replay", category="dse"):
-                    run = self._run(spec, computer)
-                    if run is not None:
-                        telemetry.count("dse.compile.replay_steps", run[2])
-        except ReproError as error:
-            # Mirror of evaluate_mapping wrapping model.run(): a workload or
-            # computation failure is an infeasibility fact, not a crash.
-            return _infeasible(candidate, error, start, backend)
-        if run is None:
-            # An output would be accepted later than computed (boundary
-            # feedback): replay through the exact event-driven harness
-            # (which records its own evaluation telemetry).
-            telemetry.count("dse.compile.explicit_fallbacks")
-            return self._explicit_fallback(candidate)
-        spans = _resource_spans(
-            spec.execute_nodes, computer.usage_instants(), run[3] if steady else None
-        )
-        return _record_evaluation(
-            self._assemble(
-                candidate,
-                spec,
-                spans,
-                run[0],
-                run[1],
-                start,
-                evaluator="steady" if steady else "replay",
-                backend=backend,
-            )
-        )
 
     # ------------------------------------------------------------------
     # batched array evaluation
@@ -518,21 +451,20 @@ class CompiledProblem:
     ) -> List[CandidateEvaluation]:
         """Score a whole generation of candidates with one batched array sweep.
 
-        Per candidate, the template is delta-specialised exactly as in
-        :meth:`evaluate`, then *lowered* onto flat integer tables
-        (:func:`repro.dse.engine.lower_spec`); the pending programs are
-        replayed together on the selected backend -- pure-Python list
-        arithmetic or one numpy sweep vectorised across candidates.
+        Per candidate, the template is delta-specialised, then *lowered* onto
+        flat integer tables (:func:`repro.dse.engine.lower_spec`); the
+        programs are replayed together on the selected backend -- pure-Python
+        list arithmetic or one numpy sweep vectorised across candidates.
         Results are bit-identical, instant for instant and field for field
-        (wall-clock aside), to mapping :meth:`evaluate` over the list:
+        (wall-clock and ``backend`` aside), whatever the backend and the
+        batch:
 
         * infeasible candidates produce the same infeasibility reports;
-        * ``"steady"``/``"auto"`` candidates whose certificate holds take
-          the (already certified, per-candidate) steady path;
+        * ``"steady"``/``"auto"`` candidates whose gate holds are lowered in
+          steady mode and stop at their certificate;
         * candidates whose spec refuses to lower (context-dependent
-          weights) replay on the object graph; candidates whose outputs
-          need boundary feedback fall back to explicit simulation --
-          exactly the cases :meth:`evaluate` falls back on.
+          weights) and candidates whose outputs need boundary feedback fall
+          back to explicit simulation.
 
         ``backend`` is ``"python"``/``"numpy"``/``"auto"``/``None``
         (see :func:`repro.dse.engine.resolve_backend`).  Reported
@@ -547,69 +479,57 @@ class CompiledProblem:
         backend = resolve_backend(backend)
         candidates = list(candidates)
         results: List[Optional[CandidateEvaluation]] = [None] * len(candidates)
-        pending: List[Tuple[int, MappingCandidate, EquivalentModelSpec, float]] = []
+        pending: List[Tuple[int, MappingCandidate, EquivalentModelSpec, float, bool]] = []
         programs: List[Any] = []
 
         for position, candidate in enumerate(candidates):
             start = time.perf_counter()
             try:
                 spec = self._prepare(candidate)
-            except ReproError as error:
-                # Infeasibility is decided before any sweep, but the record
-                # still carries the batch's backend: it was scored under that
-                # backend request, and a mixed-backend store should only be
-                # reported when sweeps actually mixed.
-                results[position] = _infeasible(candidate, error, start, backend)
-                continue
-
-            if self._use_steady(spec, evaluator):
-                # The steady certificate holds: extrapolate per candidate
-                # (already certified bit-identical to full replay).
-                results[position] = self._score_on_graph(
-                    candidate, spec, start, steady=True, backend=backend
-                )
-                continue
-
-            iterations = min(
-                len(self.stimuli[b.relation]) for b in spec.boundary_inputs
-            )
-            try:
+                steady = self._use_steady(spec, evaluator)
+                iterations = min(len(self.stimuli[b.relation]) for b in spec.boundary_inputs)
                 program = lower_spec(
-                    spec, self.stimuli, iterations, stream_cache=self._stream_cache
+                    spec,
+                    self.stimuli,
+                    iterations,
+                    stream_cache=self._stream_cache,
+                    steady=steady,
                 )
             except LoweringUnsupported as gate:
-                # Context-dependent weights the tables cannot hold: replay
-                # this candidate on the object graph (same instants).
+                # Context-dependent weights the tables cannot hold: score
+                # this candidate by explicit simulation (same instants).
                 telemetry.count("dse.engine.lower_fallbacks")
                 telemetry.count(f"dse.engine.lower_fallback.{gate.reason}")
-                results[position] = self._score_on_graph(
-                    candidate, spec, start, steady=False, backend=backend
-                )
+                telemetry.count("dse.compile.explicit_fallbacks")
+                results[position] = self._explicit_fallback(candidate)
                 continue
             except ReproError as error:
-                # Lowering surfaces the same failures the replay would
-                # (invalid workload durations, delay-0 ready arcs).
+                # Specialisation and lowering surface the infeasibility facts
+                # (zero-delay cycles, invalid workload durations, delay-0
+                # ready arcs) before any sweep.  The record still carries the
+                # batch's backend: it was scored under that backend request,
+                # and a mixed-backend store should only be reported when
+                # sweeps actually mixed.
                 results[position] = _infeasible(candidate, error, start, backend)
                 continue
-            pending.append((position, candidate, spec, start))
+            pending.append((position, candidate, spec, start, steady))
             programs.append(program)
 
         if programs:
             with telemetry.span(
-                "dse.engine.batch",
+                "dse.compile.replay",
                 category="dse",
                 args={"backend": backend, "size": len(programs)},
             ):
                 runs = replay_batch(programs, backend)
             telemetry.count(
                 "dse.compile.replay_steps",
-                sum(program.iterations for program in programs),
+                sum(program.iterations for program in programs if program.periods is None),
             )
-            for (position, candidate, spec, start), run in zip(pending, runs):
+            for (position, candidate, spec, start, steady), run in zip(pending, runs):
                 if run is None:
                     # An output would be accepted later than computed
-                    # (boundary feedback): same explicit fallback as
-                    # :meth:`evaluate`.
+                    # (boundary feedback): exact explicit simulation.
                     telemetry.count("dse.compile.explicit_fallbacks")
                     telemetry.count("dse.engine.replay_fallbacks")
                     results[position] = self._explicit_fallback(candidate)
@@ -623,7 +543,7 @@ class CompiledProblem:
                         offers,
                         actual,
                         start,
-                        evaluator="replay",
+                        evaluator="steady" if steady else "replay",
                         backend=backend,
                     )
                 )
@@ -669,184 +589,6 @@ class CompiledProblem:
                 return "data_dependent"
         return None
 
-    def _run_steady(self, spec: EquivalentModelSpec, computer: InstantComputer):
-        """Replay until the periodic regime is certified, then extrapolate.
-
-        Same contract as :meth:`_run`, plus a fourth field (below).  The
-        certificate has two halves:
-
-        * every node value drifted by the same ``c`` for ``max_delay + 1``
-          consecutive iteration pairs, so the evaluator's whole ring state
-          satisfies ``x(k) = x(k-1) + c`` -- with constant weights (the gate)
-          the (max, +) recurrence then reproduces the shift forever, because
-          ``max`` commutes with adding ``c`` to every operand;
-        * each input schedule is *locked*: either its period equals ``c``
-          (the schedule shifts with everything else) or the last exchange
-          already overtook the next scheduled offer and ``c >= T`` keeps it
-          ahead (the schedule term never re-enters the ``max``).
-
-        Together these imply the remaining replay would produce exactly
-        ``value + j*c`` everywhere.  The extrapolation appends that to the
-        offer and output sequences (digests need them in full) but leaves the
-        execute-node histories at the replayed prefix: the returned
-        ``(offers, actual, iterations, tail)`` carries the certified
-        :class:`_SteadyTail` (``None`` when the horizon ran out first), from
-        which :func:`_resource_spans` scores the rest in closed form.
-        """
-        stimuli = self.stimuli
-        boundary_inputs = spec.boundary_inputs
-        iterations = min(len(stimuli[b.relation]) for b in boundary_inputs)
-        output_relations = [b.relation for b in spec.boundary_outputs]
-        actual: Dict[str, List[int]] = {relation: [] for relation in output_relations}
-        offers: Dict[str, List[int]] = {b.relation: [] for b in boundary_inputs}
-        previous_exchange: Dict[str, Optional[int]] = {
-            b.relation: None for b in boundary_inputs
-        }
-        periods = {
-            b.relation: stimuli[b.relation].offer_period_ps() for b in boundary_inputs
-        }
-        evaluator = computer.evaluator
-        min_pairs = spec.graph.max_delay + 1
-        prev_snapshot: Optional[List[Optional[int]]] = None
-        streak_delta: Optional[int] = None
-        streak = 0
-
-        now = 0
-        last_scheduled: Dict[str, int] = {}
-        for k in range(iterations):
-            instants: Dict[str, int] = {}
-            tokens: Dict[str, Optional[DataToken]] = {}
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                ready = computer.ready_instant(relation)
-                if ready is not None and ready > now:
-                    now = ready
-                stimulus = stimuli[relation]
-                scheduled = stimulus.offer_time(k).picoseconds
-                last_scheduled[relation] = scheduled
-                previous = previous_exchange[relation]
-                arrival = scheduled if previous is None or previous <= scheduled else previous
-                offers[relation].append(arrival)
-                if arrival > now:
-                    now = arrival
-                instants[relation] = now
-                tokens[relation] = stimulus.token(k)
-                previous_exchange[relation] = now
-            outputs = computer.compute_iteration(instants, tokens)
-            for relation in output_relations:
-                offered = outputs[relation]
-                emitted = actual[relation]
-                if offered is None or (emitted and offered < emitted[-1]):
-                    return None
-                emitted.append(offered)
-
-            # -- regime detection ------------------------------------------
-            snapshot = evaluator.values_snapshot()
-            delta = _uniform_delta(prev_snapshot, snapshot)
-            prev_snapshot = snapshot
-            if delta is None:
-                streak = 0
-                streak_delta = None
-                continue
-            if delta == streak_delta:
-                streak += 1
-            else:
-                streak_delta = delta
-                streak = 1
-            if streak < min_pairs or delta < 0 or k + 1 >= iterations:
-                continue
-            locked = True
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                period = periods[relation]
-                if delta == period:
-                    continue
-                if delta > period and instants[relation] > last_scheduled[relation] + period:
-                    continue
-                locked = False
-                break
-            if not locked:
-                continue
-
-            # -- certified: extrapolate the remaining iterations -----------
-            extra = iterations - (k + 1)
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                sequence = offers[relation]
-                if delta == periods[relation]:
-                    # Schedule and exchanges shift together, so the arrival
-                    # branch is stable and the whole sequence drifts by c.
-                    sequence.extend(_arithmetic_tail(sequence[-1] + delta, delta, extra))
-                else:
-                    # Dominance-locked input: every future arrival is the
-                    # previous exchange.  The transition iteration may leave
-                    # the last *replayed* arrival on the schedule branch, so
-                    # anchor on the exchange instant, not on the last offer.
-                    sequence.extend(_arithmetic_tail(instants[relation], delta, extra))
-            for sequence in actual.values():
-                sequence.extend(_arithmetic_tail(sequence[-1] + delta, delta, extra))
-            telemetry.count("dse.compile.replay_steps", k + 1)
-            telemetry.count("dse.steady.extrapolations")
-            telemetry.count("dse.steady.extrapolated_steps", extra)
-            telemetry.gauge("dse.steady.cycle_ps", delta)
-            return offers, actual, iterations, _SteadyTail(extra, delta, computer)
-
-        # The horizon ended before the regime settled (or never settles);
-        # everything was replayed, so the result is the plain replay result.
-        telemetry.count("dse.compile.replay_steps", iterations)
-        telemetry.count("dse.steady.exhausted")
-        return offers, actual, iterations, None
-
-    # ------------------------------------------------------------------
-    def _run(self, spec: EquivalentModelSpec, computer: InstantComputer):
-        """Replay the Reception/Emission protocol without the simulation kernel.
-
-        Returns ``(offer instants per input, output instants per output,
-        iterations)`` or ``None`` when the run needs the event-driven harness
-        (non-monotonic computed outputs, which trigger boundary feedback).
-        """
-        stimuli = self.stimuli
-        boundary_inputs = spec.boundary_inputs
-        iterations = min(len(stimuli[b.relation]) for b in boundary_inputs)
-        output_relations = [b.relation for b in spec.boundary_outputs]
-        actual: Dict[str, List[int]] = {relation: [] for relation in output_relations}
-        offers: Dict[str, List[int]] = {b.relation: [] for b in boundary_inputs}
-        previous_exchange: Dict[str, Optional[int]] = {
-            b.relation: None for b in boundary_inputs
-        }
-        now = 0  # the Reception process's local clock
-        for k in range(iterations):
-            instants: Dict[str, int] = {}
-            tokens: Dict[str, Optional[DataToken]] = {}
-            for boundary in boundary_inputs:
-                relation = boundary.relation
-                # Reception: wait until the abstracted consumer is ready.
-                ready = computer.ready_instant(relation)
-                if ready is not None and ready > now:
-                    now = ready
-                # Stimulus driver: resumes after its previous exchange, then
-                # waits for the scheduled offer time; u(k) is the later one.
-                stimulus = stimuli[relation]
-                scheduled = stimulus.offer_time(k).picoseconds
-                previous = previous_exchange[relation]
-                arrival = scheduled if previous is None or previous <= scheduled else previous
-                offers[relation].append(arrival)
-                # Rendezvous: the exchange completes when both sides arrived.
-                if arrival > now:
-                    now = arrival
-                instants[relation] = now
-                tokens[relation] = stimulus.token(k)
-                previous_exchange[relation] = now
-            outputs = computer.compute_iteration(instants, tokens)
-            for relation in output_relations:
-                offered = outputs[relation]
-                emitted = actual[relation]
-                if offered is None or (emitted and offered < emitted[-1]):
-                    return None
-                # Always-ready observer: the exchange happens at the offer.
-                emitted.append(offered)
-        return offers, actual, iterations
-
     # ------------------------------------------------------------------
     def _assemble(
         self,
@@ -861,9 +603,8 @@ class CompiledProblem:
     ) -> CandidateEvaluation:
         """Extract the objectives (mirror of ``evaluate_mapping``'s epilogue).
 
-        ``spans`` maps each busy resource to its ``(busy, lo, hi)`` --
-        :func:`_resource_spans` on the object-graph paths, the replay result
-        on the array paths; ``offers`` and ``actual`` span the whole horizon.
+        ``spans`` maps each busy resource to its ``(busy, lo, hi)`` as the
+        sweep returned them; ``offers`` and ``actual`` span the whole horizon.
         """
         outputs = self.application.external_outputs()
         if not outputs:
@@ -923,35 +664,6 @@ class CompiledProblem:
         )
 
 
-def _arithmetic_tail(start: int, delta_ps: int, count: int) -> Sequence[int]:
-    """``count`` values ``start, start + delta_ps, ...`` as a C-speed sequence."""
-    if delta_ps:
-        return range(start, start + delta_ps * count, delta_ps)
-    return [start] * count
-
-
-def _uniform_delta(
-    previous: Optional[List[Optional[int]]], current: List[Optional[int]]
-) -> Optional[int]:
-    """The single drift every node value advanced by, or ``None``.
-
-    ``None`` is also returned while any node is still at ε: the steady
-    certificate needs the *whole* state vector to shift uniformly.
-    """
-    if previous is None:
-        return None
-    delta: Optional[int] = None
-    for new_value, old_value in zip(current, previous):
-        if new_value is None or old_value is None:
-            return None
-        diff = new_value - old_value
-        if delta is None:
-            delta = diff
-        elif diff != delta:
-            return None
-    return delta
-
-
 def _infeasible(
     candidate: MappingCandidate, error: ReproError, start: float, backend: str = "python"
 ) -> CandidateEvaluation:
@@ -964,59 +676,6 @@ def _infeasible(
             backend=backend,
         )
     )
-
-
-class _SteadyTail:
-    """The certified periodic tail of a steady run, kept in closed form.
-
-    The last ``extra`` iterations of the horizon are each the last replayed
-    iteration shifted by one more ``cycle`` (picoseconds).  Only the
-    utilisation fallback needs them written out: :meth:`materialize` does
-    that once, through the evaluator's recorded histories.
-    """
-
-    __slots__ = ("extra", "cycle", "_computer", "_usage")
-
-    def __init__(self, extra: int, cycle: int, computer: InstantComputer) -> None:
-        self.extra = extra
-        self.cycle = cycle
-        self._computer = computer
-        self._usage: Optional[Dict[str, List[Optional[int]]]] = None
-
-    def materialize(self) -> Dict[str, List[Optional[int]]]:
-        """The full-horizon usage histories (prefix followed by the tail)."""
-        if self._usage is None:
-            telemetry.count("dse.steady.tail_materialized")
-            self._computer.evaluator.extend_recorded(self.extra, self.cycle)
-            self._usage = self._computer.usage_instants()
-        return self._usage
-
-
-def _resource_spans(
-    execute_nodes: Sequence[ExecuteNodes],
-    usage: Mapping[str, Sequence[Optional[int]]],
-    tail: Optional[_SteadyTail] = None,
-) -> Dict[str, Span]:
-    """``(busy, lo, hi)`` of every busy resource, from object-graph histories.
-
-    ``usage`` maps observation-node names to per-iteration instants (ε as
-    ``None``); a steady run passes only the replayed prefix, plus its
-    certified ``tail``.  Each resource is scored by the closed form of
-    :func:`_disjoint_span` when its intervals are provably disjoint, and by
-    the sort-and-merge of :func:`_merged_span` otherwise (ε instants, or
-    overlapping intervals as on a resource serving several executions at
-    once) -- after writing a steady ``tail`` out in full.  Resources with no
-    interval at all are left out.
-    """
-    spans: Dict[str, Span] = {}
-    for resource, nodes in _resource_slots(execute_nodes).items():
-        span = _disjoint_span([(usage[s], usage[e]) for s, e in nodes], tail)
-        if span is None:
-            full = tail.materialize() if tail is not None else usage
-            span = _merged_span([(full[s], full[e]) for s, e in nodes])
-        if span is not None:
-            spans[resource] = span
-    return spans
 
 
 def _utilization(resources: Sequence[str], spans: Mapping[str, Span]) -> Dict[str, float]:

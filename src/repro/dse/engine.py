@@ -1,8 +1,6 @@
 """Array-lowered replay: flat int64 tables behind ``CompiledProblem.evaluate_batch``.
 
-The compiled replay loop in :mod:`repro.dse.compile` walks per-candidate
-Python object graphs -- node objects, arc objects, a function call per
-weight per iteration.  This module lowers one *specialised*
+This module lowers one *specialised*
 :class:`~repro.core.spec.EquivalentModelSpec` into an
 :class:`ArrayProgram`: contiguous integer tables (a node index
 vocabulary, per-node predecessor arc lists, per-iteration duration
@@ -12,7 +10,9 @@ the Reception/Emission protocol becomes a tight loop over list indices
 -- and, with the optional ``numpy`` backend, one call of a compiled C
 transcription of that loop over the whole batch in int64 numpy buffers,
 followed by a second call that scores every resource's busy span in the
-same buffers.
+same buffers.  Every candidate the compiled path scores goes through
+here; the protocol is written twice, in :func:`replay_program` and in
+the C kernel.
 
 A replay returns ``(offers, actual, spans)``: the offer instants per
 input relation, the output instants per output relation, and per busy
@@ -21,12 +21,18 @@ execute intervals and the first and last instant of any of them (idle
 resources are absent).  Both backends return exactly that shape, and
 :mod:`repro.dse.compile` turns the spans into utilisation fractions.
 
+A program lowered with ``steady=True`` carries its inputs' offer
+periods and is replayed by :func:`replay_program` in *steady mode* on
+either backend: the sweep stops once the periodic regime is certified
+and writes the remaining iterations in closed form, returning exactly
+what the full sweep would have.
+
 Invariants:
 
 * **Exactness.**  Both backends compute the very same (max, +)
   recurrence as :class:`~repro.tdg.evaluator.TDGEvaluator`; results are
-  bit-identical, instant for instant, to the per-candidate replay of
-  :meth:`CompiledProblem.evaluate` (asserted by the equivalence suites).
+  bit-identical, instant for instant, to the explicit simulation
+  (asserted by the equivalence suites).
   ε is the sentinel :data:`NEG_EPSILON`, and every read skips values at
   or below :data:`EPSILON_THRESHOLD`.  :func:`replay_program` drops that
   test once it has proved that no ε can be read any more (see there); the
@@ -42,12 +48,11 @@ Invariants:
 * **Lowering is conservative.**  Any weight that is not a constant or a
   :class:`_TabulatedWeight` stream (i.e. genuinely context-dependent)
   refuses to lower (:class:`LoweringUnsupported`), and the caller falls
-  back to the object-graph replay -- never a silently wrong instant.
+  back to the explicit simulation -- never a silently wrong instant.
 
 This module also owns :class:`_TabulatedWeight` and :class:`_TokenTable`
 (shared per-iteration duration/token streams) and the span routines
-(:func:`_disjoint_span`, :func:`_interleaved_span`, :func:`_merged_span`,
-:func:`_merged_busy`), which :mod:`repro.dse.compile` re-exports.
+(:func:`_interleaved_span`, :func:`_merged_span`, :func:`_merged_busy`).
 """
 
 from __future__ import annotations
@@ -191,7 +196,7 @@ class LoweringUnsupported(Exception):
     """A specialised spec refused to lower to arrays (engine gate).
 
     ``reason`` is a short telemetry-friendly slug (e.g. ``dynamic_weight``);
-    the caller falls back to the object-graph replay, which handles every
+    the caller falls back to the explicit simulation, which handles every
     weight protocol.
     """
 
@@ -220,7 +225,10 @@ class ArrayProgram(NamedTuple):
     * ``outputs`` -- per boundary output: the relation and offer node index;
     * ``slots`` -- per resource, in ``spec.execute_nodes`` order: its name
       and the (start node index, end node index) of each execute slot it
-      serves, from which the replay scores the resource's busy span.
+      serves, from which the replay scores the resource's busy span;
+    * ``periods`` -- per input, the constant offer period of its stimulus
+      when the program is to be replayed in steady mode, else ``None``.
+      Steady mode presumes every weight stream constant over the horizon.
 
     The program is immutable and holds no references to the (mutable,
     shared) specialised graph, so programs from successive
@@ -234,6 +242,7 @@ class ArrayProgram(NamedTuple):
     inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]]
     outputs: List[Tuple[str, int]]
     slots: List[Tuple[str, List[Tuple[int, int]]]]
+    periods: Optional[Tuple[int, ...]] = None
 
 
 #: One resource's (busy, lo, hi): the union length of its execute intervals
@@ -282,16 +291,22 @@ def lower_spec(
     stimuli: Mapping[str, Stimulus],
     iterations: int,
     stream_cache: Optional[Dict[Any, Any]] = None,
+    steady: bool = False,
 ) -> ArrayProgram:
     """Lower one specialised equivalent-model spec onto flat tables.
 
     ``stream_cache`` (optional) memoises the candidate-independent streams
     -- materialised constant streams and stimulus offer schedules, keyed by
     the stimulus ``id()`` -- so it may live as long as ``stimuli`` does.
+    ``steady`` records every input stimulus's offer period, selecting the
+    steady mode of :func:`replay_program`; the caller has checked that the
+    certificate can hold (every period constant, every weight stream
+    constant over the horizon).
     Raises :class:`LoweringUnsupported` when a weight cannot be materialised
     and :class:`~repro.errors.ComputationError`/:class:`~repro.errors.GraphError`
-    exactly where the object-graph replay would (delay-0 ready arcs,
-    invalid workload durations) so infeasibility reporting is unchanged.
+    exactly where :class:`~repro.tdg.evaluator.TDGEvaluator` would (delay-0
+    ready arcs, invalid workload durations), so these candidates are reported
+    infeasible with the evaluator's message.
     """
     graph = spec.graph
     # Same structural validation TDGEvaluator performs on construction.
@@ -360,6 +375,11 @@ def lower_spec(
         inputs=inputs,
         outputs=outputs,
         slots=slots,
+        periods=(
+            tuple(stimuli[b.relation].offer_period_ps() for b in spec.boundary_inputs)
+            if steady
+            else None
+        ),
     )
 
 
@@ -378,32 +398,64 @@ def _resource_slots(execute_nodes: Sequence[Any]) -> Dict[str, List[Tuple[str, s
 def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     """Replay one lowered program with the pure-Python reference loop.
 
-    Bit-identical to :meth:`CompiledProblem._run` over the object graph:
-    the same Reception/rendezvous protocol, the same (max, +) sweep, the
-    same monotonic-output check (``None`` means "needs the event-driven
-    harness", exactly when the object path would say so).
+    The Reception/rendezvous protocol of the equivalent model and its
+    (max, +) sweep, iteration by iteration, against an always-ready
+    observer.  ``None`` means an output went ε or decreased: it would be
+    accepted later than computed, and only the event-driven harness can
+    feed that back.
+
+    With ``program.periods`` set (the steady mode) the sweep also watches
+    for the periodic regime ``x(k+1) = x(k) + c``.  The certificate has two
+    halves:
+
+    * every history row drifted by the same ``c >= 0`` for ``max_delay + 1``
+      consecutive iteration pairs, with no ε among those entries, so the
+      whole state the recurrence reads satisfies ``x(k) = x(k-1) + c`` --
+      with constant weights the (max, +) recurrence then reproduces the
+      shift forever, because ``max`` commutes with adding ``c`` to every
+      operand;
+    * each input schedule is *locked*: either its period equals ``c`` (the
+      schedule shifts with everything else) or the last exchange already
+      overtook the next scheduled offer and ``c`` exceeds the period (the
+      schedule term never re-enters the ``max``).
+
+    Together these imply the remaining sweep would produce exactly
+    ``value + j*c`` everywhere, so the sweep stops there: the offer and
+    output sequences are written out arithmetically and the spans come
+    from the replayed prefix plus the ``(extra, c)`` tail in closed form
+    (see :func:`_interleaved_span`).  Steady mode returns exactly what the
+    full sweep returns, ``None`` included.
     """
     iterations = program.iterations
     neg = NEG_EPSILON
     eps = EPSILON_THRESHOLD
     inputs = program.inputs
+    periods = program.periods
     # Every history row starts with `pad` ε entries, so iteration k lives at
     # k + pad and a delayed read k + pad - delay never reaches before the
-    # row: iterations before 0 read ε without a bounds check.
+    # row: iterations before 0 read ε without a bounds check.  A row the
+    # sweep writes grows by one entry per iteration, so a certified steady
+    # run never allocates the horizon; a row nothing writes stays ε over
+    # the whole horizon.
     arc_groups = [*program.plan_arcs, *(ready_arcs for _, _, _, ready_arcs in inputs)]
     pad = max((delay for arcs in arc_groups for _, delay, _ in arcs), default=0)
-    hist: List[List[int]] = [[neg] * (pad + iterations) for _ in range(program.node_count)]
+    written = {*program.plan_nodes, *(exchange_idx for _, exchange_idx, _, _ in inputs)}
+    hist: List[List[int]] = [
+        [neg] * (pad if row in written else pad + iterations) for row in range(program.node_count)
+    ]
     offer_lists: List[List[int]] = [[] for _ in inputs]
     out_lists: List[List[int]] = [[] for _ in program.outputs]
     prev = [neg] * len(inputs)  # previous exchange instants (ε = neg)
     # Each distinct weight stream is classified once: is it all zero over the
     # horizon (the arc is then a plain max over its source) and free of
     # negative weights?  A stream shorter than the horizon stays weighted and
-    # fails where it is read.
+    # fails where it is read.  The steady mode presumes constant streams (its
+    # certificate does), so their first weight stands for the horizon.
     kinds: Dict[int, Tuple[bool, bool]] = {}
     for weights in {id(w): w for arcs in program.plan_arcs for _, _, w in arcs}.values():
-        zero = len(weights) >= iterations and not any(weights)
-        kinds[id(weights)] = (zero, min(weights, default=0) >= 0)
+        sample = weights if periods is None else weights[:1]
+        zero = len(weights) >= iterations and not any(sample)
+        kinds[id(weights)] = (zero, min(sample, default=0) >= 0)
     # Bind history rows into the tables once, so the hot loop below works
     # on list references instead of re-indexing the vocabulary per visit.
     # Each node's arcs are split into zero-weight (row, delay) pairs and
@@ -421,7 +473,6 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     # window, and same-iteration reads follow the topological order up from
     # the exchange instants, which are never ε; with no negative weight, no
     # sum falls back to ε either.  From then on the sweep skips the ε test.
-    written = {*program.plan_nodes, *(exchange_idx for _, exchange_idx, _, _ in inputs)}
     can_settle = all(
         src in written and kinds[id(w)][1] for arcs in program.plan_arcs for src, _, w in arcs
     )
@@ -439,6 +490,11 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
         (hist[offer_idx], out_lists[out_i])
         for out_i, (_, offer_idx) in enumerate(program.outputs)
     ]
+    # Steady mode: the drift of the current run of uniformly drifting
+    # iteration pairs, the run's length, and the certified (extra, c) tail.
+    streak_drift: Optional[int] = None
+    streak = 0
+    tail: Optional[Tuple[int, int]] = None
     now = 0  # the Reception process's local clock, persistent across iterations
     for k in range(iterations):
         at = k + pad
@@ -463,14 +519,14 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
             # Rendezvous: the exchange completes when both sides arrived.
             if arrival > now:
                 now = arrival
-            exchange_row[at] = now
+            exchange_row.append(now)
             prev[i] = now
         # ComputeInstant(): the (max, +) sweep in topological order.
         if can_settle and settled > pad:
             for node_row, zero_arcs, weighted, single in plan:
                 if single is not None:
                     source_row, delay, weights = single
-                    node_row[at] = source_row[at - delay] + weights[k]
+                    node_row.append(source_row[at - delay] + weights[k])
                     continue
                 best = neg
                 for source_row, delay in zero_arcs:
@@ -482,7 +538,7 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
                         candidate = source_row[at - delay] + weights[k]
                         if candidate > best:
                             best = candidate
-                node_row[at] = best
+                node_row.append(best)
         else:
             settled += 1
             for node_row, zero_arcs, weighted, _ in plan:
@@ -497,7 +553,7 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
                         candidate = value + weights[k]
                         if candidate > best:
                             best = candidate
-                node_row[at] = best
+                node_row.append(best)
                 if best <= eps:
                     settled = 0
         for offer_row, emitted in bound_outputs:
@@ -506,32 +562,104 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
                 return None
             # Always-ready observer: the exchange happens at the offer.
             emitted.append(offered)
+        if periods is None or not k:
+            continue
+        # -- steady mode: certify the periodic regime ----------------------
+        drift = _uniform_drift(hist, at)
+        if drift is None or drift != streak_drift:
+            streak_drift, streak = drift, 0
+        if drift is None:
+            continue
+        streak += 1
+        if streak <= pad or drift < 0 or k + 1 >= iterations:
+            continue
+        if not all(
+            drift == period or (drift > period and row[at] > timetable[k] + period)
+            for (_, row, timetable, _), period in zip(bound_inputs, periods)
+        ):
+            continue
+        tail = (iterations - k - 1, drift)
+        break
+    if tail is not None:
+        extra, drift = tail
+        # The steady mode counts the iterations it swept itself; the caller
+        # counts those of full sweeps.
+        telemetry.count("dse.compile.replay_steps", iterations - extra)
+        for i, period in enumerate(periods):
+            # A schedule locked by its period shifts with everything else.
+            # On a dominance-locked input every future arrival is the
+            # previous exchange; the transition iteration may leave the last
+            # replayed arrival on the schedule branch, so anchor on the
+            # exchange instant, not on the last offer.
+            anchor = offer_lists[i][-1] + drift if drift == period else prev[i]
+            offer_lists[i].extend(_arithmetic_tail(anchor, drift, extra))
+        for emitted in out_lists:
+            emitted.extend(_arithmetic_tail(emitted[-1] + drift, drift, extra))
+        telemetry.count("dse.steady.extrapolations")
+        telemetry.count("dse.steady.extrapolated_steps", extra)
+        telemetry.gauge("dse.steady.cycle_ps", drift)
+    elif periods is not None:
+        # The horizon ended before the regime settled (or it never does).
+        telemetry.count("dse.compile.replay_steps", iterations)
+        telemetry.count("dse.steady.exhausted")
     offers = {relation: offer_lists[i] for i, (relation, _, _, _) in enumerate(inputs)}
     actual = {relation: out_lists[i] for i, (relation, _) in enumerate(program.outputs)}
     spans: Dict[str, Span] = {}
+    written_out = False
     for resource, pairs in program.slots:
         rows = [(hist[start][pad:], hist[end][pad:]) for start, end in pairs]
-        span = _interleaved_span(rows)  # ε is the int sentinel here, not None
+        span = _interleaved_span(rows, tail)  # ε is the int sentinel here, not None
         if span is None or span[1] <= eps:
+            if tail is not None:
+                # Write the certified tail out on the int rows and merge.
+                written_out = True
+                rows = [
+                    (starts + _tail_of(starts, tail), ends + _tail_of(ends, tail))
+                    for starts, ends in rows
+                ]
             span = _merged_rows(rows)
         if span is not None:
             spans[resource] = span
+    if written_out:
+        telemetry.count("dse.steady.tail_materialized")
     return offers, actual, spans
 
 
-def _disjoint_span(
-    slots: Sequence[Tuple[Sequence[Optional[int]], Sequence[Optional[int]]]],
-    tail: Any = None,
-) -> Optional[Span]:
-    """:func:`_interleaved_span` of histories with ε as ``None``: ``None`` on any ε."""
-    for starts, ends in slots:
-        if None in starts or None in ends:
+def _uniform_drift(hist: Sequence[Sequence[int]], at: int) -> Optional[int]:
+    """The one drift every history row took from entry ``at - 1`` to ``at``, or ``None``.
+
+    ``None`` also while any of those entries is ε: the steady certificate
+    needs the whole state vector to shift uniformly.
+    """
+    eps = EPSILON_THRESHOLD
+    drift: Optional[int] = None
+    for row in hist:
+        new, old = row[at], row[at - 1]
+        if new <= eps or old <= eps:
             return None
-    return _interleaved_span(slots, tail)
+        if drift is None:
+            drift = new - old
+        elif new - old != drift:
+            return None
+    return drift
+
+
+def _arithmetic_tail(start: int, delta_ps: int, count: int) -> Sequence[int]:
+    """``count`` values ``start, start + delta_ps, ...`` as a C-speed sequence."""
+    if delta_ps:
+        return range(start, start + delta_ps * count, delta_ps)
+    return [start] * count
+
+
+def _tail_of(row: List[int], tail: Tuple[int, int]) -> List[int]:
+    """The ``(extra, cycle)`` continuation of ``row``: its last value plus ``j * cycle``."""
+    extra, cycle = tail
+    return list(_arithmetic_tail(row[-1] + cycle, cycle, extra))
 
 
 def _interleaved_span(
-    slots: Sequence[Tuple[Sequence[int], Sequence[int]]], tail: Any = None
+    slots: Sequence[Tuple[Sequence[int], Sequence[int]]],
+    tail: Optional[Tuple[int, int]] = None,
 ) -> Optional[Span]:
     """``(busy, lo, hi)`` of one resource without sorting its intervals, or ``None``.
 
@@ -548,17 +676,17 @@ def _interleaved_span(
     through: a sequence that never decreases holds no ε exactly when ``lo``
     is above :data:`EPSILON_THRESHOLD`, which the caller checks.
 
-    A steady ``tail`` (a certified ``_SteadyTail``: ``extra`` iterations,
-    each the last replayed iteration ``K-1`` shifted by one more cycle
-    ``c >= 0``) adds ``extra`` times the busy time of iteration ``K-1`` and
-    moves ``hi`` by ``extra * c``.  The tail stays disjoint: inside tail
-    iteration ``K+j`` the sequence is that of ``K-1`` plus ``(j+1) * c``, so
-    it never decreases.  Across iterations, the certificate guarantees
-    ``K >= 2`` and ``x(K-1) = x(K-2) + c`` for every node, and the checked
-    prefix gives ``last_end(K-2) <= first_start(K-1)``; adding ``c`` to both
-    sides gives ``last_end(K-1) <= first_start(K)``, and every later
-    boundary is that one shifted by a multiple of ``c``.  ``lo`` stays the
-    prefix's, because no tail instant is below its value at ``K-1``.
+    A steady ``tail`` ``(extra, c)`` -- ``extra`` more iterations, each the
+    last replayed iteration ``K-1`` shifted by one more cycle ``c >= 0`` --
+    adds ``extra`` times the busy time of iteration ``K-1`` and moves ``hi``
+    by ``extra * c``.  The tail stays disjoint: inside tail iteration
+    ``K+j`` the sequence is that of ``K-1`` plus ``(j+1) * c``, so it never
+    decreases.  Across iterations, the certificate guarantees ``K >= 2``
+    and ``x(K-1) = x(K-2) + c`` for every node, and the checked prefix
+    gives ``last_end(K-2) <= first_start(K-1)``; adding ``c`` to both sides
+    gives ``last_end(K-1) <= first_start(K)``, and every later boundary is
+    that one shifted by a multiple of ``c``.  ``lo`` stays the prefix's,
+    because no tail instant is below its value at ``K-1``.
     """
     if not slots or not slots[0][0]:
         return None
@@ -574,8 +702,9 @@ def _interleaved_span(
     busy = sum(sum(ends) - sum(starts) for starts, ends in order)
     hi = sequence[-1]
     if tail is not None:
-        busy += tail.extra * sum(ends[-1] - starts[-1] for starts, ends in order)
-        hi += tail.extra * tail.cycle
+        extra, cycle = tail
+        busy += extra * sum(ends[-1] - starts[-1] for starts, ends in order)
+        hi += extra * cycle
     return busy, sequence[0], hi
 
 
@@ -638,20 +767,25 @@ def replay_batch(
     reference replay would fall back to the event-driven harness for that
     candidate.  The numpy backend sweeps and scores each horizon group with
     one call of each compiled kernel, or with the reference if there is no
-    kernel.
+    kernel.  Steady-mode programs are replayed by the reference on either
+    backend: their certified prefixes are a few dozen iterations, and the
+    kernel only sweeps full horizons.
     """
     programs = list(programs)
     telemetry.count("dse.engine.batches")
     telemetry.gauge("dse.engine.batch_size", len(programs))
     telemetry.count(f"dse.engine.backend.{backend}", len(programs))
-    kernel = _sweep_kernel() if backend == "numpy" and programs else None
+    full = [p for p, program in enumerate(programs) if program.periods is None]
+    kernel = _sweep_kernel() if backend == "numpy" and full else None
     if kernel is None:
-        if backend == "numpy":
-            telemetry.count("dse.engine.kernel_unavailable", len(programs))
+        if backend == "numpy" and full:
+            telemetry.count("dse.engine.kernel_unavailable", len(full))
         return [replay_program(program) for program in programs]
-    results: List[Optional[ProgramResult]] = [None] * len(programs)
-    for horizon in {program.iterations for program in programs}:
-        positions = [p for p, program in enumerate(programs) if program.iterations == horizon]
+    results: List[Optional[ProgramResult]] = [
+        None if program.periods is None else replay_program(program) for program in programs
+    ]
+    for horizon in {programs[p].iterations for p in full}:
+        positions = [p for p in full if programs[p].iterations == horizon]
         group = [programs[p] for p in positions]
         try:
             swept = _kernel_sweep(kernel, group)

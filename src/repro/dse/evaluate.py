@@ -82,13 +82,14 @@ class CandidateEvaluation:
     #: so multi-output designs are not silently scored on one output only.
     per_output_instants: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
     #: Scoring path that actually produced these objectives: ``"replay"``
-    #: (every iteration computed) or ``"steady"`` (periodic regime certified
-    #: and extrapolated).  Not an objective -- excluded from :meth:`metrics`;
-    #: the campaign layer records it per job for provenance.
+    #: (every iteration computed) or ``"steady"`` (the steady mode of the
+    #: sweep: periodic regime certified and extrapolated when it settles).
+    #: Not an objective -- excluded from :meth:`metrics`; the campaign layer
+    #: records it per job for provenance.
     evaluator: str = "replay"
     #: Array backend that actually swept these instants: ``"python"`` (the
-    #: zero-dependency reference, also reported by the object-graph and
-    #: explicit paths) or ``"numpy"`` (vectorised across a candidate batch).
+    #: zero-dependency reference, also reported by the explicit path) or
+    #: ``"numpy"`` (vectorised across a candidate batch).
     #: Like ``evaluator``, pure provenance -- excluded from :meth:`metrics`.
     backend: str = "python"
 
@@ -290,12 +291,12 @@ def evaluate_candidate(
     silently ignores the mode, so campaign workers stay interchangeable.
 
     ``backend`` selects the array engine (``"python"``/``"numpy"``/
-    ``"auto"``, see :func:`repro.dse.engine.resolve_backend`): when given,
-    the compiled path scores through the lowered array sweep of
+    ``"auto"``/``None``, see :func:`repro.dse.engine.resolve_backend`): the
+    compiled path scores through the lowered array sweep of
     :meth:`~repro.dse.compile.CompiledProblem.evaluate_batch` (a batch of
-    one); ``None`` keeps the object-graph reference loop.  The
-    from-scratch path ignores it.  All combinations produce bit-identical
-    objectives.
+    one), so ``None`` resolves exactly as in :func:`evaluate_candidates`.
+    The from-scratch path ignores it.  All combinations produce
+    bit-identical objectives.
     """
     if evaluator not in EVALUATOR_MODES:
         raise ModelError(
@@ -306,12 +307,9 @@ def evaluate_candidate(
     if compiled:
         from .compile import compiled_problem
 
-        compiled_prob = compiled_problem(problem, parameters)
-        if backend is not None:
-            return compiled_prob.evaluate_batch(
-                [candidate], evaluator=evaluator, backend=backend
-            )[0]
-        return compiled_prob.evaluate(candidate, evaluator=evaluator)
+        return compiled_problem(problem, parameters).evaluate_batch(
+            [candidate], evaluator=evaluator, backend=backend
+        )[0]
     resolved = problem.parameters(parameters)
     return evaluate_mapping(
         problem.application_factory(resolved),

@@ -245,49 +245,6 @@ class TDGEvaluator:
             raise ComputationError("no iteration has been evaluated yet")
         return {node.name: self._current[node.index] for node in self._nodes}
 
-    def values_snapshot(self) -> List[Optional[int]]:
-        """All node values of the most recently evaluated iteration, by node index.
-
-        The cheap (list-copy, no dict) form of :meth:`last_values`; the
-        steady-state detector compares consecutive snapshots every iteration,
-        so this must not dominate the cost of :meth:`step` itself.
-        """
-        if self._iteration == 0:
-            raise ComputationError("no iteration has been evaluated yet")
-        return list(self._current)
-
-    def extend_recorded(self, extra: int, delta_ps: int) -> None:
-        """Append ``extra`` arithmetic continuations to every recorded history.
-
-        Each recorded node's next value is its last value plus ``delta_ps``,
-        then the one after adds another ``delta_ps``, and so on -- the exact
-        continuation of a system whose whole state has entered the periodic
-        regime with drift ``delta_ps`` per iteration.  The iteration counter
-        advances accordingly, but the ring buffers are *not* extended: after
-        this call the evaluator is only good for reading recorded histories,
-        not for further :meth:`step` calls.
-
-        The steady-state DSE evaluator scores a certified tail in closed form
-        and calls this only on its fallback path, when a resource's intervals
-        cannot be proven disjoint and must be merged in full
-        (``dse.steady.tail_materialized``).
-        """
-        if extra < 0:
-            raise ComputationError("cannot extend recorded histories by a negative count")
-        if self._iteration == 0:
-            raise ComputationError("no iteration has been evaluated yet")
-        for values in self._recorded.values():
-            last = values[-1] if values else None
-            if last is None:
-                raise ComputationError(
-                    "cannot extrapolate a recorded node whose last value is ε"
-                )
-            if delta_ps:
-                values.extend(range(last + delta_ps, last + delta_ps * (extra + 1), delta_ps))
-            else:
-                values.extend([last] * extra)
-        self._iteration += extra
-
     def override_value(self, name: str, k: int, value: Optional[int]) -> None:
         """Replace the stored value of node ``name`` at iteration ``k``.
 
@@ -303,15 +260,8 @@ class TDGEvaluator:
                 f"cannot override iteration {k}: it is no longer buffered "
                 f"(ring size {self._ring_size})"
             )
-        slot = k % self._ring_size
-        row = self._ring[slot]
-        if k == self._iteration - 1:
-            self._current[index] = value
-        elif row is self._current:
-            # Only after extend_recorded: the slot still holds the last
-            # stepped iteration, whose values_snapshot() must not change.
-            row = self._ring[slot] = list(row)
-        row[index] = value
+        # The latest iteration's slot is the current value list itself.
+        self._ring[k % self._ring_size][index] = value
         if name in self._recorded:
             self._recorded[name][k] = value
 

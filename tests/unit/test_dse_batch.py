@@ -26,7 +26,7 @@ from repro.dse.evaluate import (
     evaluate_candidate,
     evaluate_candidates,
 )
-from repro.dse.scenario import DSE_SCENARIO
+from repro.dse.scenario import DSE_SCENARIO, execute_dse_batch, execute_dse_job
 from repro.errors import CampaignError, ModelError
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -215,6 +215,27 @@ class TestCampaignPlumbing:
                     continue
                 assert fast.get(key) == slow.get(key), key
             assert fast.get("backend") == "python"
+
+    @pytest.mark.skipif(
+        not numpy_available(), reason="without numpy every request resolves to python"
+    )
+    def test_single_job_records_the_backend_its_batch_would(self, monkeypatch):
+        """With no backend requested, a single job is a batch of one: it must
+        record the backend its batch siblings resolve to, or a store of one
+        default-backend run mixes backends and ``dse front`` warns."""
+        monkeypatch.delenv("REPRO_DSE_BACKEND", raising=False)
+        jobs = [self.spec().job(0)]
+        problem = get_problem("didactic")
+        for candidate in candidates_of(problem, {"items": 4}, count=3)[1:]:
+            parameters = {"problem": "didactic", "items": 4, "seed": 0}
+            parameters.update(candidate.to_parameters())
+            jobs.append(ScenarioSpec(scenario=DSE_SCENARIO, parameters=parameters).job(0))
+        parameters_list = [dict(job.spec.parameters, seed=job.seed) for job in jobs]
+        assert all(job.spec.backend is None for job in jobs)
+        batched = execute_dse_batch(jobs, parameters_list)
+        for job, parameters, sibling in zip(jobs, parameters_list, batched):
+            single = execute_dse_job(job, parameters)
+            assert single["backend"] == sibling["backend"] == resolve_backend(None)
 
     def test_run_job_batch_falls_back_on_mixed_scenarios(self):
         payloads = self._payloads(count=2)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.archmodel import ArchitectureModel
 from repro.core.builder import build_equivalent_spec, build_template, specialize_template
-from repro.core.compute import InstantComputer
 from repro.dse import (
     CandidateEvaluation,
     CompiledProblem,
@@ -157,12 +156,14 @@ class TestCompiledProblem:
         assert len(_CACHE) == 0  # never compiled
 
     def test_forced_fallback_replays_through_event_driven_harness(self, problem, monkeypatch):
-        # When the closed-form replay bails out (_run -> None), evaluate must
+        # When the closed-form sweep bails out (a None result), evaluate must
         # hand the candidate to the exact evaluate_mapping path with the
         # problem's own stimuli and still produce identical objectives.
         compiled = CompiledProblem(problem, {"items": 6})
         candidate = problem.space({"items": 6}).default_candidate()
-        monkeypatch.setattr(CompiledProblem, "_run", lambda self, spec, computer: None)
+        monkeypatch.setattr(
+            compile_module, "replay_batch", lambda programs, backend: [None] * len(programs)
+        )
         fast = compiled.evaluate(candidate)
         slow = evaluate_candidate(problem, candidate, {"items": 6}, compiled=False)
         assert fast.feasible
@@ -174,14 +175,20 @@ class TestCompiledProblem:
         # form (the event-driven harness would have applied a correction).
         compiled = CompiledProblem(problem, {"items": 4})
         candidate = problem.space({"items": 4}).default_candidate()
-        original = InstantComputer.compute_iteration
+        original = compile_module.lower_spec
 
-        def regressing(self, instants, tokens):
-            outputs = original(self, instants, tokens)
-            # negating makes iteration 1's offer smaller than iteration 0's
-            return {rel: (None if v is None else -v) for rel, v in outputs.items()}
+        def regressing(*args, **kwargs):
+            program = original(*args, **kwargs)
+            # The first output now reads the first exchange plus a weight
+            # falling faster than the offers rise, so iteration 1's offer is
+            # smaller than iteration 0's.
+            offer, exchange = program.outputs[0][1], program.inputs[0][1]
+            falling = [10**15 - 10**14 * k for k in range(program.iterations)]
+            plan_arcs = list(program.plan_arcs)
+            plan_arcs[program.plan_nodes.index(offer)] = ((exchange, 0, falling),)
+            return program._replace(plan_arcs=plan_arcs)
 
-        monkeypatch.setattr(InstantComputer, "compute_iteration", regressing)
+        monkeypatch.setattr(compile_module, "lower_spec", regressing)
         sentinel = CandidateEvaluation(candidate=candidate, infeasible="fallback-sentinel")
         monkeypatch.setattr(compile_module, "evaluate_mapping", lambda *a, **k: sentinel)
         assert compiled.evaluate(candidate) is sentinel

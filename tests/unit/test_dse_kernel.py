@@ -32,7 +32,7 @@ from repro.dse.engine import (  # noqa: E402
     EPSILON_THRESHOLD,
     NEG_EPSILON,
     ArrayProgram,
-    _disjoint_span,
+    _interleaved_span,
     _merged_span,
     replay_batch,
     replay_program,
@@ -331,9 +331,17 @@ OVERFLOW_CASES = {
 
 def closed_form_holds(histories):
     """Whether the kernel must score this resource itself: the Python closed
-    form holds (stable slot order, no ε, no decrease) and busy fits int64."""
-    span = _disjoint_span(histories)
-    return span is not None and span[0] <= INT64_MAX
+    form holds on the int rows (stable slot order, no ε, no decrease) and
+    busy fits int64."""
+    rows = [
+        (
+            [NEG_EPSILON if v is None else v for v in starts],
+            [NEG_EPSILON if v is None else v for v in ends],
+        )
+        for starts, ends in histories
+    ]
+    span = _interleaved_span(rows)
+    return span is not None and span[1] > EPSILON_THRESHOLD and span[0] <= INT64_MAX
 
 
 class TestKernelSpans:

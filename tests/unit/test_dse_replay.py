@@ -7,14 +7,22 @@ row, in a program with no negative weight and no arc from a row nothing
 writes -- drops the ε test altogether.  :func:`masked_replay` below is
 the previous sweep, which tests every read; on random programs (ε rows,
 arc-less nodes, zero, huge and negative weight streams, delays 0-4) both
-must return the same result.  Needs no numpy and no C compiler.
+must return the same result.
+
+The steady mode (a program carrying its inputs' ``periods``) stops at
+the certified periodic regime and writes the rest in closed form; on
+random programs with constant streams and arithmetic offer schedules it
+must return exactly what the full sweep returns, ``None`` included.
+Needs no numpy and no C compiler.
 """
 
 import random
+from collections import Counter
 from typing import List, Optional
 
 import pytest
 
+from repro import telemetry
 from repro.dse.engine import (
     EPSILON_THRESHOLD,
     NEG_EPSILON,
@@ -238,3 +246,149 @@ def test_a_short_zero_stream_still_fails_where_read():
     for replay in (masked_replay, replay_program):
         with pytest.raises(IndexError):
             replay(program)
+
+
+# ----------------------------------------------------------------------
+# steady mode
+# ----------------------------------------------------------------------
+def steady_program(rng: random.Random) -> ArrayProgram:
+    """A random program for the steady mode: constant weight streams and
+    arithmetic offer schedules.
+
+    Mixed in: back-pressure from ready arcs (an input whose exchanges
+    outrun its schedule is dominance-locked), zero periods and weights
+    (zero drift), long execute slots (overlapping intervals, so the tail
+    is written out and merged), horizons too short to certify, a row
+    nothing writes, a node that stays in the ε range until the instants
+    grow past an offset and then takes over an output, and an output fed
+    by a falling stream, which decreases before any certificate.
+    """
+    iterations = rng.choice([1, 2, 3, 6, 12, 30, 60])
+    # Now and then every weight and period is zero: the state cannot drift.
+    still = rng.random() < 0.1
+
+    def constant(value):
+        return [value] * iterations
+
+    def weight():
+        if still:
+            return constant(0)
+        return constant(rng.choice([0, 0, rng.randint(1, 30), rng.randint(30, 300)]))
+
+    n_inputs = rng.randint(1, 2)
+    never = int(rng.random() < 0.1)
+    n_plan = rng.randint(1, 6)
+    vocabulary = list(range(n_inputs + never + n_plan))
+    rng.shuffle(vocabulary)
+    exchange = vocabulary[:n_inputs]
+    plan_nodes = vocabulary[n_inputs + never :]
+    plan_arcs = []
+    for position in range(n_plan):
+        arcs = []
+        if rng.random() < 0.95:  # a row already written this iteration
+            arcs.append((rng.choice(exchange + plan_nodes[:position]), 0, weight()))
+        for _ in range(rng.randint(0, 2)):  # feedback, up to three iterations back
+            arcs.append((rng.choice(plan_nodes), rng.randint(1, 3), weight()))
+        plan_arcs.append(tuple(arcs))
+    outputs = [(f"out{o}", rng.choice(plan_nodes)) for o in range(rng.randint(1, 2))]
+    node_count = len(vocabulary)
+    if rng.random() < 0.25:
+        # B = E - 2**61 - r is ε until E passes r; C = max(E + a, B + 2**61 + s)
+        # then jumps to E - r + s.
+        b, c = node_count, node_count + 1
+        node_count += 2
+        offset = rng.randint(0, 400)
+        plan_nodes += [b, c]
+        plan_arcs.append(((exchange[0], 0, constant(-(2**61) - offset)),))
+        plan_arcs.append(
+            ((exchange[0], 0, weight()), (b, 0, constant(2**61 + offset + rng.randint(1, 50))))
+        )
+        outputs.append(("crossing", c))
+    if rng.random() < 0.1:
+        falling = node_count
+        node_count += 1
+        plan_nodes.append(falling)
+        plan_arcs.append(((exchange[0], 0, [10**6 - 10**5 * k for k in range(iterations)]),))
+        outputs.append(("falling", falling))
+    inputs, periods = [], []
+    for i, row in enumerate(exchange):
+        period = 0 if still else rng.choice([0, rng.randint(1, 40), rng.randint(40, 300)])
+        start = rng.randint(0, 100)
+        ready = tuple(
+            (rng.choice(plan_nodes), rng.randint(1, 3), weight())
+            for _ in range(rng.choice([0, 1, 1, 2]))
+        )
+        inputs.append((f"in{i}", row, [start + period * k for k in range(iterations)], ready))
+        periods.append(period)
+    rows = list(range(node_count))
+    slots = [
+        (f"R{r}", [(rng.choice(rows), rng.choice(rows)) for _ in range(rng.randint(1, 3))])
+        for r in range(rng.randint(1, 2))
+    ]
+    return ArrayProgram(
+        iterations=iterations,
+        node_count=node_count,
+        plan_nodes=plan_nodes,
+        plan_arcs=plan_arcs,
+        inputs=inputs,
+        outputs=outputs,
+        slots=slots,
+        periods=tuple(periods),
+    )
+
+
+def test_steady_mode_equals_the_full_sweep():
+    seen: Counter = Counter()
+    for seed in range(1500):
+        program = steady_program(random.Random(seed))
+        with telemetry.collect(enable=True) as scope:
+            steady = replay_program(program)
+            snapshot = scope.snapshot()
+        assert steady == replay_program(program._replace(periods=None)), seed
+        counters = snapshot["counters"]
+        seen["none"] += steady is None
+        if counters.get("dse.steady.extrapolations"):
+            cycle = snapshot["gauges"]["dse.steady.cycle_ps"]
+            seen["certified"] += 1
+            seen["zero drift"] += cycle == 0
+            seen["dominance lock"] += any(cycle != period for period in program.periods)
+            seen["merged tail"] += bool(counters.get("dse.steady.tail_materialized"))
+            seen["crossing"] += any(name == "crossing" for name, _ in program.outputs)
+        if counters.get("dse.steady.exhausted"):
+            seen["short horizon"] += program.iterations <= 3
+    # Every shape the certificate has to get right is reached, repeatedly.
+    shapes = (
+        "none",
+        "certified",
+        "zero drift",
+        "dominance lock",
+        "merged tail",
+        "crossing",
+        "short horizon",
+    )
+    assert all(seen[shape] >= 10 for shape in shapes), seen
+
+
+def test_steady_mode_returns_the_full_result_object_for_object():
+    # A chain E -> B -> C with feedback C(k-1) -> ready: the exchange is
+    # paced by the consumer (cycle 25 > period 10), so the input locks by
+    # dominance and the sweep stops after a few iterations.
+    iterations = 40
+    program = ArrayProgram(
+        iterations=iterations,
+        node_count=3,
+        plan_nodes=[1, 2],
+        plan_arcs=[((0, 0, [5] * iterations),), ((1, 0, [20] * iterations),)],
+        inputs=[("in", 0, [10 * k for k in range(iterations)], ((2, 1, [0] * iterations),))],
+        outputs=[("out", 2)],
+        slots=[("R", [(0, 1), (1, 2)])],
+        periods=(10,),
+    )
+    with telemetry.collect(enable=True) as scope:
+        steady = replay_program(program)
+        counters = scope.snapshot()["counters"]
+    assert counters["dse.steady.extrapolations"] == 1
+    assert counters["dse.compile.replay_steps"] < 10
+    assert steady == replay_program(program._replace(periods=None))
+    assert steady[1]["out"] == [25 * k + 25 for k in range(iterations)]
+

@@ -1,36 +1,36 @@
-"""The utilisation routines of ``CompiledProblem._assemble``.
+"""The span and utilisation routines behind ``CompiledProblem._assemble``.
 
-``_resource_spans`` scores each resource's ``(busy, lo, hi)`` on the
-object-graph paths and ``_utilization`` is the one window/rounding
-epilogue of every path.  Properties under test: the sort-free closed
-form (interleave each resource's slots, check the sequence never
-decreases, subtract the sums) equals the sort-and-merge reference
-exactly -- as integer busy totals and as the rounded fraction -- on
-random multi-slot interval sets with overlaps, touching and zero-length
-intervals and ε gaps; a steady run's closed-form periodic tail equals
-the same tail written out in full; and a resource whose intervals
-overlap takes the materialise-and-merge fallback while staying
-bit-identical to replay.
+The sweep scores each resource's ``(busy, lo, hi)`` on its int history
+rows (ε as the :data:`NEG_EPSILON` sentinel) and ``_utilization`` is the
+one window/rounding epilogue of every path.  Properties under test: the
+sort-free closed form (interleave each resource's slots, check the
+sequence never decreases, subtract the sums) equals the sort-and-merge
+reference exactly -- as integer busy totals and as the rounded fraction
+-- on random multi-slot interval sets with overlaps, touching and
+zero-length intervals and ε gaps; a steady run's closed-form periodic
+tail equals the same tail written out arithmetically on the rows; and a
+resource whose intervals overlap takes the write-out-and-merge fallback
+while staying bit-identical to replay.
 """
 
 import dataclasses
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from repro import telemetry
 from repro.archmodel.platform import PlatformModel, ProcessingResource
-from repro.core.compute import InstantComputer
 from repro.dse import CompiledProblem, get_problem
-from repro.dse.compile import (
-    _CACHE,
-    _disjoint_span,
+from repro.dse.compile import _CACHE, _utilization
+from repro.dse.engine import (
+    EPSILON_THRESHOLD,
+    NEG_EPSILON,
+    ArrayProgram,
+    _interleaved_span,
     _merged_busy,
     _merged_span,
-    _resource_spans,
-    _SteadyTail,
-    _utilization,
+    lower_spec,
+    replay_program,
 )
 from repro.errors import ReproError
 
@@ -85,6 +85,47 @@ def live_intervals(histories):
     ]
 
 
+def int_row(values):
+    """A history as a sweep row: ε (``None``) becomes the int sentinel."""
+    return [NEG_EPSILON if v is None else v for v in values]
+
+
+def closed_form(histories, tail=None):
+    """The sweep's closed form on int rows; ``None`` where it must merge."""
+    rows = [(int_row(starts), int_row(ends)) for starts, ends in histories]
+    span = _interleaved_span(rows, tail)
+    return None if span is None or span[1] <= EPSILON_THRESHOLD else span
+
+
+def span_program(resources, iterations):
+    """A program whose plan rows replay the given slot histories verbatim.
+
+    Row 0 is the exchange (always 0); every history becomes a plan node
+    reading it with the history itself as weight stream, so ε (``None``)
+    stays ε.
+    """
+    plan_nodes, plan_arcs = [], []
+
+    def row(values):
+        plan_nodes.append(len(plan_nodes) + 1)
+        plan_arcs.append(((0, 0, int_row(values)),))
+        return plan_nodes[-1]
+
+    slots = [
+        (name, [(row(starts), row(ends)) for starts, ends in histories])
+        for name, histories in resources
+    ]
+    return ArrayProgram(
+        iterations=iterations,
+        node_count=1 + len(plan_nodes),
+        plan_nodes=plan_nodes,
+        plan_arcs=plan_arcs,
+        inputs=[("in0", 0, [0] * iterations, ())],
+        outputs=[("out", 0)],
+        slots=slots,
+    )
+
+
 def shaped(case):
     """Random resource shapes: (iterations, slots, overlap, epsilon, shuffle)."""
     rng = random.Random(case)
@@ -114,7 +155,7 @@ class TestClosedFormMatchesMerge:
                 max(end for _, end in intervals),
             )
             assert _merged_busy(intervals) == merged[0]
-            closed = _disjoint_span(histories)
+            closed = closed_form(histories)
             if closed is None:
                 slow += 1
             else:
@@ -126,23 +167,18 @@ class TestClosedFormMatchesMerge:
     def test_rounded_fractions_over_several_resources(self):
         for case in range(200):
             rng = random.Random(10_000 + case)
-            execute_nodes, usage, reference = [], {}, {}
+            iterations = rng.randrange(1, 12)
+            reference, slot_histories = {}, []
             resources = [f"R{index}" for index in range(rng.randrange(1, 4))]
             for resource in resources:
-                _, shape = shaped(rng.randrange(10**6))
-                histories = random_slots(rng, *shape)
+                _, (_, *shape) = shaped(rng.randrange(10**6))
+                histories = random_slots(rng, iterations, *shape)
                 reference[resource] = live_intervals(histories)
-                for slot, (starts, ends) in enumerate(histories):
-                    start_node, end_node = f"s[{resource}{slot}]", f"e[{resource}{slot}]"
-                    usage[start_node], usage[end_node] = starts, ends
-                    execute_nodes.append(
-                        SimpleNamespace(
-                            resource=resource, start_node=start_node, end_node=end_node
-                        )
-                    )
+                slot_histories.append((resource, histories))
             everything = [pair for pairs in reference.values() for pair in pairs]
             requested = resources + ["idle"]  # a used resource with no slot
-            got = _utilization(requested, _resource_spans(execute_nodes, usage))
+            _, _, spans = replay_program(span_program(slot_histories, iterations))
+            got = _utilization(requested, spans)
             if not everything:
                 assert got == {resource: 0.0 for resource in requested}
                 continue
@@ -170,7 +206,7 @@ def periodic_prefix(rng, iterations, slots):
 
 
 def written_out(histories, extra, cycle):
-    """The tail as ``extend_recorded`` writes it: last value plus j * cycle."""
+    """The tail written out arithmetically: last value plus j * cycle."""
     return [
         (
             starts + [starts[-1] + j * cycle for j in range(1, extra + 1)],
@@ -185,16 +221,17 @@ class TestClosedFormTail:
         for case in range(300):
             rng = random.Random(20_000 + case)
             histories, cycle = periodic_prefix(rng, rng.randrange(2, 8), rng.randrange(1, 5))
-            if _disjoint_span(histories) is None:
+            if closed_form(histories) is None:
                 continue  # an overlapping prefix takes the merge fallback
             extra = rng.randrange(1, 30)
-            tail = _SteadyTail(extra, cycle, computer=None)
             full = written_out(histories, extra, cycle)
-            assert _disjoint_span(histories, tail) == _merged_span(full), case
-            assert _disjoint_span(full) == _merged_span(full), case
+            assert closed_form(histories, (extra, cycle)) == _merged_span(full), case
+            assert closed_form(full) == _merged_span(full), case
 
     @pytest.mark.parametrize("name", ["chain-periodic", "didactic-periodic"])
-    def test_steady_runs_match_extend_recorded(self, name):
+    def test_steady_runs_match_the_written_out_rows(self, name):
+        # The steady mode scores the certified tail in closed form; the full
+        # sweep writes every row out.  Both must give the same spans.
         params = {"items": 60}
         compiled = CompiledProblem(get_problem(name), params)
         candidates = list(
@@ -206,17 +243,16 @@ class TestClosedFormTail:
                 spec = compiled._prepare(candidate)
             except ReproError:
                 continue  # infeasible service order
-            computer = InstantComputer(spec, record_usage=True)
-            run = compiled._run_steady(spec, computer)
-            if run is None or run[3] is None:
+            assert compiled._steady_gate(spec) is None
+            program = lower_spec(spec, compiled.stimuli, params["items"], steady=True)
+            with telemetry.collect(enable=True) as scope:
+                steady = replay_program(program)
+                counters = scope.snapshot()["counters"]
+            if not counters.get("dse.steady.extrapolations"):
                 continue
             certified += 1
-            tail = run[3]
-            prefix = computer.usage_instants()
-            closed = _resource_spans(spec.execute_nodes, prefix, tail)
-            full = tail.materialize()  # extend_recorded on the live evaluator
-            assert len(next(iter(full.values()))) == run[2]
-            assert closed == _resource_spans(spec.execute_nodes, full)
+            assert counters.get("dse.steady.tail_materialized", 0) == 0
+            assert steady == replay_program(program._replace(periods=None))
         assert certified > 0
 
 

@@ -6,8 +6,8 @@ implementation (per-node rings, a per-node write-back after every step),
 kept verbatim as the oracle.  Hypothesis builds random graphs -- delays
 0-3, constant, plain-callable and workload-backed weights, ε inputs --
 and interleaves ``step`` with ``override_value``, ``peek_delayed``,
-``value``, recorded histories, listeners and ``extend_recorded``; both
-evaluators must agree on every result and every error.
+``value``, recorded histories and listeners; both evaluators must agree
+on every result and every error.
 """
 
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -196,28 +196,6 @@ class ReferenceEvaluator:
             raise ComputationError("no iteration has been evaluated yet")
         return {node.name: self._current[node.index] for node in self._nodes}
 
-    def values_snapshot(self) -> List[Optional[int]]:
-        if self._iteration == 0:
-            raise ComputationError("no iteration has been evaluated yet")
-        return list(self._current)
-
-    def extend_recorded(self, extra: int, delta_ps: int) -> None:
-        if extra < 0:
-            raise ComputationError("cannot extend recorded histories by a negative count")
-        if self._iteration == 0:
-            raise ComputationError("no iteration has been evaluated yet")
-        for values in self._recorded.values():
-            last = values[-1] if values else None
-            if last is None:
-                raise ComputationError(
-                    "cannot extrapolate a recorded node whose last value is ε"
-                )
-            if delta_ps:
-                values.extend(range(last + delta_ps, last + delta_ps * (extra + 1), delta_ps))
-            else:
-                values.extend([last] * extra)
-        self._iteration += extra
-
     def override_value(self, name: str, k: int, value: Optional[int]) -> None:
         index = self._require_node(name)
         if k < 0 or k >= self._iteration:
@@ -300,7 +278,6 @@ _operations = st.lists(
         st.tuples(st.just("peek"), _node),
         st.tuples(st.just("value"), _node, st.one_of(st.none(), st.integers(-1, 6))),
         st.tuples(st.just("listen")),
-        st.tuples(st.just("extend"), st.integers(-1, 3), st.integers(0, 25)),
     ),
     max_size=40,
 )
@@ -317,7 +294,6 @@ def _state(evaluator) -> Tuple[Any, ...]:
     recorded = sorted(evaluator._recorded)
     return (
         evaluator.iteration,
-        _outcome(evaluator.values_snapshot),
         _outcome(evaluator.last_values),
         [(name, evaluator.recorded(name), evaluator.recorded_times(name)) for name in recorded],
     )
@@ -360,54 +336,12 @@ def test_flat_step_matches_the_reference_evaluator(graph, data, operations):
             back = operation[2]
             at = None if back is None else k - 1 - back
             results = [_outcome(lambda e=e: e.value(name, at)) for e in pair]
-        elif kind == "listen":
+        else:  # listen
             for evaluator, log in zip(pair, logs):
                 evaluator.add_listener(
                     lambda k, node, value, log=log: log.append((k, node.name, value))
                 )
             results = [None, None]
-        else:  # extend
-            results = [
-                _outcome(lambda e=e: e.extend_recorded(operation[1], operation[2]))
-                for e in pair
-            ]
         assert results[0] == results[1], operation
         assert _state(flat) == _state(reference), operation
         assert logs[0] == logs[1], operation
-
-
-def test_override_after_extend_recorded_matches_the_reference():
-    # extend_recorded advances the iteration without stepping, so the latest
-    # iteration's ring slot is no longer the last stepped value list; an
-    # override of that iteration must still reach the snapshot.
-    graph = TemporalDependencyGraph("extend")
-    graph.add_input("u")
-    graph.add_output("y")
-    graph.add_arc("u", "y", Duration(3))
-    graph.add_arc("y", "y", Duration(5), delay=1)
-    flat, reference = TDGEvaluator(graph), ReferenceEvaluator(graph)
-    for evaluator in (flat, reference):
-        for k in range(3):
-            evaluator.step({"u": 10 * k})
-        evaluator.extend_recorded(1, 7)
-        evaluator.override_value("y", evaluator.iteration - 1, 99)
-    assert _state(flat) == _state(reference)
-    assert flat.values_snapshot() == [20, 99]
-
-
-def test_override_of_the_last_stepped_slot_after_extend_matches_the_reference():
-    # extend_recorded moves the iteration on without stepping, so the ring
-    # slot of an older, still buffered iteration can be the list of the last
-    # stepped one; overriding it must leave values_snapshot() alone.
-    graph = TemporalDependencyGraph("aliased-slot")
-    graph.add_input("u")
-    graph.add_output("y")
-    graph.add_arc("u", "y", Duration(2), delay=2)
-    flat, reference = TDGEvaluator(graph), ReferenceEvaluator(graph)
-    for evaluator in (flat, reference):
-        evaluator.step({"u": 7})
-        evaluator.extend_recorded(2, 0)
-        evaluator.override_value("u", 0, None)
-    assert _state(flat) == _state(reference)
-    assert flat.values_snapshot() == [7, None]
-    assert flat.value("u", 0) is None and reference.value("u", 0) is None
