@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import gc
 import random
-import statistics
 import time
 
 import pytest
@@ -246,8 +245,8 @@ def test_dse_steady_speedup(problem_name, items, dse_bench, fresh_compile_cache)
     best-of-three plain timing, holds under ``--benchmark-disable``.  Every
     steady evaluation must actually have taken the steady path -- a silent
     fallback to replay would make the timing comparison meaningless -- and
-    the cone-reuse counters of the incremental delta-specialisation must be
-    live.  Both modes' rows land in ``BENCH_dse.json``.
+    every evaluation must have patched the template exactly once.  Both
+    modes' rows land in ``BENCH_dse.json``.
     """
     problem = get_problem(problem_name)
     parameters = {"items": items}
@@ -275,7 +274,7 @@ def test_dse_steady_speedup(problem_name, items, dse_bench, fresh_compile_cache)
 
     assert _counter(snapshot, "dse.steady.extrapolations") >= 3 * len(candidates)
     assert _counter(snapshot, "dse.steady.fallbacks") == 0
-    assert _counter(snapshot, "dse.compile.delta_arcs_reused") > 0
+    assert _counter(snapshot, "dse.compile.specializations") == 6 * len(candidates)
 
     speedup = best["replay"] / best["steady"]
     for mode in ("replay", "steady"):
@@ -322,7 +321,7 @@ MODEL_SPECS = 32
 
 
 def _batch_fixture(problem_name, items, batch):
-    from repro.dse.engine import lower_spec, replay_batch
+    from repro.dse.engine import replay_batch
 
     if problem_name in _batch_fixtures:
         return _batch_fixtures[problem_name]
@@ -340,20 +339,12 @@ def _batch_fixture(problem_name, items, batch):
     # cycling candidates keeps the sweep workload realistic (timing only --
     # the identity properties are asserted elsewhere on distinct candidates).
     candidates = (base * (batch // len(base) + 1))[:batch]
-    # One fresh specialisation per distinct candidate.  Delta-specialisation
-    # mutates one shared graph, so specs kept from it would all carry the
-    # last candidate's arcs beside their own resource slots.
+    # The equivalent model runs on each candidate's object graph (the
+    # reference specialisation); the sweep replays the candidate's patch
+    # over the lowered template, exactly as evaluate_batch lowers it.
     fresh = {id(c): compiled.specialize(c) for c in base}
     specs = [fresh[id(c)] for c in candidates]
-    iterations = [
-        min(len(compiled.stimuli[b.relation]) for b in spec.boundary_inputs)
-        for spec in specs
-    ]
-    stream_cache = {}
-    programs = [
-        lower_spec(spec, compiled.stimuli, count, stream_cache=stream_cache)
-        for spec, count in zip(specs, iterations)
-    ]
+    programs = [compiled._lower(candidate, "replay") for candidate in candidates]
 
     best_single = float("inf")
     for _ in range(3):
@@ -492,22 +483,21 @@ def test_dse_throughput_matrix(problem_name, mode, dse_bench):
     )
 
 
-def test_dse_telemetry_overhead_under_five_percent(dse_bench):
+def test_dse_telemetry_overhead_under_five_percent(dse_bench, monkeypatch):
     """Enabled telemetry must cost < 5% on the compiled inner loop.
 
-    The estimator is the median of paired differences: each round times the
-    same warmed batch back to back with telemetry disabled then enabled, and
-    only the within-round difference counts.  Shared-runner noise comes in
-    phases lasting longer than a whole round, so adjacent timings share their
-    phase and the difference cancels it; the median then rejects the rounds a
-    phase boundary splits.  (A minimum-of-rounds ratio is not robust here --
-    one scope's minimum can land in a quiet phase the other never saw.)  The
-    cyclic garbage collector is paused around the timed loops: the enabled
-    loop allocates more, so it draws more collection passes, whose cost
-    scales with whatever the *rest* of the session left on the heap -- that
-    is heap rent, not telemetry cost, and it is what this assertion budgets.
-    The batch replays more items than the throughput cases so the workload
-    dominates the timer granularity.
+    The estimator measures the telemetry calls themselves instead of the
+    difference between two whole-loop timings (that difference is a few
+    tenths of a percent, far below a shared host's loop-to-loop noise).  One
+    enabled batch runs with recording wrappers around ``telemetry.count``,
+    ``gauge``, ``observe_ns`` and ``span``, which capture every call it
+    makes, arguments included.  The overhead is then the best-of-N time of
+    replaying exactly those calls in an enabled scope, divided by the
+    best-of-N time of the batch with telemetry disabled.  The replay times
+    enabled calls, not their disabled no-op cost that the disabled batch
+    already pays, so the estimate is an upper bound.  The batch replays
+    more items than the throughput cases so the workload dominates the
+    timer granularity.
     """
     assert not telemetry.enabled()
     problem = get_problem("didactic")
@@ -518,29 +508,44 @@ def test_dse_telemetry_overhead_under_five_percent(dse_bench):
     for candidate in candidates:  # warm the template and duration tables
         assert compiled.evaluate(candidate).feasible
 
-    deltas = []
     best_off = float("inf")
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(15):
-            with telemetry.collect(enable=False):
-                tick = time.perf_counter()
-                for candidate in candidates:
-                    compiled.evaluate(candidate)
-                off = time.perf_counter() - tick
-            with telemetry.collect(enable=True):
-                tick = time.perf_counter()
-                for candidate in candidates:
-                    compiled.evaluate(candidate)
-                on = time.perf_counter() - tick
-            best_off = min(best_off, off)
-            deltas.append(on - off)
-    finally:
-        gc.enable()
+    for _ in range(7):
+        with telemetry.collect(enable=False):
+            tick = time.perf_counter()
+            for candidate in candidates:
+                compiled.evaluate(candidate)
+            best_off = min(best_off, time.perf_counter() - tick)
 
-    overhead = statistics.median(deltas) / best_off
-    best_on = best_off + statistics.median(deltas)  # for the failure message
+    calls = []
+    for name in ("count", "gauge", "observe_ns", "span"):
+        original = getattr(telemetry, name)
+
+        def recording(*args, _original=original, **kwargs):
+            calls.append((_original, args, kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(telemetry, name, recording)
+    with telemetry.collect(enable=True):
+        for candidate in candidates:
+            compiled.evaluate(candidate)
+    monkeypatch.undo()
+    spans = [(call, args, kwargs) for call, args, kwargs in calls if call is telemetry.span]
+    points = [(call, args, kwargs) for call, args, kwargs in calls if call is not telemetry.span]
+    assert spans and points  # the loop is instrumented
+
+    best_calls = float("inf")
+    for _ in range(15):
+        with telemetry.collect(enable=True):
+            tick = time.perf_counter()
+            for call, args, kwargs in points:
+                call(*args, **kwargs)
+            for call, args, kwargs in spans:
+                with call(*args, **kwargs):
+                    pass
+            best_calls = min(best_calls, time.perf_counter() - tick)
+
+    overhead = best_calls / best_off
+    best_on = best_off + best_calls  # for the failure message
     dse_bench.append(
         {
             "problem": "didactic",

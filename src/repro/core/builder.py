@@ -24,11 +24,13 @@ The construction runs in two phases:
   arcs implied by the mapping's static schedules.
 
 :func:`build_equivalent_spec` composes the two and remains the one-shot
-public entry point.  Design-space exploration keeps one template per
-problem and specialises it once per candidate
-(:class:`repro.dse.compile.CompiledProblem`), which removes the
-dominant Python-level graph-construction cost from the search inner
-loop.
+public entry point.  The mapping-dependent rule is itself split in two:
+:func:`scheduled_resource_entries` (each scheduled resource's execute
+slots in service order) and :func:`resource_schedule_arcs` (the arcs
+those slots imply).  Design-space exploration
+(:class:`repro.dse.compile.CompiledProblem`) lowers one template per
+problem onto index tables and writes each candidate's schedule arcs into
+them through these two functions, without building a graph.
 
 Node vocabulary
 ---------------
@@ -62,7 +64,7 @@ Supported groupings
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..archmodel.application import ApplicationModel, RelationKind, RelationSpec
 from ..archmodel.architecture import ArchitectureModel
@@ -74,7 +76,6 @@ from ..archmodel.workload import (
 )
 from ..errors import ModelError
 from ..kernel.simtime import Duration
-from ..tdg.arc import DependencyArc
 from ..tdg.graph import TemporalDependencyGraph
 from ..tdg.node import NodeKind
 from .spec import (
@@ -93,7 +94,7 @@ __all__ = [
     "build_template",
     "specialize_template",
     "scheduled_resource_entries",
-    "add_resource_schedule_arcs",
+    "resource_schedule_arcs",
 ]
 
 
@@ -576,9 +577,7 @@ def scheduled_resource_entries(
     Resources whose schedule serves functions outside the abstracted group are
     omitted (isolation guarantees a schedule is never split between inside and
     outside functions).  This is the mapping-dependent half of the schedule-arc
-    construction, shared by full specialisation and by the compiled evaluator's
-    incremental re-specialisation (which diffs these entries between candidates
-    to find the resources whose arcs must be rebuilt).
+    construction; :func:`resource_schedule_arcs` is the other.
     """
     execute_by_slot: Dict[Tuple[str, int], TemplateExecute] = {
         (slot.function, slot.step_index): slot for slot in template.execute_slots
@@ -597,16 +596,16 @@ def scheduled_resource_entries(
     return result
 
 
-def add_resource_schedule_arcs(
-    graph: TemporalDependencyGraph,
-    entries: List[TemplateExecute],
-    concurrency: int,
-) -> List[DependencyArc]:
-    """Add the service-order and server-availability arcs of one scheduled resource.
+def resource_schedule_arcs(
+    entries: List[TemplateExecute], concurrency: int
+) -> Iterator[Tuple[str, str, int, str]]:
+    """The service-order and server-availability arcs of one scheduled resource.
 
-    ``entries`` are the resource's execute slots in static service order.  The
-    created arcs are returned so incremental re-specialisation can later remove
-    exactly this resource's schedule arcs when its schedule changes.
+    ``entries`` are the resource's execute slots in static service order; each
+    arc is yielded as ``(source node, target node, delay, label)``, with a zero
+    weight.  The one schedule-arc rule, shared by :func:`specialize_template`
+    and the compiled DSE path, which writes the arcs into its lowered template
+    tables instead of a graph.
     """
     slots = len(entries)
 
@@ -619,33 +618,17 @@ def add_resource_schedule_arcs(
             delay += 1
         return entries[target], delay
 
-    created: List[DependencyArc] = []
     for position, entry in enumerate(entries):
         # Service order: an execution cannot start before the previous slot
         # started.  (With a single slot per iteration this degenerates to
         # start(k) >= start(k-1), which is redundant but harmless.)
         previous_entry, previous_delay = node_at(position, 1)
-        created.append(
-            graph.add_arc(
-                previous_entry.start_node,
-                entry.start_node,
-                delay=previous_delay,
-                label="service order",
-            )
-        )
+        yield previous_entry.start_node, entry.start_node, previous_delay, "service order"
         # Server availability: at most `concurrency` executions in flight,
         # so this slot cannot start before the slot `concurrency` positions
         # earlier has completed.
         server_entry, server_delay = node_at(position, concurrency)
-        created.append(
-            graph.add_arc(
-                server_entry.end_node,
-                entry.start_node,
-                delay=server_delay,
-                label="server free",
-            )
-        )
-    return created
+        yield server_entry.end_node, entry.start_node, server_delay, "server free"
 
 
 def _add_schedule_arcs(
@@ -655,7 +638,8 @@ def _add_schedule_arcs(
 ) -> None:
     """Add the service-order and server-availability arcs of every execute step."""
     for concurrency, entries in scheduled_resource_entries(template, architecture).values():
-        add_resource_schedule_arcs(graph, entries, concurrency)
+        for source, target, delay, label in resource_schedule_arcs(entries, concurrency):
+            graph.add_arc(source, target, delay=delay, label=label)
 
 
 def _check_no_intra_iteration_feedback(

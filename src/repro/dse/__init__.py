@@ -17,9 +17,10 @@ Layout
 * :mod:`repro.dse.problems` -- named application + resource-bank problems;
 * :mod:`repro.dse.evaluate` -- equivalent-model-only candidate scoring;
 * :mod:`repro.dse.compile` -- :class:`CompiledProblem`: one TDG template
-  per problem, incrementally delta-specialised per candidate, with a
-  certified steady-state evaluator (``evaluator="steady"``) that stops
-  replaying once the periodic regime locks in;
+  per problem, lowered once onto index tables; each candidate writes only
+  what its mapping decides over them, with a certified steady-state
+  evaluator (``evaluator="steady"``) that stops replaying once the
+  periodic regime locks in;
 * :mod:`repro.dse.search` -- exhaustive / random / annealing / nsga2
   strategies over objective *vectors*, with pluggable scalarisation and
   JSON-safe checkpointable state;

@@ -1,18 +1,22 @@
 """Array-lowered replay: flat int64 tables behind ``CompiledProblem.evaluate_batch``.
 
-This module lowers one *specialised*
-:class:`~repro.core.spec.EquivalentModelSpec` into an
-:class:`ArrayProgram`: contiguous integer tables (a node index
-vocabulary, per-node predecessor arc lists, per-iteration duration
-streams materialised up front, stimulus offer schedules as plain int
-lists, and per resource the rows of its execute slots) so that replaying
-the Reception/Emission protocol becomes a tight loop over list indices
--- and, with the optional ``numpy`` backend, one call of a compiled C
-transcription of that loop over the whole batch in int64 numpy buffers,
-followed by a second call that scores every resource's busy span in the
-same buffers.  Every candidate the compiled path scores goes through
-here; the protocol is written twice, in :func:`replay_program` and in
-the C kernel.
+A design problem's allocation-independent TDG template is lowered once
+(:func:`lower_template`) into a :class:`TemplateProgram`: a node index
+vocabulary, every allocation-independent arc with its constant stream or
+the execute slot whose duration table it reads, the stimulus offer
+schedules as plain int lists, and the execute slots' node indices.
+:func:`lower_spec` writes what one candidate's mapping decides over it
+-- its service-order and server-free arcs, the duration table bound to
+each slot and each slot's resource -- orders and checks the patched
+tables, and turns them into an :class:`ArrayProgram`: per-node
+predecessor arc lists over per-iteration duration streams, and per
+resource the rows of its execute slots.  Replaying the Reception/Emission
+protocol is then a tight loop over list indices -- and, with the
+optional ``numpy`` backend, one call of a compiled C transcription of
+that loop over the whole batch in int64 numpy buffers, followed by a
+second call that scores every resource's busy span in the same buffers.
+Every candidate the compiled path scores goes through here; the protocol
+is written twice, in :func:`replay_program` and in the C kernel.
 
 A replay returns ``(offers, actual, spans)``: the offer instants per
 input relation, the output instants per output relation, and per busy
@@ -45,10 +49,9 @@ Invariants:
   :func:`resolve_backend` / the ``REPRO_DSE_BACKEND`` environment
   variable.  Its kernel is built on first use into a per-user cache;
   without a C compiler the numpy backend sweeps with the reference.
-* **Lowering is conservative.**  Any weight that is not a constant or a
-  :class:`_TabulatedWeight` stream (i.e. genuinely context-dependent)
-  refuses to lower (:class:`LoweringUnsupported`), and the caller falls
-  back to the explicit simulation -- never a silently wrong instant.
+* **Every weight is a stream.**  A template weight is either constant or
+  an execute slot's workload, and the compiled problem binds every such
+  slot to a :class:`_TabulatedWeight` table, so every candidate lowers.
 
 This module also owns :class:`_TabulatedWeight` and :class:`_TokenTable`
 (shared per-iteration duration/token streams) and the span routines
@@ -67,7 +70,7 @@ import subprocess
 import sysconfig
 import tempfile
 import threading
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..archmodel.token import DataToken
@@ -75,14 +78,17 @@ from ..archmodel.workload import ExecutionTimeModel
 from ..environment.stimulus import Stimulus
 from ..errors import ComputationError, GraphError, ModelError
 from ..kernel.simtime import Duration
+from ..tdg.graph import zero_delay_order
+from ..tdg.node import NodeKind
 
 __all__ = [
     "BACKENDS",
     "NEG_EPSILON",
     "EPSILON_THRESHOLD",
     "ArrayProgram",
-    "LoweringUnsupported",
+    "TemplateProgram",
     "lower_spec",
+    "lower_template",
     "numpy_available",
     "replay_batch",
     "replay_program",
@@ -192,19 +198,6 @@ class _TokenTable:
         return tokens[k]
 
 
-class LoweringUnsupported(Exception):
-    """A specialised spec refused to lower to arrays (engine gate).
-
-    ``reason`` is a short telemetry-friendly slug (e.g. ``dynamic_weight``);
-    the caller falls back to the explicit simulation, which handles every
-    weight protocol.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 #: One lowered dependency: (source node index, delay, per-iteration weight
 #: stream).  The stream is always a materialised int list of length >= the
 #: program horizon, so the replay loop indexes instead of calling.
@@ -212,7 +205,7 @@ Arc = Tuple[int, int, Sequence[int]]
 
 
 class ArrayProgram(NamedTuple):
-    """One candidate's specialised model lowered onto flat integer tables.
+    """One candidate's model lowered onto flat integer tables.
 
     Everything the replay needs, with every name resolved to an index and
     every weight resolved to a per-iteration int stream:
@@ -223,16 +216,15 @@ class ArrayProgram(NamedTuple):
       exchange node's index, the stimulus offer schedule (ps per iteration)
       and the *delayed* arcs of the ready node (the ``peek_delayed`` set);
     * ``outputs`` -- per boundary output: the relation and offer node index;
-    * ``slots`` -- per resource, in ``spec.execute_nodes`` order: its name
+    * ``slots`` -- per resource, in template execute-slot order: its name
       and the (start node index, end node index) of each execute slot it
       serves, from which the replay scores the resource's busy span;
     * ``periods`` -- per input, the constant offer period of its stimulus
       when the program is to be replayed in steady mode, else ``None``.
       Steady mode presumes every weight stream constant over the horizon.
 
-    The program is immutable and holds no references to the (mutable,
-    shared) specialised graph, so programs from successive
-    delta-specialisations coexist in one batch.
+    Programs share the template's streams and schedules read-only, so the
+    programs of a whole batch coexist.
     """
 
     iterations: int
@@ -286,113 +278,209 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     return backend
 
 
-def lower_spec(
-    spec: Any,
-    stimuli: Mapping[str, Stimulus],
-    iterations: int,
-    stream_cache: Optional[Dict[Any, Any]] = None,
-    steady: bool = False,
-) -> ArrayProgram:
-    """Lower one specialised equivalent-model spec onto flat tables.
+class TemplateProgram(NamedTuple):
+    """A problem's allocation-independent TDG template, lowered once onto index tables.
 
-    ``stream_cache`` (optional) memoises the candidate-independent streams
-    -- materialised constant streams and stimulus offer schedules, keyed by
-    the stimulus ``id()`` -- so it may live as long as ``stimuli`` does.
-    ``steady`` records every input stimulus's offer period, selecting the
-    steady mode of :func:`replay_program`; the caller has checked that the
-    certificate can hold (every period constant, every weight stream
-    constant over the horizon).
-    Raises :class:`LoweringUnsupported` when a weight cannot be materialised
-    and :class:`~repro.errors.ComputationError`/:class:`~repro.errors.GraphError`
-    exactly where :class:`~repro.tdg.evaluator.TDGEvaluator` would (delay-0
-    ready arcs, invalid workload durations), so these candidates are reported
-    infeasible with the evaluator's message.
+    Node ``i`` is the template's ``i``-th node (the index order of every
+    graph specialised from it).  Every template arc is one of two kinds:
+
+    * ``arcs_into[i]`` -- the constant-weight arcs into node ``i``, as
+      :data:`Arc` triples over materialised constant streams;
+    * ``slot_arcs_into[i]`` -- the weight arcs of tabulated execute slots
+      into node ``i``, as ``(source, delay, slot key)``: the duration stream
+      they read is the one the candidate's mapping binds to that slot.
+
+    ``tabulated`` lists those slot keys in template arc order,
+    ``successors[i]`` the targets of node ``i``'s zero-delay template arcs
+    and ``unfed`` the computed nodes without any template arc.  Per boundary
+    input, ``inputs`` holds the relation, the exchange node, the stimulus
+    offer schedule (``None`` without a stimulus), the ready node and the
+    stimulus offer period (``None`` when aperiodic).  ``outputs`` holds
+    each boundary output's relation and offer node, ``slots`` each execute
+    slot's (start, end) nodes in template order, and ``zero`` the
+    zero-weight stream every schedule arc reads.
     """
-    graph = spec.graph
-    # Same structural validation TDGEvaluator performs on construction.
-    graph.validate()
-    cache: Dict[Any, Any] = stream_cache if stream_cache is not None else {}
 
-    def stream_of(arc: Any) -> Sequence[int]:
-        if arc.is_constant:
-            value = arc.constant_weight.picoseconds
-            key = ("const", value, iterations)
-            materialised = cache.get(key)
-            if materialised is None:
-                materialised = [value] * iterations
-                cache[key] = materialised
-            return materialised
-        table = arc.weight_callable
-        if not isinstance(table, _TabulatedWeight):
-            raise LoweringUnsupported("dynamic_weight")
-        return table.stream_ps(iterations)
+    iterations: int
+    names: Tuple[str, ...]
+    index: Mapping[str, int]
+    computed: Tuple[bool, ...]
+    arcs_into: Tuple[Tuple[Arc, ...], ...]
+    slot_arcs_into: Tuple[Tuple[Tuple[int, int, Any], ...], ...]
+    tabulated: Tuple[Any, ...]
+    successors: Tuple[Tuple[int, ...], ...]
+    unfed: Tuple[int, ...]
+    inputs: Tuple[Tuple[str, int, Optional[List[int]], int, Optional[int]], ...]
+    outputs: Tuple[Tuple[str, int], ...]
+    slots: Tuple[Tuple[int, int], ...]
+    zero: List[int]
 
-    index_of = {node.name: node.index for node in graph.nodes}
-    plan_nodes: List[int] = []
-    plan_arcs: List[Tuple[Arc, ...]] = []
-    for node in graph.topological_order():
-        if node.is_input:
-            continue
-        plan_nodes.append(node.index)
-        plan_arcs.append(
-            tuple(
-                (arc.source.index, arc.delay, stream_of(arc))
-                for arc in graph.arcs_into(node)
-            )
-        )
 
-    inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]] = []
-    for boundary in spec.boundary_inputs:
-        ready_arcs: List[Arc] = []
-        for arc in graph.arcs_into(boundary.ready_node):
-            if arc.delay == 0:
-                # Mirror of TDGEvaluator.peek_delayed's contract.
-                raise ComputationError(
-                    f"peek_delayed({boundary.ready_node!r}) requires delayed arcs "
-                    f"only, but the arc from {arc.source.name!r} has delay 0"
-                )
-            ready_arcs.append((arc.source.index, arc.delay, stream_of(arc)))
-        stimulus = stimuli[boundary.relation]
-        schedule_key = ("schedule", boundary.relation, id(stimulus), iterations)
-        schedule = cache.get(schedule_key)
-        if schedule is None:
+def lower_template(template: Any, stimuli: Mapping[str, Stimulus]) -> TemplateProgram:
+    """Lower an :class:`~repro.core.spec.EquivalentModelTemplate` onto index tables.
+
+    Runs once per problem.  The horizon is the shortest boundary-input
+    stimulus; constant streams and offer schedules are materialised for it
+    here and shared by every candidate's program.  A template arc whose
+    weight is neither ``None`` nor a :class:`~repro.kernel.simtime.Duration`
+    is an execute slot's workload weight (the builder lays no other
+    non-constant arc), so it is lowered as a reference to its slot.
+    """
+    names = tuple(node.name for node in template.nodes)
+    index = {name: i for i, name in enumerate(names)}
+    stimulus_of = [stimuli.get(boundary.relation) for boundary in template.boundary_inputs]
+    iterations = min((len(s) for s in stimulus_of if s is not None), default=0)
+    constants: Dict[int, List[int]] = {}
+    arcs_into: List[List[Arc]] = [[] for _ in names]
+    slot_arcs_into: List[List[Tuple[int, int, Any]]] = [[] for _ in names]
+    successors: List[List[int]] = [[] for _ in names]
+    tabulated: List[Any] = []
+    for arc in template.arcs:
+        source, target = index[arc.source], index[arc.target]
+        if arc.delay == 0:
+            successors[source].append(target)
+        if arc.weight is None or isinstance(arc.weight, Duration):
+            value = 0 if arc.weight is None else arc.weight.picoseconds
+            stream = constants.setdefault(value, [value] * iterations)
+            arcs_into[target].append((source, arc.delay, stream))
+        else:
+            slot_arcs_into[target].append((source, arc.delay, arc.slot))
+            tabulated.append(arc.slot)
+    computed = tuple(node.kind is not NodeKind.INPUT for node in template.nodes)
+    inputs = []
+    for boundary, stimulus in zip(template.boundary_inputs, stimulus_of):
+        schedule = period = None
+        if stimulus is not None:
             schedule = [stimulus.offer_time(k).picoseconds for k in range(iterations)]
-            cache[schedule_key] = schedule
-        inputs.append(
-            (boundary.relation, index_of[boundary.exchange_node], schedule, tuple(ready_arcs))
-        )
-
-    outputs = [(b.relation, index_of[b.offer_node]) for b in spec.boundary_outputs]
-    slots = [
-        (resource, [(index_of[start], index_of[end]) for start, end in nodes])
-        for resource, nodes in _resource_slots(spec.execute_nodes).items()
-    ]
-    return ArrayProgram(
+            period = stimulus.offer_period_ps()
+        ready = index[boundary.ready_node]
+        inputs.append((boundary.relation, index[boundary.exchange_node], schedule, ready, period))
+    return TemplateProgram(
         iterations=iterations,
-        node_count=graph.node_count,
-        plan_nodes=plan_nodes,
-        plan_arcs=plan_arcs,
-        inputs=inputs,
-        outputs=outputs,
-        slots=slots,
-        periods=(
-            tuple(stimuli[b.relation].offer_period_ps() for b in spec.boundary_inputs)
-            if steady
-            else None
+        names=names,
+        index=index,
+        computed=computed,
+        arcs_into=tuple(map(tuple, arcs_into)),
+        slot_arcs_into=tuple(map(tuple, slot_arcs_into)),
+        tabulated=tuple(tabulated),
+        successors=tuple(map(tuple, successors)),
+        unfed=tuple(
+            i for i in range(len(names)) if computed[i] and not arcs_into[i] + slot_arcs_into[i]
         ),
+        inputs=tuple(inputs),
+        outputs=tuple((b.relation, index[b.offer_node]) for b in template.boundary_outputs),
+        slots=tuple((index[s.start_node], index[s.end_node]) for s in template.execute_slots),
+        zero=constants.setdefault(0, [0] * iterations),
     )
 
 
-def _resource_slots(execute_nodes: Sequence[Any]) -> Dict[str, List[Tuple[str, str]]]:
-    """Each resource's (start node, end node) slots, in ``execute_nodes`` order.
+def lower_spec(
+    program: TemplateProgram,
+    schedule_arcs: Iterable[Tuple[str, str, int, str]],
+    tables: Mapping[Any, _TabulatedWeight],
+    resources: Sequence[str],
+    steady: bool = False,
+) -> ArrayProgram:
+    """Lower one candidate: what its mapping decides, written over the lowered template.
 
-    The order breaks ties of the span routines' stable slot sort, so every
-    scoring path groups slots here.
+    ``schedule_arcs`` are the candidate's service-order and server-free arcs
+    as :func:`~repro.core.builder.resource_schedule_arcs` yields them,
+    ``tables`` maps each tabulated slot key to the duration table the
+    mapping binds to it, and ``resources`` names each execute slot's
+    resource, in template order.  ``steady`` asks for the steady mode of
+    :func:`replay_program`: the program carries its inputs' offer periods
+    when the certificate can hold (every period constant, every bound
+    duration table constant over the horizon); otherwise the fallback is
+    counted and the program is swept in full.
+
+    Raises what the object-graph path raises, in its order, so these
+    candidates are reported infeasible with the same message: the
+    :class:`~repro.errors.GraphError` of
+    :func:`~repro.tdg.graph.zero_delay_order` (a computed node without
+    incoming arc, a zero-delay cycle), missing stimuli
+    (:class:`~repro.errors.ModelError`), then an invalid workload duration
+    (:class:`~repro.errors.GraphError`, met by the steady gate in template
+    arc order, else in evaluation order) and a delay-0 ready arc
+    (:class:`~repro.errors.ComputationError`, as
+    :meth:`~repro.tdg.evaluator.TDGEvaluator.peek_delayed` raises it).
     """
-    slots: Dict[str, List[Tuple[str, str]]] = {}
-    for entry in execute_nodes:
-        slots.setdefault(entry.resource, []).append((entry.start_node, entry.end_node))
-    return slots
+    iterations, index, zero = program.iterations, program.index, program.zero
+    slot_arcs_into = program.slot_arcs_into
+    arcs_into = list(program.arcs_into)
+    successors = list(program.successors)
+    for source, target, delay, _ in schedule_arcs:
+        arcs_into[index[target]] += ((index[source], delay, zero),)
+        if not delay:
+            successors[index[source]] += (index[target],)
+    unfed = [node for node in program.unfed if not arcs_into[node]]
+    order = zero_delay_order(program.names, successors, unfed)
+    missing = sorted(relation for relation, _, offers, _, _ in program.inputs if offers is None)
+    if missing:
+        raise ModelError(f"missing stimuli for external inputs: {missing}")
+    if steady:
+        reason = _steady_gate(program, tables)
+        if reason is not None:
+            # The steady certificate cannot hold (aperiodic inputs or
+            # iteration-dependent durations): sweep every iteration.
+            telemetry.count("dse.steady.fallbacks")
+            telemetry.count(f"dse.steady.fallback.{reason}")
+            steady = False
+
+    def arcs_of(node: int) -> Tuple[Arc, ...]:
+        arcs = arcs_into[node]
+        if slot_arcs_into[node]:
+            arcs += tuple(
+                (source, delay, tables[slot].stream_ps(iterations))
+                for source, delay, slot in slot_arcs_into[node]
+            )
+        return arcs
+
+    plan_nodes = [node for node in order if program.computed[node]]
+    plan_arcs = [arcs_of(node) for node in plan_nodes]
+    inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]] = []
+    for relation, exchange, schedule, ready, _ in program.inputs:
+        ready_arcs = arcs_of(ready)
+        for source, delay, _ in ready_arcs:
+            if delay == 0:
+                raise ComputationError(
+                    f"peek_delayed({program.names[ready]!r}) requires delayed arcs only, "
+                    f"but the arc from {program.names[source]!r} has delay 0"
+                )
+        inputs.append((relation, exchange, schedule, ready_arcs))
+    # Slots group by resource in template order, which breaks ties of the
+    # span routines' stable slot sort.
+    slots: Dict[str, List[Tuple[int, int]]] = {}
+    for resource, pair in zip(resources, program.slots):
+        slots.setdefault(resource, []).append(pair)
+    return ArrayProgram(
+        iterations=iterations,
+        node_count=len(program.names),
+        plan_nodes=plan_nodes,
+        plan_arcs=plan_arcs,
+        inputs=inputs,
+        outputs=list(program.outputs),
+        slots=list(slots.items()),
+        periods=tuple(entry[4] for entry in program.inputs) if steady else None,
+    )
+
+
+def _steady_gate(
+    program: TemplateProgram, tables: Mapping[Any, _TabulatedWeight]
+) -> Optional[str]:
+    """Why a candidate with duration ``tables`` cannot be swept in steady mode, or ``None``.
+
+    The gate is what makes extrapolation *sound*: every boundary-input
+    stimulus must promise a constant offer period, and every duration table
+    the candidate binds must be provably constant over the whole horizon
+    (every other weight is a constant).  Only then does an observed uniform
+    drift certify the future.
+    """
+    if any(period is None for *_, period in program.inputs):
+        return "aperiodic_stimulus"
+    for slot in program.tabulated:
+        if tables[slot].constant_stream_ps(program.iterations) is None:
+            return "data_dependent"
+    return None
 
 
 def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:

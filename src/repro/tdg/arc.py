@@ -57,39 +57,19 @@ class DependencyArc:
         self.label = label
         self._constant_ps: Optional[int] = None
         self._weight_fn: Optional[Callable[[int, Mapping[str, Any]], Duration]] = None
-        self._set_weight(weight)
-
-    def _set_weight(self, weight: WeightLike) -> None:
         if weight is None:
             self._constant_ps = 0
-            return
-        if isinstance(weight, Duration):
+        elif isinstance(weight, Duration):
             if weight.is_negative():
-                raise GraphError(
-                    f"arc {self.source.name!r} -> {self.target.name!r} has a negative weight"
-                )
+                raise GraphError(f"arc {source.name!r} -> {target.name!r} has a negative weight")
             self._constant_ps = weight.picoseconds
-            return
-        if callable(weight):
+        elif callable(weight):
             self._weight_fn = weight
-            return
-        raise GraphError(
-            f"arc weight must be a Duration or a callable(k, context) -> Duration, "
-            f"got {type(weight).__name__}"
-        )
-
-    def set_weight(self, weight: WeightLike) -> None:
-        """Replace the arc weight in place (both weight kinds are reset first).
-
-        This is the incremental-specialisation hook: a candidate that only
-        moved a function to a different resource swaps the affected duration
-        weights instead of rebuilding the graph.  Never call it while an
-        evaluator built on the graph is still in use -- evaluators pre-compile
-        the weight plan at construction.
-        """
-        self._constant_ps = None
-        self._weight_fn = None
-        self._set_weight(weight)
+        else:
+            raise GraphError(
+                f"arc weight must be a Duration or a callable(k, context) -> Duration, "
+                f"got {type(weight).__name__}"
+            )
 
     # -- evaluation ---------------------------------------------------------
     @property

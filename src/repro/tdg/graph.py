@@ -20,7 +20,7 @@ expression" of equations (7)-(10)).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import GraphError
 from ..maxplus.matrix import MaxPlusMatrix
@@ -29,9 +29,54 @@ from ..maxplus.scalar import MaxPlus
 from .arc import DependencyArc, WeightLike
 from .node import InstantNode, NodeKind
 
-__all__ = ["TemporalDependencyGraph"]
+__all__ = ["TemporalDependencyGraph", "zero_delay_order"]
 
 NodeRef = Union[str, InstantNode]
+
+
+def zero_delay_order(
+    names: Sequence[str],
+    successors: Sequence[Sequence[int]],
+    unfed: Sequence[int] = (),
+) -> List[int]:
+    """The evaluation order of a graph's nodes, by index, and its two structural checks.
+
+    ``names[i]`` names node ``i``; ``successors[i]`` lists the targets of its
+    zero-delay arcs, in arc order; ``unfed`` lists the computed nodes without
+    any incoming arc.  The order is Kahn's: nodes without zero-delay
+    predecessors in index order, then each node as soon as its last
+    zero-delay predecessor is placed.  Raises
+    :class:`~repro.errors.GraphError` for the first unfed node, or when the
+    zero-delay arcs hold a cycle.  Shared by
+    :class:`TemporalDependencyGraph` and the compiled DSE path, which orders
+    its patched index tables without building a graph.
+    """
+    if unfed:
+        raise GraphError(
+            f"computed node {names[unfed[0]]!r} has no incoming arc; its instants "
+            "would stay at ε forever"
+        )
+    in_degree = [0] * len(names)
+    for targets in successors:
+        for target in targets:
+            in_degree[target] += 1
+    queue = deque(index for index, degree in enumerate(in_degree) if not degree)
+    order: List[int] = []
+    while queue:
+        index = queue.popleft()
+        order.append(index)
+        for target in successors[index]:
+            in_degree[target] -= 1
+            if not in_degree[target]:
+                queue.append(target)
+    if len(order) != len(names):
+        placed = set(order)
+        remaining = sorted(name for index, name in enumerate(names) if index not in placed)
+        raise GraphError(
+            f"zero-delay dependency cycle involving nodes {remaining}: an instant "
+            "cannot depend on itself within the same iteration"
+        )
+    return order
 
 
 class TemporalDependencyGraph:
@@ -91,39 +136,6 @@ class TemporalDependencyGraph:
         self._arcs_from[arc.source.name].append(arc)
         self._topo_cache = None
         return arc
-
-    def remove_arcs(self, arcs: Iterable[DependencyArc]) -> int:
-        """Remove the given arcs from the graph; returns how many were removed.
-
-        Arcs that do not belong to the graph raise
-        :class:`~repro.errors.GraphError` (removing a foreign arc silently
-        would hide an incremental-specialisation bookkeeping bug).  Used by
-        the compiled DSE evaluator to re-propagate only the schedule arcs of
-        resources whose service order actually changed between candidates.
-        """
-        doomed = set(map(id, arcs))
-        if not doomed:
-            return 0
-        known = set(map(id, self._arcs))
-        foreign = doomed - known
-        if foreign:
-            raise GraphError(
-                f"cannot remove {len(foreign)} arc(s) that do not belong to "
-                f"graph {self.name!r}"
-            )
-        touched_targets = {arc.target.name for arc in self._arcs if id(arc) in doomed}
-        touched_sources = {arc.source.name for arc in self._arcs if id(arc) in doomed}
-        self._arcs = [arc for arc in self._arcs if id(arc) not in doomed]
-        for name in touched_targets:
-            self._arcs_into[name] = [
-                arc for arc in self._arcs_into[name] if id(arc) not in doomed
-            ]
-        for name in touched_sources:
-            self._arcs_from[name] = [
-                arc for arc in self._arcs_from[name] if id(arc) not in doomed
-            ]
-        self._topo_cache = None
-        return len(doomed)
 
     # ------------------------------------------------------------------
     # lookup
@@ -191,13 +203,13 @@ class TemporalDependencyGraph:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check structural sanity; raises :class:`~repro.errors.GraphError` on problems."""
-        for node in self._node_list:
-            if not node.is_input and not self._arcs_into[node.name]:
-                raise GraphError(
-                    f"computed node {node.name!r} has no incoming arc; its instants "
-                    "would stay at ε forever"
-                )
-        self.topological_order()
+        unfed = [
+            node.index
+            for node in self._node_list
+            if not node.is_input and not self._arcs_into[node.name]
+        ]
+        if unfed or self._topo_cache is None:
+            self._topo_cache = self._zero_delay_order(unfed)
 
     def topological_order(self) -> List[InstantNode]:
         """Evaluation order over the zero-delay dependency structure.
@@ -206,33 +218,18 @@ class TemporalDependencyGraph:
         zero-delay predecessor appears before its successor.  A cycle in the
         zero-delay structure raises :class:`~repro.errors.GraphError`.
         """
-        if self._topo_cache is not None:
-            return list(self._topo_cache)
-        in_degree: Dict[str, int] = {node.name: 0 for node in self._node_list}
-        for arc in self._arcs:
-            if arc.delay == 0:
-                in_degree[arc.target.name] += 1
-        queue = deque(
-            node for node in self._node_list if in_degree[node.name] == 0
-        )
-        order: List[InstantNode] = []
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for arc in self._arcs_from[node.name]:
-                if arc.delay != 0:
-                    continue
-                in_degree[arc.target.name] -= 1
-                if in_degree[arc.target.name] == 0:
-                    queue.append(arc.target)
-        if len(order) != len(self._node_list):
-            remaining = sorted(set(self._nodes) - {node.name for node in order})
-            raise GraphError(
-                f"zero-delay dependency cycle involving nodes {remaining}: an instant "
-                "cannot depend on itself within the same iteration"
-            )
-        self._topo_cache = order
-        return list(order)
+        if self._topo_cache is None:
+            self._topo_cache = self._zero_delay_order(())
+        return list(self._topo_cache)
+
+    def _zero_delay_order(self, unfed: Sequence[int]) -> List[InstantNode]:
+        nodes = self._node_list
+        successors = [
+            [arc.target.index for arc in self._arcs_from[node.name] if arc.delay == 0]
+            for node in nodes
+        ]
+        names = [node.name for node in nodes]
+        return [nodes[index] for index in zero_delay_order(names, successors, unfed)]
 
     # ------------------------------------------------------------------
     # export to the linear (max, +) form

@@ -69,11 +69,20 @@ class RunLedger:
         return self._path.exists()
 
     def append(self, manifest: RunManifest) -> RunManifest:
-        """Append one manifest (fsynced, like the result store) and return it."""
-        line = json.dumps(manifest.to_record(), sort_keys=True)
+        """Append one manifest (fsynced, like the result store) and return it.
+
+        A file that does not end with a newline holds a torn write from a
+        crashed append; the manifest then starts a new line, so the torn
+        fragment stays one corrupt line instead of swallowing this record.
+        """
+        line = json.dumps(manifest.to_record(), sort_keys=True) + "\n"
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        with self._path.open("ab+") as handle:  # every write lands at the end
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = "\n" + line
+            handle.write(line.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
         return manifest

@@ -57,7 +57,7 @@ class TestSpectralPredictsReplay:
             evaluation = compiled.evaluate(candidate, evaluator="replay")
             if not evaluation.feasible:
                 continue
-            spec = compiled._specialize_for_evaluation(candidate)
+            spec = compiled.specialize(candidate)
             analysis = spectral_analysis(spec.graph, weight_of=weight_of)
             instants = evaluation.output_instants
             observed = Fraction(instants[-1] - instants[-2])

@@ -138,9 +138,8 @@ class TestBatchMatchesSingle:
         assert silent
         assert {(e.backend, e.evaluator) for e in silent} == {(backend, "replay")}
 
-        spec = compiled._prepare(candidates[0])
         steady = compiled._assemble(
-            candidates[0], spec, {}, {}, {relation: []}, 0.0,
+            candidates[0], {}, {}, {relation: []}, 0.0,
             evaluator="steady", backend=backend,
         )
         assert steady.infeasible == "the model produced no output instants"

@@ -5,7 +5,9 @@ import dataclasses
 import pytest
 
 from repro.archmodel import ArchitectureModel
+from repro.archmodel.workload import ExecutionTimeModel
 from repro.core.builder import build_equivalent_spec, build_template, specialize_template
+from repro.core.spec import TemplateArc, TemplateNode
 from repro.dse import (
     CandidateEvaluation,
     CompiledProblem,
@@ -15,8 +17,11 @@ from repro.dse import (
 )
 from repro.dse import compile as compile_module
 from repro.dse.compile import _CACHE
+from repro.dse.engine import lower_template
 from repro.dse.space import MappingCandidate
-from repro.errors import ModelError
+from repro.errors import ComputationError, GraphError, ModelError
+from repro.tdg.evaluator import TDGEvaluator
+from repro.tdg.node import NodeKind
 
 
 @pytest.fixture()
@@ -201,3 +206,77 @@ class TestCompiledProblem:
                 compiled.evaluate(candidate),
                 evaluate_candidate(fork, candidate, {"items": 6}, compiled=False),
             )
+
+
+class _FailsAtThree(ExecutionTimeModel):
+    """A misbehaving workload: a negative duration from iteration 3 on."""
+
+    def duration_ps(self, k, token):
+        return 5_000 if k < 3 else -1
+
+
+def _fork_variant(**factories):
+    return dataclasses.replace(get_problem("fork"), name="fork-variant", **factories)
+
+
+class TestInfeasibilityReports:
+    def test_invalid_durations_are_reported_in_every_mode(self):
+        # A workload subclass that breaks the duration contract must end in
+        # an infeasibility report, never in an instant: the duration table
+        # validates every entry when the candidate is lowered (and the steady
+        # gate meets the same entry first when it runs).
+        fork = get_problem("fork")
+
+        def application(parameters):
+            app = fork.application_factory(parameters)
+            app.function("F3").steps[1].workload = _FailsAtThree()
+            return app
+
+        problem = _fork_variant(application_factory=application)
+        compiled = CompiledProblem(problem, {"items": 6})
+        candidate = problem.space({"items": 6}).default_candidate()
+        expected = (
+            "GraphError: workload _FailsAtThree returned an invalid duration "
+            "for iteration 3: -1"
+        )
+        for evaluator in ("replay", "steady", "auto"):
+            assert compiled.evaluate(candidate, evaluator=evaluator).infeasible == expected
+
+    def test_missing_stimuli_match_the_from_scratch_report(self):
+        problem = _fork_variant(stimuli_factory=lambda parameters: {})
+        candidate = problem.space({"items": 4}).default_candidate()
+        fast = CompiledProblem(problem, {"items": 4}).evaluate(candidate)
+        slow = evaluate_candidate(problem, candidate, {"items": 4}, compiled=False)
+        assert fast.infeasible == "ModelError: missing stimuli for external inputs: ['M1']"
+        assert_same_evaluation(fast, slow)
+
+    def _with_template(self, compiled, **changes):
+        """Swap ``compiled``'s template (and its lowering) for an edited copy."""
+        compiled.template = dataclasses.replace(compiled.template, **changes)
+        compiled._program = lower_template(compiled.template, compiled.stimuli)
+        return compiled.template
+
+    def test_a_node_without_incoming_arc_reports_the_graph_message(self, problem):
+        # The patched tables run the graph's own structural check.
+        compiled = CompiledProblem(problem, {"items": 4})
+        candidate = problem.space({"items": 4}).default_candidate()
+        orphan = TemplateNode("orphan", NodeKind.INTERNAL)
+        self._with_template(compiled, nodes=compiled.template.nodes + (orphan,))
+        with pytest.raises(GraphError, match="'orphan' has no incoming arc") as reference:
+            compiled.specialize(candidate)
+        assert compiled.evaluate(candidate).infeasible == f"GraphError: {reference.value}"
+
+    def test_a_delay_0_ready_arc_reports_the_evaluator_message(self, problem):
+        # The Reception peeks the ready node before the iteration runs, so
+        # a same-iteration arc into it is refused exactly as the evaluator
+        # refuses it.
+        compiled = CompiledProblem(problem, {"items": 4})
+        candidate = problem.space({"items": 4}).default_candidate()
+        template = compiled.template
+        ready = template.boundary_inputs[0].ready_node
+        arc = TemplateArc(template.execute_slots[-1].end_node, ready, delay=0)
+        self._with_template(compiled, arcs=template.arcs + (arc,))
+        evaluator = TDGEvaluator(compiled.specialize(candidate).graph)
+        with pytest.raises(ComputationError, match="delayed arcs only") as reference:
+            evaluator.peek_delayed(ready)
+        assert compiled.evaluate(candidate).infeasible == f"ComputationError: {reference.value}"

@@ -8,6 +8,7 @@ strategy -- out of scenario digests and explorer checkpoints, but
 recorded per job for provenance.
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -22,8 +23,8 @@ from repro.dse import (
     get_problem,
 )
 from repro.dse.compile import _CACHE
+from repro.dse.engine import lower_template
 from repro.errors import CampaignError, ModelError
-from repro.kernel.simtime import Duration
 
 
 @pytest.fixture(autouse=True)
@@ -107,35 +108,18 @@ class TestFallbackTriggers:
         compiled = CompiledProblem(problem, params)
         candidate = problem.space(params).default_candidate()
         assert compiled.evaluate(candidate, evaluator="steady").evaluator == "steady"
-        # Break the periodicity promise of one stimulus: the cached gate
-        # verdict must be recomputed and every candidate must replay.
+        # Break the periodicity promise of one stimulus: once the template
+        # is lowered again, every candidate must replay.
         relation = next(iter(compiled.stimuli))
         monkeypatch.setattr(
             compiled.stimuli[relation], "offer_period_ps", lambda: None
         )
-        compiled._periodic_inputs = None
+        compiled._program = lower_template(compiled.template, compiled.stimuli)
         with telemetry.collect(enable=True) as scope:
             evaluation = compiled.evaluate(candidate, evaluator="steady")
             counters = scope.snapshot()["counters"]
         assert evaluation.evaluator == "replay"
         assert counters["dse.steady.fallback.aperiodic_stimulus"] == 1
-
-    def test_dynamic_weight_gate(self):
-        # A data-dependent arc that is not a tabulated stream (a live
-        # callable) can never certify: the gate names it explicitly.
-        params = {"items": 6}
-        problem = get_problem("didactic-periodic")
-        compiled = CompiledProblem(problem, params)
-        candidate = problem.space(params).default_candidate()
-        spec = compiled._specialize_for_evaluation(candidate)
-        assert compiled._steady_gate(spec) is None
-        arc = spec.graph.arcs[0]
-        original = arc.constant_weight
-        try:
-            arc.set_weight(lambda k, context: Duration(5))
-            assert compiled._steady_gate(spec) == "dynamic_weight"
-        finally:
-            arc.set_weight(original)
 
     def test_short_horizon_exhausts_without_extrapolating(self):
         # Too few iterations to certify the drift: the steady path simply
@@ -153,11 +137,12 @@ class TestFallbackTriggers:
         assert_same_objectives(steady, replay)
 
 
-class TestDeltaSpecialisation:
-    def test_cone_reuse_is_visible_in_telemetry(self):
+class TestTemplatePatch:
+    def test_candidates_patch_the_template_without_changing_it(self):
         params = {"items": 6}
         compiled = CompiledProblem(get_problem("didactic-periodic"), params)
         candidates = candidates_of("didactic-periodic", params, limit=6)
+        template = copy.deepcopy(compiled._program)
         with telemetry.collect(enable=True) as scope:
             evaluations = [
                 compiled.evaluate(candidate, evaluator="steady")
@@ -165,17 +150,17 @@ class TestDeltaSpecialisation:
             ]
             counters = scope.snapshot()["counters"]
         assert all(evaluation.feasible for evaluation in evaluations)
-        # First candidate specialises from the template; every later one
-        # re-propagates only the affected cone and reuses the rest.
-        assert counters["dse.compile.delta_specializations"] == len(candidates) - 1
-        assert counters["dse.compile.delta_arcs_reused"] > 0
+        # Every candidate writes its own patch over the template lowered
+        # once; the shared tables come out as they went in.
+        assert counters["dse.compile.specializations"] == len(candidates)
+        assert compiled._program == template
 
-    def test_delta_path_matches_fresh_specialisation(self):
+    def test_warm_problem_matches_a_fresh_one(self):
         params = {"items": 10}
         problem = get_problem("didactic-periodic")
         warm = CompiledProblem(problem, params)
         candidates = candidates_of("didactic-periodic", params, limit=6)
-        for candidate in candidates:  # warm: deltas against the previous one
+        for candidate in candidates:  # warm: patched after the previous ones
             warm_eval = warm.evaluate(candidate, evaluator="steady")
             cold_eval = CompiledProblem(problem, params).evaluate(
                 candidate, evaluator="steady"

@@ -129,6 +129,20 @@ class TestRunLedger:
         assert ledger.skipped_lines == 2
         assert "corrupt" in caplog.text
 
+    def test_append_after_a_torn_tail_keeps_the_new_manifest(self, tmp_path):
+        # A crash mid-append leaves the file without its final newline; the
+        # next append must start a new line instead of extending the torn one.
+        path = tmp_path / "ledger.jsonl"
+        ledger = telemetry.RunLedger(path)
+        first = ledger.append(_manifest(value=100.0))
+        ledger.append(_manifest(value=110.0))
+        with path.open("r+b") as handle:
+            handle.truncate(path.stat().st_size - 40)
+        third = ledger.append(_manifest(value=120.0))
+        loaded = ledger.load()
+        assert [manifest.run_id for manifest in loaded] == [first.run_id, third.run_id]
+        assert ledger.skipped_lines == 1
+
     def test_incompatible_schema_lines_are_skipped_and_counted(self, tmp_path, caplog):
         path = tmp_path / "ledger.jsonl"
         ledger = telemetry.RunLedger(path)
