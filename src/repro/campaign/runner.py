@@ -293,6 +293,7 @@ class CampaignRunner:
             "campaign.run", category="campaign", args={"jobs": len(job_list)}
         ):
             records = self._execute(payloads)
+        fresh: List[Tuple[str, Dict[str, Any]]] = []
         for index, record in zip(pending, records):
             result = JobResult.from_record(record)
             results[index] = result
@@ -302,7 +303,12 @@ class CampaignRunner:
                 # later cache hit does not replay stale measurements.
                 stored = dict(record)
                 stored.pop("telemetry", None)
-                self.store.put(job_list[index].digest(), stored)
+                fresh.append((job_list[index].digest(), stored))
+        if self.store is not None:
+            # One write and one fsync for the whole run: every result is
+            # durable when run() returns, and a crash before that loses at
+            # most this run's results, never an earlier one's.
+            self.store.put_many(fresh)
 
         report = CampaignReport(
             results=[result for result in results if result is not None],

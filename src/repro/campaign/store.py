@@ -11,26 +11,31 @@ concatenated from several machines.  :meth:`ResultStore.compact`
 rewrites the file with one line per digest when the history is no longer
 wanted.
 
-Lines that fail to parse (e.g. a truncated final line after a crash) are
-skipped -- counted in :attr:`ResultStore.skipped_lines` and reported
-through the ``repro.campaign.store`` logger -- rather than failing the
-whole campaign.  The next :meth:`ResultStore.put` after loading such a
-torn tail starts a new line, so the record it appends survives a reload.
+The file is read, appended and compacted through :mod:`repro.jsonl`
+(corrupt lines skipped and counted in :attr:`ResultStore.skipped_lines`,
+torn-tail repair, an advisory lock per append).
+:meth:`ResultStore.put_many` persists a batch with one write and one
+fsync; the campaign runner calls it once per run.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
+from .. import jsonl
 from ..errors import CampaignError
 
 __all__ = ["ResultStore"]
 
-_LOG = logging.getLogger("repro.campaign.store")
+
+def _is_entry(entry: Dict[str, Any]) -> bool:
+    return isinstance(entry.get("digest"), str) and isinstance(entry.get("record"), dict)
+
+
+def _line(digest: str, record: Mapping[str, Any]) -> str:
+    return json.dumps({"digest": digest, "record": record}, sort_keys=True)
 
 
 class ResultStore:
@@ -40,12 +45,10 @@ class ResultStore:
         self._path = Path(path) if path is not None else None
         self._records: Dict[str, Mapping[str, Any]] = {}
         self.skipped_lines = 0
-        # True when the file ends without a newline (a write torn by a
-        # crash): the next put starts a fresh line instead of appending its
-        # record onto the broken one.
-        self._torn_tail = False
-        if self._path is not None and self._path.exists():
-            self._load()
+        if self._path is not None:
+            entries, self.skipped_lines = jsonl.read(self._path, "result store", _is_entry)
+            for entry in entries:
+                self._records[entry["digest"]] = entry["record"]
 
     @classmethod
     def in_memory(cls) -> "ResultStore":
@@ -56,54 +59,32 @@ class ResultStore:
     def path(self) -> Optional[Path]:
         return self._path
 
-    def _load(self) -> None:
-        assert self._path is not None
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                self._torn_tail = not line.endswith("\n")
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    digest = entry["digest"]
-                    record = entry["record"]
-                except (ValueError, KeyError, TypeError):
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(digest, str) or not isinstance(record, dict):
-                    self.skipped_lines += 1
-                    continue
-                self._records[digest] = record
-        if self.skipped_lines:
-            _LOG.warning(
-                "result store %s: skipped %d corrupt JSONL line(s) (truncated "
-                "write or concurrent crash); the remaining records were loaded "
-                "normally",
-                self._path,
-                self.skipped_lines,
-            )
-
     def get(self, digest: str) -> Optional[Mapping[str, Any]]:
         """The stored record for ``digest``, or None."""
         return self._records.get(digest)
 
     def put(self, digest: str, record: Mapping[str, Any]) -> None:
         """Store (and persist) one result record under ``digest``."""
-        if not digest:
-            raise CampaignError("result store digests must be non-empty strings")
-        try:
-            line = json.dumps({"digest": digest, "record": record}, sort_keys=True)
-        except (TypeError, ValueError) as error:
-            raise CampaignError(f"result record is not JSON-serialisable: {error}") from None
-        self._records[digest] = record
+        self.put_many([(digest, record)])
+
+    def put_many(self, items: Iterable[Tuple[str, Mapping[str, Any]]]) -> None:
+        """Store (and persist) ``(digest, record)`` pairs with one write and one fsync.
+
+        Every item is checked and serialised first, so a bad one stores
+        nothing; the in-memory view changes only once the write succeeded.
+        """
+        items = list(items)
+        lines = []
+        for digest, record in items:
+            if not digest:
+                raise CampaignError("result store digests must be non-empty strings")
+            try:
+                lines.append(_line(digest, record))
+            except (TypeError, ValueError) as error:
+                raise CampaignError(f"result record is not JSON-serialisable: {error}") from None
         if self._path is not None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            with self._path.open("a", encoding="utf-8") as handle:
-                handle.write(("\n" if self._torn_tail else "") + line + "\n")
-                self._torn_tail = False
-                handle.flush()
-                os.fsync(handle.fileno())
+            jsonl.append(self._path, lines)
+        self._records.update(items)
 
     def digests(self) -> List[str]:
         return sorted(self._records)
@@ -113,20 +94,8 @@ class ResultStore:
 
         Returns the number of records written.  No-op for in-memory stores.
         """
-        if self._path is None:
-            return len(self._records)
-        tmp_path = self._path.with_suffix(self._path.suffix + ".tmp")
-        with tmp_path.open("w", encoding="utf-8") as handle:
-            for digest in self.digests():
-                handle.write(
-                    json.dumps({"digest": digest, "record": self._records[digest]},
-                               sort_keys=True)
-                    + "\n"
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp_path.replace(self._path)
-        self._torn_tail = False
+        if self._path is not None:
+            jsonl.replace(self._path, (_line(d, self._records[d]) for d in self.digests()))
         return len(self._records)
 
     def __contains__(self, digest: str) -> bool:

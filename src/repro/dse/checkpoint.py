@@ -14,12 +14,12 @@ candidates were first scored.  This module persists exactly that:
   .state` payload;
 * :class:`CheckpointFile` -- snapshot persistence next to the
   :class:`~repro.campaign.store.ResultStore`.  Every round atomically
-  replaces the file with the newest snapshot (write-to-temp + fsync +
-  rename, so the file stays one line large and a crash never corrupts
-  the previous round); on load the last parseable line wins and corrupt
-  lines are skipped (reported through the ``repro.dse.checkpoint``
-logger), never failing the
-  resume.
+  replaces the file with the newest snapshot through
+  :func:`repro.jsonl.replace` (temp file, fsync, rename, directory fsync,
+  so the file stays one line large and a crash never corrupts the
+  previous round); on load the last parseable line wins and corrupt
+  lines are skipped (reported through the ``repro.jsonl`` logger), never
+  failing the resume.
 
 The checkpoint deliberately stores digests, not metrics: the metrics
 live in the result store, keyed by job digest, so resuming needs the
@@ -30,17 +30,14 @@ because nothing is re-evaluated or re-derived.
 from __future__ import annotations
 
 import json
-import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from .. import jsonl
 from ..errors import ModelError
 
 __all__ = ["CHECKPOINT_VERSION", "ExplorationCheckpoint", "CheckpointFile"]
-
-_LOG = logging.getLogger("repro.dse.checkpoint")
 
 #: Format version written into every snapshot; bumped on incompatible change.
 CHECKPOINT_VERSION = 1
@@ -178,8 +175,9 @@ class CheckpointFile:
     """JSONL checkpoint persistence (newest parseable line wins on load).
 
     Each :meth:`write` replaces the file atomically (write-to-temp, fsync,
-    rename), so the file stays one snapshot large no matter how many rounds
-    run and a crash mid-write can never corrupt the previous snapshot.
+    rename, directory fsync), so the file stays one snapshot large no
+    matter how many rounds run and a crash mid-write can never corrupt the
+    previous snapshot.
     :meth:`load` still reads the *last* parseable line and skips corrupt
     ones, so files concatenated from several interrupted runs -- or written
     by tools that append -- load fine too.
@@ -202,44 +200,12 @@ class CheckpointFile:
             self._path.unlink()
 
     def write(self, checkpoint: ExplorationCheckpoint) -> None:
-        """Atomically replace the file with one snapshot (fsync + rename)."""
-        line = json.dumps(checkpoint.to_record(), sort_keys=True)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        tmp_path = self._path.with_suffix(self._path.suffix + ".tmp")
-        with tmp_path.open("w", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        tmp_path.replace(self._path)
+        """Atomically replace the file with one snapshot."""
+        jsonl.replace(self._path, [json.dumps(checkpoint.to_record(), sort_keys=True)])
 
     def load(self) -> Optional[ExplorationCheckpoint]:
         """The newest parseable snapshot, or None when the file is absent/empty."""
-        if not self._path.exists():
+        records, self.skipped_lines = jsonl.read(self._path, "checkpoint file")
+        if not records:
             return None
-        newest: Optional[Dict[str, Any]] = None
-        self.skipped_lines = 0
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(record, dict):
-                    self.skipped_lines += 1
-                    continue
-                newest = record
-        if self.skipped_lines:
-            _LOG.warning(
-                "checkpoint file %s: skipped %d corrupt JSONL line(s) "
-                "(truncated write or concurrent crash); resuming from the "
-                "newest intact snapshot",
-                self._path,
-                self.skipped_lines,
-            )
-        if newest is None:
-            return None
-        return ExplorationCheckpoint.from_record(newest)
+        return ExplorationCheckpoint.from_record(records[-1])

@@ -9,23 +9,20 @@ rewritten, so a resumed exploration keeps extending the same curve and
 the whole optimisation trajectory stays inspectable after the fact
 (``repro obs report``).
 
-Corrupt lines (a torn write from a crash) are skipped and counted, never
-fatal, matching the store/checkpoint loaders; the skip is reported
-through the ``repro`` package logger.
+The file is read and appended through :mod:`repro.jsonl` (corrupt lines
+skipped and counted, torn-tail repair, one fsync per round).
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from .. import jsonl
 from ..analysis.report import format_rows
 
 __all__ = ["ConvergenceTrace", "render_convergence"]
-
-_LOG = logging.getLogger("repro.telemetry.convergence")
 
 #: Field order of the rendered table (a record may carry more; extras are
 #: ignored by the renderer and kept by the file).
@@ -61,38 +58,11 @@ class ConvergenceTrace:
 
     def append(self, record: Mapping[str, Any]) -> None:
         """Append one round record (plain JSON types only)."""
-        line = json.dumps(dict(record), sort_keys=True)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        jsonl.append(self._path, [json.dumps(dict(record), sort_keys=True)])
 
     def load(self) -> List[Dict[str, Any]]:
         """Every parseable record, in file order (empty when absent)."""
-        if not self._path.exists():
-            return []
-        records: List[Dict[str, Any]] = []
-        self.skipped_lines = 0
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(record, dict):
-                    self.skipped_lines += 1
-                    continue
-                records.append(record)
-        if self.skipped_lines:
-            _LOG.warning(
-                "convergence trace %s: skipped %d corrupt JSONL line(s); "
-                "the remaining records were loaded normally",
-                self._path,
-                self.skipped_lines,
-            )
+        records, self.skipped_lines = jsonl.read(self._path, "convergence trace")
         return records
 
 

@@ -9,12 +9,10 @@ survives the processes that produced it.  The default location is
 to move it (CI points it at a scratch path and uploads it as an
 artifact).
 
-The loader mirrors the store/checkpoint/convergence readers: corrupt
-lines (a torn write from a crash) are skipped and counted in
-:attr:`RunLedger.skipped_lines`, and lines whose manifest schema this
-build cannot read are skipped and counted in
-:attr:`RunLedger.incompatible_lines`; both are reported through the
-``repro.telemetry.ledger`` logger, never raised.
+The file is read, appended and compacted through :mod:`repro.jsonl`
+(corrupt lines skipped and counted in :attr:`RunLedger.skipped_lines`,
+torn-tail repair); manifests whose schema this build cannot read are
+skipped and counted in :attr:`RunLedger.incompatible_lines`, never raised.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from .. import jsonl
 from ..errors import ModelError
 from .manifest import RunManifest
 
@@ -69,22 +68,8 @@ class RunLedger:
         return self._path.exists()
 
     def append(self, manifest: RunManifest) -> RunManifest:
-        """Append one manifest (fsynced, like the result store) and return it.
-
-        A file that does not end with a newline holds a torn write from a
-        crashed append; the manifest then starts a new line, so the torn
-        fragment stays one corrupt line instead of swallowing this record.
-        """
-        line = json.dumps(manifest.to_record(), sort_keys=True) + "\n"
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        with self._path.open("ab+") as handle:  # every write lands at the end
-            if handle.seek(0, os.SEEK_END):
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    line = "\n" + line
-            handle.write(line.encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Append one manifest (fsynced, like the result store) and return it."""
+        jsonl.append(self._path, [json.dumps(manifest.to_record(), sort_keys=True)])
         return manifest
 
     def load(self) -> List[RunManifest]:
@@ -93,33 +78,14 @@ class RunLedger:
         Returns an empty list when the file is absent.  Corrupt JSON lines
         and incompatible-schema lines are skipped and counted, never fatal.
         """
-        if not self._path.exists():
-            return []
+        records, self.skipped_lines = jsonl.read(self._path, "run ledger")
         manifests: List[RunManifest] = []
-        self.skipped_lines = 0
         self.incompatible_lines = 0
-        with self._path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                try:
-                    manifests.append(RunManifest.from_record(record))
-                except ModelError:
-                    self.incompatible_lines += 1
-                    continue
-        if self.skipped_lines:
-            _LOG.warning(
-                "run ledger %s: skipped %d corrupt JSONL line(s); the "
-                "remaining manifests were loaded normally",
-                self._path,
-                self.skipped_lines,
-            )
+        for record in records:
+            try:
+                manifests.append(RunManifest.from_record(record))
+            except ModelError:
+                self.incompatible_lines += 1
         if self.incompatible_lines:
             _LOG.warning(
                 "run ledger %s: skipped %d manifest(s) with an unsupported "
@@ -193,13 +159,10 @@ class RunLedger:
         )
         if dry_run or not self._path.exists():
             return report
-        tmp = self._path.with_name(self._path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for manifest in keep:
-                handle.write(json.dumps(manifest.to_record(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self._path)
+        jsonl.replace(
+            self._path,
+            (json.dumps(manifest.to_record(), sort_keys=True) for manifest in keep),
+        )
         return report
 
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
 """Unit tests for the campaign runner (inline execution, caching, errors)."""
 
+import os
+
 import pytest
 
 from repro.campaign import (
@@ -177,6 +179,24 @@ class TestRunnerCaching:
         # ... and the upgraded entry now serves instant-recording runs
         again = CampaignRunner(store=store, jobs=1).run([small_spec(record_instants=True)])
         assert (again.simulated, again.cache_hits) == (0, 1)
+
+    def test_one_fsync_per_run_with_fresh_results_and_none_when_all_cached(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        path = tmp_path / "results.jsonl"
+        specs = [small_spec(replications=3), small_spec(parameters={"items": 26})]
+        first = CampaignRunner(store=ResultStore(path), jobs=1).run(specs)
+        assert (first.simulated, len(calls)) == (4, 1)
+        second = CampaignRunner(store=ResultStore(path), jobs=1).run(specs)
+        assert (second.cache_hits, len(calls)) == (4, 1)
 
     def test_error_results_are_not_cached(self):
         store = ResultStore.in_memory()

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 
 import pytest
 
@@ -72,7 +73,7 @@ class TestPersistence:
         store.put("d1", {"value": 1})
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"digest": "d2", "record": {"valu')  # simulated crash
-        with caplog.at_level(logging.WARNING, logger="repro.campaign.store"):
+        with caplog.at_level(logging.WARNING, logger="repro.jsonl"):
             reopened = ResultStore(path)
         assert "skipped 1 corrupt" in caplog.text
         assert reopened.get("d1") == {"value": 1}
@@ -85,14 +86,14 @@ class TestPersistence:
         ResultStore(path).put("d1", {"value": 1})
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"digest": "d2"')  # no newline, no record: torn write
-        with caplog.at_level(logging.WARNING, logger="repro.campaign.store"):
+        with caplog.at_level(logging.WARNING, logger="repro.jsonl"):
             store = ResultStore(path)
         assert "corrupt" in caplog.text
         store.put("d3", {"value": 3})  # appending after a torn line still works
         assert store.compact() == 2
         # after compaction the file is clean: reloading logs no more warnings
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="repro.campaign.store"):
+        with caplog.at_level(logging.WARNING, logger="repro.jsonl"):
             clean = ResultStore(path)
         assert caplog.text == ""
         assert clean.skipped_lines == 0
@@ -131,7 +132,7 @@ class TestPersistence:
     def test_clean_store_loads_without_warning(self, tmp_path, caplog):
         path = tmp_path / "results.jsonl"
         ResultStore(path).put("d1", {"value": 1})
-        with caplog.at_level(logging.WARNING, logger="repro.campaign.store"):
+        with caplog.at_level(logging.WARNING, logger="repro.jsonl"):
             assert ResultStore(path).get("d1") == {"value": 1}
         assert caplog.text == ""
 
@@ -149,7 +150,7 @@ class TestPersistence:
                 ]
             )
         )
-        with caplog.at_level(logging.WARNING, logger="repro.campaign.store"):
+        with caplog.at_level(logging.WARNING, logger="repro.jsonl"):
             store = ResultStore(path)
         assert "skipped 3 corrupt" in caplog.text
         assert store.get("good") == {"v": 1}
@@ -160,3 +161,53 @@ class TestPersistence:
         path = tmp_path / "nested" / "dir" / "results.jsonl"
         ResultStore(path).put("d", {"v": 1})
         assert ResultStore(path).get("d") == {"v": 1}
+
+
+class TestPutMany:
+    def test_one_batch_is_one_append(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        store.put_many([("a", {"v": 1}), ("b", {"v": 2})])
+        assert store.digests() == ["a", "b"]
+        assert ResultStore(path).get("b") == {"v": 2}
+        store.put_many([])
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_a_bad_item_stores_nothing(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        store.put("a", {"v": 1})
+        before = path.read_bytes()
+        with pytest.raises(CampaignError):
+            store.put_many([("b", {"v": 2}), ("c", {"bad": object()})])
+        with pytest.raises(CampaignError):
+            store.put_many([("b", {"v": 2}), ("", {"v": 3})])
+        assert store.digests() == ["a"]
+        assert path.read_bytes() == before
+
+    def test_a_failed_write_leaves_memory_unchanged(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "results.jsonl")
+
+        def full_disk(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "write", full_disk)
+        with pytest.raises(OSError):
+            store.put("d", {"v": 1})
+        assert "d" not in store and len(store) == 0
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="permissions are not enforced for root",
+    )
+    def test_a_read_only_directory_leaves_memory_unchanged(self, tmp_path):
+        directory = tmp_path / "ro"
+        directory.mkdir()
+        store = ResultStore(directory / "results.jsonl")
+        directory.chmod(0o555)
+        try:
+            with pytest.raises(OSError):
+                store.put("d", {"v": 1})
+        finally:
+            directory.chmod(0o755)
+        assert "d" not in store

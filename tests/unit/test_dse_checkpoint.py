@@ -206,7 +206,7 @@ class TestCheckpointFile:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"version": 1, "truncated...\n')
         reader = CheckpointFile(path)
-        with caplog.at_level(logging.WARNING, logger="repro.dse.checkpoint"):
+        with caplog.at_level(logging.WARNING, logger="repro.jsonl"):
             loaded = reader.load()
         assert "corrupt" in caplog.text
         assert loaded is not None and loaded.spent == 8

@@ -123,7 +123,7 @@ class TestRunLedger:
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"torn": \n')  # a crashed append
             handle.write("not json at all\n")
-        with caplog.at_level("WARNING", logger="repro.telemetry.ledger"):
+        with caplog.at_level("WARNING", logger="repro.jsonl"):
             loaded = ledger.load()
         assert [manifest.run_id for manifest in loaded] == [kept.run_id]
         assert ledger.skipped_lines == 2

@@ -237,7 +237,7 @@ class TestConvergenceTrace:
         with path.open("a", encoding="utf-8") as handle:
             handle.write("{truncated\n")
         trace.append({"round": 2})
-        with caplog.at_level(logging.WARNING, logger="repro.telemetry.convergence"):
+        with caplog.at_level(logging.WARNING, logger="repro.jsonl"):
             records = trace.load()
         assert [record["round"] for record in records] == [1, 2]
         assert trace.skipped_lines == 1
