@@ -35,7 +35,6 @@ from ..lte.scenario import lte_symbol_stimulus
 from .spec import JobSpec, ScenarioSpec
 
 __all__ = [
-    "BatchExecutor",
     "ExperimentPlan",
     "Scenario",
     "ScenarioRegistry",
@@ -49,16 +48,9 @@ Planner = Callable[[Mapping[str, Any]], "ExperimentPlan"]
 #: Alternative job body: takes the job and its fully-resolved parameters and
 #: returns a JSON-safe :class:`~repro.campaign.results.JobResult` record.  A
 #: scenario with an executor bypasses ``measure_speedup`` entirely -- this is
-#: how the design-space-exploration evaluator scores candidates with the
-#: equivalent model only while still riding the runner/store machinery.
+#: how a ``dse-eval`` job scores one candidate mapping with the equivalent
+#: model only while still riding the runner/store machinery.
 Executor = Callable[[JobSpec, Dict[str, Any]], Dict[str, Any]]
-
-#: Optional batched job body: takes aligned sequences of jobs and their
-#: resolved parameters and returns one record per job, in order.  Only
-#: meaningful alongside ``executor`` -- the runner falls back to the
-#: per-job executor when batching fails or is not worthwhile, so a batch
-#: executor must be record-for-record identical to mapping the executor.
-BatchExecutor = Callable[[Sequence[JobSpec], Sequence[Dict[str, Any]]], List[Dict[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -105,17 +97,11 @@ class Scenario:
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     replications: int = 1
     executor: Optional[Executor] = None
-    batch_executor: Optional[BatchExecutor] = None
 
     def __post_init__(self) -> None:
         if (self.planner is None) == (self.executor is None):
             raise CampaignError(
                 f"scenario {self.name!r} needs exactly one of planner or executor"
-            )
-        if self.batch_executor is not None and self.executor is None:
-            raise CampaignError(
-                f"scenario {self.name!r} has a batch executor but no executor "
-                "to fall back to"
             )
 
     def parameter_points(

@@ -36,8 +36,8 @@ __all__ = [
     "CampaignRunner",
     "CampaignReport",
     "campaign_manifest",
+    "cached_result",
     "run_job",
-    "run_job_batch",
 ]
 
 
@@ -123,57 +123,25 @@ def _execute_job(
     ).to_record()
 
 
-def run_job_batch(
-    payloads: Sequence[Mapping[str, Any]],
-    registry: Optional[ScenarioRegistry] = None,
-) -> List[Dict[str, Any]]:
-    """Execute a same-scenario slice of jobs through its batch executor.
+def cached_result(store: Optional[ResultStore], job: JobSpec) -> Optional[JobResult]:
+    """The usable stored result of ``job``, or None when it must be executed.
 
-    The scenario must define a :data:`~repro.campaign.registry.BatchExecutor`
-    (certified record-for-record identical to mapping the per-job
-    executor).  Any failure inside the batch path -- unknown scenario,
-    missing batch executor, a raising batch body, a short result list --
-    falls back to running every payload through :func:`run_job`, so
-    batching can never lose or corrupt a job.
-
-    Unlike :func:`run_job`, the batch body runs in the caller's telemetry
-    scope and does not attach per-job ``telemetry`` snapshots: the batch
-    is one unit of execution, and its counters/spans describe the batch.
+    Stored errors are always retried, and a record cached without output
+    instants does not serve a job that records them.  Shared by
+    :class:`CampaignRunner` and the design-space explorer, which scores its
+    own rounds.
     """
-    registry = registry if registry is not None else default_registry()
-    try:
-        jobs = [JobSpec.from_payload(payload) for payload in payloads]
-        names = {job.spec.scenario for job in jobs}
-        if len(names) != 1:
-            raise CampaignError(f"batched payloads span scenarios {sorted(names)}")
-        scenario = registry.get(jobs[0].spec.scenario)
-        if scenario.batch_executor is None:
-            raise CampaignError(
-                f"scenario {jobs[0].spec.scenario!r} has no batch executor"
-            )
-        parameters_list: List[Dict[str, Any]] = []
-        for job in jobs:
-            parameters = dict(scenario.defaults)
-            parameters.update(job.spec.parameters)
-            parameters["seed"] = job.seed
-            parameters_list.append(parameters)
-        with telemetry.span(
-            "campaign.batch",
-            category="campaign",
-            args={"scenario": jobs[0].spec.scenario, "size": len(jobs)},
-        ):
-            records = scenario.batch_executor(jobs, parameters_list)
-        if len(records) != len(payloads):
-            raise CampaignError(
-                f"batch executor returned {len(records)} records "
-                f"for {len(payloads)} jobs"
-            )
-    except Exception:
-        telemetry.count("campaign.batch_fallbacks")
-        return [run_job(payload, registry) for payload in payloads]
-    telemetry.count("campaign.jobs", len(payloads))
-    telemetry.count("campaign.batched_jobs", len(payloads))
-    return list(records)
+    if store is None:
+        return None
+    record = store.get(job.digest())
+    if record is None:
+        return None
+    result = JobResult.from_record(record)
+    if not result.ok:
+        return None
+    if job.spec.record_instants and result.output_instants is None:
+        return None
+    return result.with_cached()
 
 
 def campaign_manifest(
@@ -263,7 +231,7 @@ class CampaignRunner:
             # Fail fast on unknown scenarios before spawning any worker.
             self.registry.get(spec.scenario)
             for job in spec.jobs():
-                jobs.append((job, self._lookup(job)))
+                jobs.append((job, cached_result(self.store, job)))
         return jobs
 
     def run(self, specs: Sequence[ScenarioSpec]) -> CampaignReport:
@@ -337,56 +305,6 @@ class CampaignRunner:
         )
         return self.run(specs)
 
-    def _lookup(self, job: JobSpec) -> Optional[JobResult]:
-        """A usable cached result for ``job``, or None to simulate it."""
-        if self.store is None:
-            return None
-        record = self.store.get(job.digest())
-        if record is None:
-            return None
-        result = JobResult.from_record(record)
-        if not result.ok:
-            return None  # stored errors are always retried
-        if job.spec.record_instants and result.output_instants is None:
-            return None  # cached without instants, but this run needs them
-        return result.with_cached()
-
-    def _execute_inline(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Sequential execution with consecutive same-scenario batching."""
-        records: List[Dict[str, Any]] = []
-        batch: List[Dict[str, Any]] = []
-        batch_name: Optional[str] = None
-
-        def flush() -> None:
-            nonlocal batch, batch_name
-            if not batch:
-                return
-            if len(batch) == 1:
-                records.append(run_job(batch[0], self.registry))
-            else:
-                records.extend(run_job_batch(batch, self.registry))
-            batch = []
-            batch_name = None
-
-        for payload in payloads:
-            name = payload.get("scenario") if isinstance(payload, Mapping) else None
-            batchable = (
-                isinstance(name, str)
-                and name in self.registry
-                and self.registry.get(name).batch_executor is not None
-            )
-            if batchable and name == batch_name:
-                batch.append(payload)
-            elif batchable:
-                flush()
-                batch_name = name
-                batch = [payload]
-            else:
-                flush()
-                records.append(run_job(payload, self.registry))
-        flush()
-        return records
-
     def _execute(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         if not payloads:
             return []
@@ -395,10 +313,8 @@ class CampaignRunner:
         # non-default runs in-process against the runner's own registry.
         if self.jobs == 1 or len(payloads) == 1 or self.registry is not default_registry():
             # In-process: run_job's collect() scope already folds each job's
-            # telemetry into this (coordinator) registry on exit.  Consecutive
-            # jobs of a batch-capable scenario run through its batch executor
-            # (one compiled template, one array sweep) instead of one by one.
-            return self._execute_inline(payloads)
+            # telemetry into this (coordinator) registry on exit.
+            return [run_job(payload, self.registry) for payload in payloads]
         workers = min(self.jobs, len(payloads))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_job, payloads))

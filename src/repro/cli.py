@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="array backend for the batched replay sweep: 'python' is the "
         "zero-dependency reference, 'numpy' vectorises across the candidates "
         "of a generation (bit-identical results), 'auto' picks numpy when "
-        "importable; default: auto-detect per worker",
+        "importable; default: auto-detect",
     )
     dse_run.add_argument("--items", type=int, default=None, help="data items per evaluation")
     dse_run.add_argument(
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force the live per-round progress line even when stderr is not "
         "a TTY (it is auto-suppressed in redirected/CI logs)",
     )
-    _add_runner_arguments(dse_run)
+    _add_store_argument(dse_run)
     _add_ledger_arguments(dse_run)
 
     dse_front = dse_sub.add_parser(
@@ -424,6 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    _add_store_argument(parser)
+
+
+def _add_store_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
         type=str,
@@ -804,7 +808,6 @@ def _run_dse_run(arguments: argparse.Namespace) -> int:
         max_resources=arguments.max_resources,
         explore_orders=not arguments.no_orders,
         strict=not arguments.loose_orders,
-        jobs=arguments.jobs,
         store=ResultStore(arguments.store) if arguments.store else None,
         checkpoint=arguments.checkpoint,
         resume=arguments.resume,

@@ -5,10 +5,10 @@ cheap; this package puts that cheapness to work by *searching* over
 mapping decisions -- which resource runs each function, how many
 resources to instantiate, and in which static order a serialized
 resource serves its execute steps.  Candidates are scored with the
-equivalent model only (no explicit simulation in the inner loop),
-fan out through the campaign runner's worker pool, memoize into the
-persistent result store by content digest, and accumulate into a
-latency-vs-resources Pareto front.
+equivalent model only (no explicit simulation in the inner loop), a
+whole round in one batched sweep, memoize into the persistent result
+store by content digest, and accumulate into a latency-vs-resources
+Pareto front.
 
 Layout
 ------

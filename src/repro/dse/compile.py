@@ -475,8 +475,8 @@ def compiled_problem(
     job's parameter dict (``allocation``/``orders``/``problem``) so proposals
     do not defeat the cache, and includes the problem object's identity so a
     same-named unregistered problem variant never reuses another problem's
-    compilation.  Worker processes each keep their own small cache; templates
-    are compiled at most once per ``(problem, parameters)`` per process.
+    compilation.  Each process keeps its own small cache; templates are
+    compiled at most once per ``(problem, parameters)`` per process.
     """
     resolved = problem.parameters(parameters)
     relevant = {

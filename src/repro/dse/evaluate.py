@@ -276,9 +276,10 @@ def evaluate_candidate(
     evaluator: str = "replay",
     backend: Optional[str] = None,
 ) -> CandidateEvaluation:
-    """Score a candidate of a named problem under resolved problem parameters.
+    """Score one candidate of ``problem`` under resolved problem parameters.
 
-    By default the evaluation goes through a cached
+    A batch of one: ``evaluate_candidates([candidate], ...)[0]``.  By
+    default the evaluation goes through a cached
     :class:`~repro.dse.compile.CompiledProblem`: the allocation-independent
     TDG template of the problem is built once and only *specialised* per
     candidate, which is what makes exploration inner loops fast.  Pass
@@ -288,36 +289,15 @@ def evaluate_candidate(
 
     ``evaluator`` selects the compiled scoring path (see
     :data:`EVALUATOR_MODES`); the from-scratch path always replays and
-    silently ignores the mode, so campaign workers stay interchangeable.
-
-    ``backend`` selects the array engine (``"python"``/``"numpy"``/
-    ``"auto"``/``None``, see :func:`repro.dse.engine.resolve_backend`): the
-    compiled path scores through the lowered array sweep of
-    :meth:`~repro.dse.compile.CompiledProblem.evaluate_batch` (a batch of
-    one), so ``None`` resolves exactly as in :func:`evaluate_candidates`.
-    The from-scratch path ignores it.  All combinations produce
+    silently ignores the mode.  ``backend`` selects the array engine
+    (``"python"``/``"numpy"``/``"auto"``/``None``, see
+    :func:`repro.dse.engine.resolve_backend`) and resolves exactly as in a
+    batch; the from-scratch path ignores it.  All combinations produce
     bit-identical objectives.
     """
-    if evaluator not in EVALUATOR_MODES:
-        raise ModelError(
-            f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
-        )
-    if compiled is None:
-        compiled = compile_enabled_by_default()
-    if compiled:
-        from .compile import compiled_problem
-
-        return compiled_problem(problem, parameters).evaluate_batch(
-            [candidate], evaluator=evaluator, backend=backend
-        )[0]
-    resolved = problem.parameters(parameters)
-    return evaluate_mapping(
-        problem.application_factory(resolved),
-        problem.platform_factory(resolved),
-        candidate,
-        problem.stimuli_factory(resolved),
-        name=f"dse-{problem.name}",
-    )
+    return evaluate_candidates(
+        problem, [candidate], parameters, compiled, evaluator, backend
+    )[0]
 
 
 def evaluate_candidates(

@@ -1,10 +1,11 @@
-"""The exploration driver: strategies x campaign runner x Pareto front.
+"""The exploration driver: strategies x batched scoring x Pareto front.
 
 :class:`MappingExplorer` wires the pieces together: a search strategy
-proposes candidate batches, the :class:`~repro.campaign.runner
-.CampaignRunner` scores each batch (in-process or across worker
-processes, served from the result store when a candidate was already
-evaluated), the scored metrics are projected onto the explorer's
+proposes candidate batches, the explorer scores each batch's fresh
+candidates itself (served from the result store when a candidate was
+already evaluated, the rest in one :func:`~repro.dse.evaluate
+.evaluate_candidates` call on the problem object, persisted with one
+store write), the scored metrics are projected onto the explorer's
 :class:`~repro.dse.pareto.Objective` tuple and fed back into the
 strategy as :class:`~repro.dse.search.Observation` vectors, and every
 feasible evaluation is offered to a :class:`~repro.dse.pareto
@@ -30,7 +31,9 @@ different budget is a different stream.)
 
 from __future__ import annotations
 
+import gc
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,15 +51,14 @@ from typing import (
 )
 
 from .. import telemetry
-from ..campaign.registry import ScenarioRegistry
 from ..campaign.results import JobResult
-from ..campaign.runner import CampaignRunner
-from ..campaign.spec import ScenarioSpec, canonical_json
+from ..campaign.runner import cached_result
+from ..campaign.spec import JobSpec, ScenarioSpec, canonical_json
 from ..campaign.store import ResultStore
 from ..errors import CampaignError, ModelError
 from .checkpoint import CheckpointFile, ExplorationCheckpoint
 from .engine import resolve_backend
-from .evaluate import EVALUATOR_MODES
+from .evaluate import EVALUATOR_MODES, evaluate_candidate, evaluate_candidates
 from .pareto import (
     DEFAULT_OBJECTIVES,
     Objective,
@@ -65,11 +67,13 @@ from .pareto import (
     ranked_rows,
 )
 from .problems import DesignProblem, get_problem
-from .scenario import DSE_SCENARIO
+from .scenario import DSE_SCENARIO, evaluation_record
 from .search import Observation, Scalarization, SearchStrategy, make_strategy
 from .space import DesignSpace, MappingCandidate
 
 __all__ = ["ExplorationReport", "MappingExplorer", "front_from_store"]
+
+_LOG = logging.getLogger("repro.dse.explore")
 
 #: Stop after this many consecutive rounds in which every proposed candidate
 #: had already been evaluated (random search saturating a small space).
@@ -156,19 +160,23 @@ class MappingExplorer:
 
     Parameters mirror the ``repro.cli dse run`` options; ``parameters``
     carries problem overrides (``items``, ``seed``, ``processors``,
-    ``stages``, ...).  ``jobs`` and ``store`` are handed to the campaign
-    runner unchanged.
+    ``stages``, ...).  ``problem`` may be a registered name or any
+    :class:`~repro.dse.problems.DesignProblem` object: rounds are scored on
+    that object, never on a registered problem of the same name.
 
-    Candidate scoring goes through the ``dse-eval`` scenario, whose executor
-    evaluates via a per-process cached :class:`~repro.dse.compile
-    .CompiledProblem` -- the problem's TDG template is compiled once and only
-    specialised per candidate, in every worker (set ``REPRO_DSE_COMPILE=0``
-    to force the from-scratch build).  ``evaluator`` selects the scoring
-    path within the compiled evaluator (``replay``/``steady``/``auto``,
-    see :data:`~repro.dse.evaluate.EVALUATOR_MODES`); every mode produces
-    identical objectives.  With ``strict`` left on, proposal
-    sampling only draws service orders consistent with the data dependencies,
-    so the budget is spent on feasible candidates.
+    Each round's fresh candidates are scored in one
+    :func:`~repro.dse.evaluate.evaluate_candidates` call through a cached
+    :class:`~repro.dse.compile.CompiledProblem` -- the problem's TDG
+    template is compiled once and only specialised per candidate (set
+    ``REPRO_DSE_COMPILE=0`` to force the from-scratch build).  Results are
+    stored as ``dse-eval`` job records keyed by their job digest, so a
+    re-run against the same ``store`` evaluates nothing.  ``evaluator``
+    selects the scoring path within the compiled evaluator
+    (``replay``/``steady``/``auto``, see :data:`~repro.dse.evaluate
+    .EVALUATOR_MODES`); every mode produces identical objectives.  With
+    ``strict`` left on, proposal sampling only draws service orders
+    consistent with the data dependencies, so the budget is spent on
+    feasible candidates.
 
     ``checkpoint=`` (a path or :class:`~repro.dse.checkpoint.CheckpointFile`)
     persists a resumable snapshot after every round; ``resume=True`` restores
@@ -194,10 +202,8 @@ class MappingExplorer:
         max_resources: Optional[int] = None,
         explore_orders: bool = True,
         strict: bool = True,
-        jobs: int = 1,
         store: Optional[ResultStore] = None,
         record_instants: bool = False,
-        registry: Optional[ScenarioRegistry] = None,
         objectives: Optional[Sequence[Objective]] = None,
         strategy_options: Optional[Mapping[str, Any]] = None,
         checkpoint: Optional[Union[str, Path, CheckpointFile]] = None,
@@ -233,6 +239,7 @@ class MappingExplorer:
         self.explore_orders = explore_orders
         #: Feasibility-aware order sampling (see DesignSpace ``strict``).
         self.strict = strict
+        self.store = store
         self.record_instants = record_instants
         #: Candidate scoring path (see :data:`~repro.dse.evaluate
         #: .EVALUATOR_MODES`).  Deliberately *not* part of :meth:`_config`:
@@ -240,7 +247,7 @@ class MappingExplorer:
         #: be resumed under another mode and stored records stay shareable.
         self.evaluator = evaluator
         #: Array backend request threaded to the batch engine (``None`` to
-        #: let each worker auto-detect, or ``"auto"``/``"python"``/
+        #: auto-detect, or ``"auto"``/``"python"``/
         #: ``"numpy"``).  Like ``evaluator`` it is excluded from
         #: :meth:`_config`: both backends are certified bit-identical, so a
         #: checkpoint resumes and stored records stay shareable either way.
@@ -279,7 +286,6 @@ class MappingExplorer:
                 "resume=True needs the result store that backed the checkpointed "
                 "run (the checkpoint stores digests, the store stores metrics)"
             )
-        self.runner = CampaignRunner(registry=registry, store=store, jobs=jobs)
 
     # ------------------------------------------------------------------
     def build_space(self) -> DesignSpace:
@@ -289,20 +295,6 @@ class MappingExplorer:
             explore_orders=self.explore_orders,
             strict=self.strict,
         )
-
-    def evaluate_batch(self, candidates: Sequence[MappingCandidate]) -> List[JobResult]:
-        """Score ``candidates`` as one batch, outside the search loop.
-
-        The list goes through the explorer's own runner, so results are
-        served from (and persisted to) the configured store exactly as the
-        exploration rounds do, and fresh candidates ride the scenario's
-        batch executor -- one compiled sweep per shared problem
-        parameterisation instead of one replay per candidate.  Results come
-        back in candidate order.
-        """
-        resolved = self.problem.parameters(self.parameters)
-        specs = [self._spec(candidate, resolved) for candidate in candidates]
-        return list(self.runner.run(specs).results)
 
     def _spec(self, candidate: MappingCandidate, resolved: Mapping[str, Any]) -> ScenarioSpec:
         parameters: Dict[str, Any] = {"problem": self.problem.name}
@@ -315,6 +307,80 @@ class MappingExplorer:
             evaluator=self.evaluator,
             backend=self.backend,
         )
+
+    def _score(
+        self, candidates: Sequence[MappingCandidate], resolved: Mapping[str, Any]
+    ) -> Tuple[List[JobResult], int]:
+        """Score one round's fresh candidates; returns ``(results, cache hits)``.
+
+        Each candidate's ``dse-eval`` job is built once, for its digest (the
+        store key).  Usable stored results are served as the campaign runner
+        serves them; the misses are scored together on ``self.problem`` and
+        their records persisted with one ``put_many``.  Results align with
+        ``candidates``.
+        """
+        jobs = [self._spec(candidate, resolved).job(0) for candidate in candidates]
+        cached = [cached_result(self.store, job) for job in jobs]
+        misses = [index for index, result in enumerate(cached) if result is None]
+        records = iter(
+            self._evaluate(
+                [candidates[index] for index in misses],
+                [jobs[index] for index in misses],
+                resolved,
+            )
+        )
+        results: List[JobResult] = []
+        fresh: List[Tuple[str, Dict[str, Any]]] = []
+        for job, result in zip(jobs, cached):
+            if result is None:
+                record = next(records)
+                result = JobResult.from_record(record)
+                if result.ok:
+                    fresh.append((job.digest(), record))
+            results.append(result)
+        if self.store is not None:
+            # One write and one fsync for the round, before the round's
+            # checkpoint names any of its records.
+            self.store.put_many(fresh)
+        return results, len(jobs) - len(misses)
+
+    def _evaluate(
+        self,
+        candidates: List[MappingCandidate],
+        jobs: List[JobSpec],
+        resolved: Mapping[str, Any],
+    ) -> List[Dict[str, Any]]:
+        """Job records of ``candidates``, scored as one batch.
+
+        When the batch raises, each candidate is scored alone, and one that
+        still raises becomes an error record (not stored, so a later run
+        retries it) instead of costing its round-mates their results.
+        """
+        if not candidates:
+            return []
+        options = {"evaluator": self.evaluator, "backend": self.backend}
+        try:
+            evaluations = evaluate_candidates(self.problem, candidates, resolved, **options)
+            return [evaluation_record(job, ev) for job, ev in zip(jobs, evaluations)]
+        except Exception:
+            # Keep the exploration running; the candidates that still raise
+            # alone are reported as error results below.
+            _LOG.warning(
+                "scoring a round of %d candidates raised; scoring each alone",
+                len(candidates),
+                exc_info=True,
+            )
+            telemetry.count("dse.explore.batch_fallbacks")
+        records: List[Dict[str, Any]] = []
+        for candidate, job in zip(candidates, jobs):
+            try:
+                evaluation = evaluate_candidate(self.problem, candidate, resolved, **options)
+            except Exception as error:
+                telemetry.count("dse.explore.errors")
+                records.append(JobResult.from_error(job, error).to_record())
+            else:
+                records.append(evaluation_record(job, evaluation))
+        return records
 
     def _config(self, resolved: Mapping[str, Any]) -> Dict[str, Any]:
         """The JSON-normalised configuration a checkpoint must match to resume."""
@@ -394,7 +460,7 @@ class MappingExplorer:
             )
         loaded.validate_against(config)
         strategy.restore(loaded.strategy_state)
-        store = self.runner.store
+        store = self.store
         assert store is not None  # enforced in __init__
         for candidate_digest, job_digest, ok in loaded.results:
             if ok:
@@ -496,7 +562,12 @@ class MappingExplorer:
         :func:`~repro.telemetry.collect` scope so the manifest still
         carries real counters and cache-hit rates without globally enabling
         telemetry -- the scope's parent is disabled, so nothing leaks.
+        The measured run starts from a full garbage collection, so its wall
+        time does not include collector passes owed to earlier work in the
+        process (a gen-1 pass alone is a fifth of a 10 ms exploration).
         """
+        if self.ledger is not None:
+            gc.collect()
         with telemetry.timed_ns() as wall_timer:
             folded: Optional[Dict[str, Any]] = None
             if self.ledger is not None and not telemetry.enabled():
@@ -522,14 +593,13 @@ class MappingExplorer:
 
         The problem parameterisation feeds the problem digest; everything
         that shapes the execution -- strategy, seed, budget, evaluator mode,
-        worker count -- feeds the config digest, so the regression sentinel
+        backend -- feeds the config digest, so the regression sentinel
         only ever compares runs of the same problem under the same setup.
         """
         resolved = self.problem.parameters(self.parameters)
         config = self._config(resolved)
         config.pop("parameters", None)  # digested separately (problem digest)
         config["budget"] = self.budget
-        config["jobs"] = self.runner.jobs
         config["evaluator"] = self.evaluator
         config["backend"] = self.backend or "auto"
         config["compile"] = (
@@ -637,10 +707,10 @@ class MappingExplorer:
                             category="dse",
                             args={"candidates": len(fresh)},
                         ):
-                            campaign = self.runner.run(
-                                [self._spec(candidate, resolved) for _, candidate in fresh]
+                            results, hits = self._score(
+                                [candidate for _, candidate in fresh], resolved
                             )
-                        for (digest, candidate), result in zip(fresh, campaign.results):
+                        for (digest, candidate), result in zip(fresh, results):
                             seen[digest] = result
                             report.results.append(result)
                             sequence.append([digest, result.job_digest, result.ok])
@@ -651,8 +721,8 @@ class MappingExplorer:
                                 report.infeasible += 1
                                 continue
                             report.front.offer(digest, result.metrics, payload=candidate)
-                        report.cache_hits += campaign.cache_hits
-                        report.evaluated += campaign.simulated
+                        report.cache_hits += hits
+                        report.evaluated += len(fresh) - hits
                         spent += len(fresh)
                         stale_rounds = 0
                     else:

@@ -9,8 +9,9 @@ platforms with a bank of identical processors, so that allocation
 decisions trade end-to-end latency against the number of resources
 instantiated (the classic cost axis of mapping DSE).
 
-Problems are looked up by name from worker processes, so everything
-here must be reconstructible from ``(name, parameters)`` alone.
+The ``dse-eval`` campaign job looks problems up by name (possibly in a
+worker process), so everything here must be reconstructible from
+``(name, parameters)`` alone.
 """
 
 from __future__ import annotations

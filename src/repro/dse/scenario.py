@@ -1,12 +1,14 @@
 """Campaign integration: DSE evaluations as declarative scenario jobs.
 
 A candidate evaluation is just a job: ``(scenario="dse-eval", parameters
-= problem parameters + candidate encoding)``.  Everything the campaign
-subsystem provides -- content-addressed digests, the persistent
-:class:`~repro.campaign.store.ResultStore`, process-pool fan-out,
-deterministic seeds -- therefore applies to DSE for free: re-running an
-exploration against the same store evaluates nothing that was already
-scored, and ``--jobs N`` scores candidates on N cores.
+= problem parameters + candidate encoding)``.  Its job digest is the
+result-store key, so re-running an exploration against the same store
+evaluates nothing that was already scored.  The explorer scores its own
+rounds (:meth:`repro.dse.explore.MappingExplorer.run`) and packs each
+evaluation with :func:`evaluation_record`; the registered scenario keeps
+``dse-eval`` jobs runnable through the campaign runner (``campaign run``),
+and its :func:`execute_dse_job` is the reference for what a stored record
+holds.
 
 The scenario uses the :data:`~repro.campaign.registry.Executor` hook
 instead of a planner: the job body builds the *equivalent model only*
@@ -16,19 +18,18 @@ and packs the objectives into the result's ``metrics`` dict.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping
 
 from ..campaign.registry import Scenario, ScenarioRegistry
 from ..campaign.results import JobResult, instants_digest
-from ..campaign.spec import JobSpec, canonical_json
-from .evaluate import CandidateEvaluation, evaluate_candidate, evaluate_candidates
+from ..campaign.spec import JobSpec
+from .evaluate import CandidateEvaluation, evaluate_candidate
 from .problems import get_problem
 from .space import MappingCandidate
 
 __all__ = [
     "DSE_SCENARIO",
     "execute_dse_job",
-    "execute_dse_batch",
     "evaluation_record",
     "register_dse_scenario",
 ]
@@ -75,46 +76,6 @@ def execute_dse_job(job: JobSpec, parameters: Mapping[str, Any]) -> Dict[str, An
     return evaluation_record(job, evaluation)
 
 
-def execute_dse_batch(
-    jobs: Sequence[JobSpec], parameters_list: Sequence[Mapping[str, Any]]
-) -> List[Dict[str, Any]]:
-    """Batch job body: score many candidate jobs through batched sweeps.
-
-    Jobs sharing a problem, non-candidate parameters, evaluator mode and
-    backend are scored with one :func:`evaluate_candidates` call (one
-    compiled template, one array sweep); results align with ``jobs`` and
-    are record-for-record identical to mapping :func:`execute_dse_job`.
-    """
-    results: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
-    groups: Dict[Any, List[int]] = {}
-    for index, (job, parameters) in enumerate(zip(jobs, parameters_list)):
-        shared = {
-            key: value
-            for key, value in parameters.items()
-            if key not in ("allocation", "orders")
-        }
-        groups.setdefault(
-            (canonical_json(shared), job.spec.evaluator, job.spec.backend), []
-        ).append(index)
-    for indices in groups.values():
-        lead = jobs[indices[0]]
-        lead_parameters = parameters_list[indices[0]]
-        problem = get_problem(str(lead_parameters["problem"]))
-        candidates = [
-            MappingCandidate.from_parameters(parameters_list[i]) for i in indices
-        ]
-        evaluations = evaluate_candidates(
-            problem,
-            candidates,
-            lead_parameters,
-            evaluator=lead.spec.evaluator,
-            backend=lead.spec.backend,
-        )
-        for index, evaluation in zip(indices, evaluations):
-            results[index] = evaluation_record(jobs[index], evaluation)
-    return results  # type: ignore[return-value]
-
-
 def register_dse_scenario(registry: ScenarioRegistry) -> Scenario:
     """Register the ``dse-eval`` scenario family (called by the default registry)."""
     return registry.register(
@@ -122,7 +83,6 @@ def register_dse_scenario(registry: ScenarioRegistry) -> Scenario:
             name=DSE_SCENARIO,
             description="DSE candidate evaluation (equivalent model only, no explicit run)",
             executor=execute_dse_job,
-            batch_executor=execute_dse_batch,
             defaults={"problem": "didactic", "items": 40, "seed": 2014},
         )
     )

@@ -1,13 +1,11 @@
 """Search strategies over the mapping design space.
 
 Strategies are *batch* proposers: each round they propose a list of
-candidates, the explorer evaluates the batch (possibly across worker
-processes, possibly served from the result store, possibly as one
-compiled array sweep over the whole generation -- see
-:mod:`repro.dse.engine`) and feeds the scored **objective vectors**
-back through :meth:`SearchStrategy.observe` in a single
-generation-batched call.  This
-shape keeps every strategy trivially parallelisable and -- because
+candidates, the explorer evaluates the batch (served from the result
+store where possible, the rest as one compiled array sweep over the
+whole generation -- see :mod:`repro.dse.engine`) and feeds the scored
+**objective vectors** back through :meth:`SearchStrategy.observe` in a
+single generation-batched call.  This shape keeps every strategy trivially parallelisable and -- because
 proposals depend only on the seeded RNG and on previously observed
 vectors, never on wall-clock time -- deterministic under a fixed seed.
 

@@ -67,7 +67,7 @@ class TestParser:
                 "dse", "run", "--problem", "chain", "--strategy", "annealing",
                 "--budget", "64", "--seed", "9", "--items", "25",
                 "--max-resources", "2", "--no-orders", "--set", "stages=3",
-                "--jobs", "2", "--store", "dse.jsonl", "--top", "5",
+                "--store", "dse.jsonl", "--top", "5",
             ]
         )
         assert arguments.command == "dse"
@@ -81,7 +81,7 @@ class TestParser:
         assert arguments.no_orders is True
         assert arguments.loose_orders is False
         assert arguments.overrides == ["stages=3"]
-        assert arguments.jobs == 2
+        assert not hasattr(arguments, "jobs")
         assert arguments.store == "dse.jsonl"
         assert arguments.top == 5
         assert arguments.checkpoint is None
@@ -112,6 +112,12 @@ class TestParser:
     def test_dse_front_requires_a_store(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dse", "front"])
+
+    def test_dse_run_has_no_worker_pool(self):
+        # The explorer scores its rounds in-process; only the campaign-backed
+        # commands (table1, fig5, campaign run) take --jobs.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["dse", "run", "--jobs", "2"])
 
     def test_dse_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):

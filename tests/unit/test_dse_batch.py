@@ -1,10 +1,11 @@
 """Batched array evaluation: identity, provenance, and fallback properties.
 
-The acceptance property: ``evaluate_batch(candidates)`` (and its
-campaign/explorer plumbing) is **bit-identical** to mapping
-``evaluate_candidate`` over the same list -- every field, every backend,
-every problem, with and without the compiled path -- and the ``backend``
-provenance field threads through records without disturbing identity.
+The acceptance property: ``evaluate_batch(candidates)`` is
+**bit-identical** to mapping ``evaluate_candidate`` over the same list --
+every field, every backend, every problem, with and without the compiled
+path -- the explorer's round records equal the ``dse-eval`` job executor's,
+and the ``backend`` provenance field threads through records without
+disturbing identity.
 """
 
 import dataclasses
@@ -16,9 +17,10 @@ import pytest
 
 from repro.campaign import ResultStore
 from repro.campaign.results import JobResult
-from repro.campaign.runner import run_job, run_job_batch
+from repro.campaign.registry import default_registry
+from repro.campaign.runner import run_job
 from repro.campaign.spec import ScenarioSpec
-from repro.dse import MappingExplorer, compiled_problem, get_problem
+from repro.dse import MappingExplorer, compiled_problem, get_problem, problem_names
 from repro.dse import compile as compile_module
 from repro.dse.engine import numpy_available, resolve_backend
 from repro.dse.evaluate import (
@@ -26,7 +28,7 @@ from repro.dse.evaluate import (
     evaluate_candidate,
     evaluate_candidates,
 )
-from repro.dse.scenario import DSE_SCENARIO, execute_dse_batch, execute_dse_job
+from repro.dse.scenario import DSE_SCENARIO, execute_dse_job
 from repro.errors import CampaignError, ModelError
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -203,48 +205,61 @@ class TestCampaignPlumbing:
             payloads.append(spec.job(0).payload())
         return payloads
 
-    def test_run_job_batch_matches_per_job_records(self):
-        payloads = self._payloads()
-        batched = run_job_batch(payloads)
-        singles = [run_job(payload) for payload in payloads]
-        assert len(batched) == len(singles)
-        for fast, slow in zip(batched, singles):
-            for key in set(fast) | set(slow):
-                if key in ("equivalent_wall_seconds", "telemetry"):
-                    continue
-                assert fast.get(key) == slow.get(key), key
-            assert fast.get("backend") == "python"
+
+def executor_record(job):
+    """The ``dse-eval`` executor's record of ``job``, called as ``run_job`` calls it."""
+    parameters = dict(default_registry().get(DSE_SCENARIO).defaults)
+    parameters.update(job.spec.parameters)
+    parameters["seed"] = job.seed
+    return execute_dse_job(job, parameters)
+
+
+class TestExplorerRecords:
+    """The explorer scores its own rounds; its records are the executor's."""
+
+    @pytest.mark.parametrize("name", problem_names())
+    def test_round_records_equal_the_job_executor_records(self, name):
+        store = ResultStore.in_memory()
+        report = MappingExplorer(
+            name,
+            strategy="random",
+            budget=6,
+            seed=1,
+            parameters={"items": 4},
+            store=store,
+            record_instants=True,
+            evaluator="auto",
+        ).run()
+        assert report.errors == 0 and report.evaluated == 6
+        for result in report.results:
+            job = ScenarioSpec(
+                DSE_SCENARIO, result.parameters, record_instants=True, evaluator="auto"
+            ).job(0)
+            assert job.digest() == result.job_digest
+            stored, reference = store.get(job.digest()), executor_record(job)
+            assert set(stored) == set(reference)
+            for key in reference:
+                if key != "equivalent_wall_seconds":
+                    assert stored[key] == reference[key], key
 
     @pytest.mark.skipif(
         not numpy_available(), reason="without numpy every request resolves to python"
     )
-    def test_single_job_records_the_backend_its_batch_would(self, monkeypatch):
+    def test_single_job_records_the_backend_the_explorer_would(self, monkeypatch):
         """With no backend requested, a single job is a batch of one: it must
-        record the backend its batch siblings resolve to, or a store of one
-        default-backend run mixes backends and ``dse front`` warns."""
+        record the backend the explorer's round batches resolve to, or a
+        store of one default-backend run mixes backends and ``dse front``
+        warns."""
         monkeypatch.delenv("REPRO_DSE_BACKEND", raising=False)
-        jobs = [self.spec().job(0)]
-        problem = get_problem("didactic")
-        for candidate in candidates_of(problem, {"items": 4}, count=3)[1:]:
-            parameters = {"problem": "didactic", "items": 4, "seed": 0}
-            parameters.update(candidate.to_parameters())
-            jobs.append(ScenarioSpec(scenario=DSE_SCENARIO, parameters=parameters).job(0))
-        parameters_list = [dict(job.spec.parameters, seed=job.seed) for job in jobs]
-        assert all(job.spec.backend is None for job in jobs)
-        batched = execute_dse_batch(jobs, parameters_list)
-        for job, parameters, sibling in zip(jobs, parameters_list, batched):
-            single = execute_dse_job(job, parameters)
-            assert single["backend"] == sibling["backend"] == resolve_backend(None)
-
-    def test_run_job_batch_falls_back_on_mixed_scenarios(self):
-        payloads = self._payloads(count=2)
-        foreign = dict(payloads[1])
-        foreign["scenario"] = "fig5-sweep"
-        # Mixed scenarios cannot batch; the fallback must still return one
-        # record per payload (the foreign one as an error or real record).
-        records = run_job_batch([payloads[0], foreign])
-        assert len(records) == 2
-        assert records[0]["scenario"] == DSE_SCENARIO
+        report = MappingExplorer(
+            "didactic", budget=4, seed=1, parameters={"items": 4}
+        ).run()
+        assert report.evaluated == 4
+        for result in report.results:
+            job = ScenarioSpec(DSE_SCENARIO, result.parameters).job(0)
+            assert job.spec.backend is None
+            single = executor_record(job)
+            assert single["backend"] == result.backend == resolve_backend(None)
 
 
 class TestLegacyRecords:
