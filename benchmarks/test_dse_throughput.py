@@ -18,9 +18,9 @@ simulates -- its instants.  These benchmarks pin down
   default feasibility-aware sampling.
 
 ``candidates_per_second`` lands in ``extra_info`` next to the timings.
-The whole module honours ``REPRO_DSE_COMPILE`` (the CI smoke step runs it
-once per mode), since ``evaluate_candidate`` routes through the compiled
-path by default.
+The per-candidate ``evaluate`` cases run once on the compiled path and
+once on the from-scratch build (``compiled=False``), so both stay
+importable and correct.
 
 Two cases run as plain timing assertions (no pytest-benchmark), so they
 hold under ``--benchmark-disable``:
@@ -30,7 +30,7 @@ hold under ``--benchmark-disable``:
   ``dse_bench`` collector and written to ``BENCH_dse.json`` at session
   end (see ``conftest.pytest_sessionfinish``);
 * ``steady speedup`` -- certified steady-state extrapolation
-  (``evaluator="steady"``) versus compiled replay on the periodic
+  (``evaluator="auto"``) versus compiled replay on the periodic
   problems, targeting >= 5x measured (asserted >= 4x against runner
   noise), with both modes' rows in ``BENCH_dse.json``;
 * ``telemetry overhead`` -- enabling telemetry must cost < 5% on the
@@ -38,10 +38,11 @@ hold under ``--benchmark-disable``:
 * ``batch speedup`` -- the array-backed batch engine
   (:meth:`~repro.dse.compile.CompiledProblem.evaluate_batch`) versus the
   paper's event-driven equivalent model and the per-candidate
-  ``evaluate`` loop, per problem x backend, with ``batch_speedup`` and
+  ``evaluate`` loop, per problem x sweep, with ``batch_speedup`` and
   ``end_to_end_speedup`` rows in ``BENCH_dse.json``; the pure-Python
-  array path must sweep >= 4.3x the equivalent model on chain, the numpy
-  path >= 8.6x (skipped, not failed, when numpy is absent).
+  reference sweep must be >= 4.3x the equivalent model on chain, the
+  compiled kernel >= 8.6x (skipped, not failed, without numpy or a C
+  compiler).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ BATCH = 8
 
 
 @pytest.mark.benchmark(group="dse")
-def test_dse_evaluate_throughput(benchmark):
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
+def test_dse_evaluate_throughput(benchmark, compiled):
     """Scoring a batch of feasible candidates with the equivalent model only."""
     problem = get_problem("didactic")
     parameters = {"items": DSE_ITEMS}
@@ -74,7 +76,10 @@ def test_dse_evaluate_throughput(benchmark):
     assert len(candidates) == BATCH
 
     def score_batch():
-        return [evaluate_candidate(problem, candidate, parameters) for candidate in candidates]
+        return [
+            evaluate_candidate(problem, candidate, parameters, compiled=compiled)
+            for candidate in candidates
+        ]
 
     evaluations = benchmark(score_batch)
     assert all(evaluation.feasible for evaluation in evaluations)
@@ -154,7 +159,8 @@ def test_dse_random_proposals_are_order_feasible_on_chain():
 
 
 @pytest.mark.benchmark(group="dse")
-def test_dse_heterogeneous_evaluate_throughput(benchmark):
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "uncompiled"])
+def test_dse_heterogeneous_evaluate_throughput(benchmark, compiled):
     """Scoring random candidates of the mixed-bank ``lte`` problem.
 
     Exercises the kind-aware inner loop: eligibility-constrained sampling,
@@ -168,7 +174,10 @@ def test_dse_heterogeneous_evaluate_throughput(benchmark):
     candidates = [space.random_candidate(rng) for _ in range(BATCH)]
 
     def score_batch():
-        return [evaluate_candidate(problem, candidate, parameters) for candidate in candidates]
+        return [
+            evaluate_candidate(problem, candidate, parameters, compiled=compiled)
+            for candidate in candidates
+        ]
 
     evaluations = benchmark(score_batch)
     assert all(evaluation.feasible for evaluation in evaluations)
@@ -236,13 +245,17 @@ STEADY_CASES = [
 
 
 @pytest.mark.parametrize("problem_name,items", STEADY_CASES)
-def test_dse_steady_speedup(problem_name, items, dse_bench, fresh_compile_cache):
+def test_dse_steady_speedup(
+    problem_name, items, dse_bench, fresh_compile_cache, reference_sweep
+):
     """Steady-state evaluation vs compiled replay on the periodic problems.
 
-    Scores the same candidate batch through ``evaluator="steady"`` (replay
+    Scores the same candidate batch through ``evaluator="auto"`` (replay
     until the periodic regime is certified, then exact arithmetic
-    extrapolation) and ``evaluator="replay"`` (every iteration computed);
-    best-of-three plain timing, holds under ``--benchmark-disable``.  Every
+    extrapolation) and ``evaluator="replay"`` (every iteration computed),
+    both on the pure-Python reference sweep that steady mode runs on, so
+    the ratio is the extrapolation's own; best-of-three plain timing,
+    holds under ``--benchmark-disable``.  Every
     steady evaluation must actually have taken the steady path -- a silent
     fallback to replay would make the timing comparison meaningless -- and
     every evaluation must have patched the template exactly once.  Both
@@ -254,7 +267,7 @@ def test_dse_steady_speedup(problem_name, items, dse_bench, fresh_compile_cache)
     compiled = compiled_problem(problem, parameters)
     candidates = []  # warm-up doubles as selection: feasible + steady-capable
     for candidate in space.enumerate_candidates(limit=4 * BATCH):
-        evaluation = compiled.evaluate(candidate, evaluator="steady")
+        evaluation = compiled.evaluate(candidate, evaluator="auto")
         if evaluation.feasible and evaluation.evaluator == "steady":
             candidates.append(candidate)
         if len(candidates) == BATCH:
@@ -263,12 +276,13 @@ def test_dse_steady_speedup(problem_name, items, dse_bench, fresh_compile_cache)
 
     best = {}
     with telemetry.collect(enable=True) as scope:
-        for mode in ("replay", "steady"):
+        # rows are labelled by the path the records name
+        for mode, evaluator in (("replay", "replay"), ("steady", "auto")):
             best[mode] = float("inf")
             for _ in range(3):
                 tick = time.perf_counter()
                 for candidate in candidates:
-                    compiled.evaluate(candidate, evaluator=mode)
+                    compiled.evaluate(candidate, evaluator=evaluator)
                 best[mode] = min(best[mode], time.perf_counter() - tick)
         snapshot = scope.snapshot()
 
@@ -307,8 +321,7 @@ BATCH_CASES = [
 ]
 
 #: Feasible candidates + lowered programs per problem, shared between the
-#: backend parametrisations so the (backend-independent) end-to-end baseline
-#: is measured once.
+#: two sweeps' parametrisations.
 _batch_fixtures = {}
 
 #: Interleaved (equivalent model, array sweep) timing pairs per case.
@@ -321,8 +334,6 @@ MODEL_SPECS = 32
 
 
 def _batch_fixture(problem_name, items, batch):
-    from repro.dse.engine import replay_batch
-
     if problem_name in _batch_fixtures:
         return _batch_fixtures[problem_name]
     problem = get_problem(problem_name)
@@ -345,25 +356,21 @@ def _batch_fixture(problem_name, items, batch):
     fresh = {id(c): compiled.specialize(c) for c in base}
     specs = [fresh[id(c)] for c in candidates]
     programs = [compiled._lower(candidate, "replay") for candidate in candidates]
-
-    best_single = float("inf")
-    for _ in range(3):
-        tick = time.perf_counter()
-        for candidate in candidates:  # the pre-batch-engine inner loop
-            compiled.evaluate(candidate)
-        best_single = min(best_single, time.perf_counter() - tick)
-
-    fixture = (compiled, candidates, specs, programs, best_single, replay_batch)
+    fixture = (compiled, candidates, specs, programs)
     _batch_fixtures[problem_name] = fixture
     return fixture
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("backend", ["python", "numpy"], indirect=True)
 @pytest.mark.parametrize("problem_name,items,batch", BATCH_CASES)
 def test_dse_batch_speedup(problem_name, items, batch, backend, dse_bench):
     """The batched array sweep vs the paper's event-driven equivalent model.
 
-    Two ratios per problem x backend, both into ``BENCH_dse.json``:
+    Runs once per sweep (the ``backend`` fixture of the repository
+    ``conftest.py``): ``python`` marks the kernel unavailable, so every
+    program is swept by the pure-Python reference; ``numpy`` sweeps with
+    the compiled kernel.  Two ratios per problem x sweep, both into
+    ``BENCH_dse.json``:
 
     * ``batch_speedup`` -- the scoring *stage* alone: one
       :func:`~repro.dse.engine.replay_batch` sweep over the first
@@ -372,28 +379,24 @@ def test_dse_batch_speedup(problem_name, items, batch, backend, dse_bench):
       Reception/Emission processes, ``ComputeInstant()`` per iteration) on
       the same specs.  This is the engine's own win, asserted on chain
       (worst-case, near sequential pipeline): pure Python >= 4.3x,
-      numpy >= 8.6x.
+      kernel >= 8.6x.
     * ``end_to_end_speedup`` -- ``evaluate_batch`` against the
-      per-candidate ``evaluate`` loop (batches of one on the ``python``
-      backend), including the per-candidate
-      specialise/lower/assemble work batching cannot remove (Amdahl bound
-      around 2.5x on chain), so throughput readers see the whole story
-      and not just the kernel figure.
+      per-candidate ``evaluate`` loop (batches of one) on the same sweep,
+      including the per-candidate specialise/lower/assemble work batching
+      cannot remove (Amdahl bound around 2.5x on chain), so throughput
+      readers see the whole story and not just the kernel figure.
 
     Plain best-of-N timing; holds under ``--benchmark-disable``.  The model
     and the sweep are timed in interleaved pairs inside the test, so a slow
     spell of a shared host stretches both sides of ``batch_speedup`` alike.
-    The numpy parametrisation skips (not fails) when numpy is absent -- the
-    pure-Python path is the reference and keeps the install zero-dependency.
+    The kernel parametrisation skips (not fails) without numpy or a C
+    compiler -- the pure-Python path is the reference and keeps the install
+    zero-dependency.
     """
     from repro.core import EquivalentArchitectureModel
-    from repro.dse.engine import numpy_available
+    from repro.dse.engine import replay_batch
 
-    if backend == "numpy" and not numpy_available():
-        pytest.skip("numpy is not installed; the pure-Python array path is the reference")
-    compiled, candidates, specs, programs, best_single, replay = _batch_fixture(
-        problem_name, items, batch
-    )
+    compiled, candidates, specs, programs = _batch_fixture(problem_name, items, batch)
     best_model = best_sweep = float("inf")
     for _ in range(BATCH_PAIRS):
         tick = time.perf_counter()
@@ -407,12 +410,16 @@ def test_dse_batch_speedup(problem_name, items, batch, backend, dse_bench):
             ).run()
         best_model = min(best_model, time.perf_counter() - tick)
         tick = time.perf_counter()
-        replay(programs[:MODEL_SPECS], backend)
+        replay_batch(programs[:MODEL_SPECS])
         best_sweep = min(best_sweep, time.perf_counter() - tick)
-    best_batch = float("inf")
+    best_single = best_batch = float("inf")
     for _ in range(3):
         tick = time.perf_counter()
-        evaluations = compiled.evaluate_batch(candidates, backend=backend)
+        for candidate in candidates:  # the pre-batch-engine inner loop
+            compiled.evaluate(candidate)
+        best_single = min(best_single, time.perf_counter() - tick)
+        tick = time.perf_counter()
+        evaluations = compiled.evaluate_batch(candidates)
         best_batch = min(best_batch, time.perf_counter() - tick)
     assert all(evaluation.feasible for evaluation in evaluations)
     assert {evaluation.backend for evaluation in evaluations} == {backend}

@@ -64,10 +64,12 @@ class JobResult:
     #: records written before the field existed.  Provenance only -- never
     #: part of any digest.
     evaluator: Optional[str] = None
-    #: Array backend that swept a DSE job's instants (``"python"`` or
-    #: ``"numpy"``); ``None`` for speed-up jobs and for records written
-    #: before the field existed.  Provenance only -- never part of any
-    #: digest.
+    #: Sweep that produced a DSE job's instants: ``"python"`` (the
+    #: reference replay, also the explicit fallback) or ``"numpy"`` (the
+    #: compiled kernel); an infeasible job, never swept, names the backend
+    #: its process sweeps with.  ``None`` for speed-up jobs and for records
+    #: written before the field existed.  Provenance only -- never part of
+    #: any digest.
     backend: Optional[str] = None
     #: Per-job telemetry snapshot recorded in the worker's collect() scope
     #: (see :mod:`repro.telemetry`); ``None`` unless the coordinating run had

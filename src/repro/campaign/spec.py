@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 from ..errors import CampaignError
 
@@ -146,33 +146,22 @@ class ScenarioSpec:
     parameters: Mapping[str, Any] = field(default_factory=dict)
     replications: int = 1
     record_instants: bool = False
-    #: Candidate scoring path for DSE scenarios (``replay``/``steady``/
-    #: ``auto``, see :data:`repro.dse.EVALUATOR_MODES`).  Deliberately *not*
+    #: Candidate scoring path for DSE scenarios (``replay``/``auto``, see
+    #: :data:`repro.dse.EVALUATOR_MODES`).  Deliberately *not*
     #: part of :meth:`canonical`/:meth:`digest`: every mode produces the same
     #: objectives instant for instant, so a record scored in one mode serves
     #: runs requesting another -- like ``record_instants``, it is execution
     #: strategy, not experiment identity.
     evaluator: str = "replay"
-    #: Array backend request for DSE scenarios (``None``/``"auto"`` to
-    #: auto-detect, or ``"python"``/``"numpy"``).  Excluded from the digest
-    #: for the same reason as ``evaluator``: both backends are certified
-    #: bit-identical, so the backend is execution strategy, not identity.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.scenario:
             raise CampaignError("a scenario spec needs a scenario name")
         if self.replications < 1:
             raise CampaignError("a scenario spec needs at least one replication")
-        if self.evaluator not in ("replay", "steady", "auto"):
+        if self.evaluator not in ("replay", "auto"):
             raise CampaignError(
-                f"unknown evaluator mode {self.evaluator!r}; "
-                "expected 'replay', 'steady' or 'auto'"
-            )
-        if self.backend not in (None, "auto", "python", "numpy"):
-            raise CampaignError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'auto', 'python' or 'numpy'"
+                f"unknown evaluator mode {self.evaluator!r}; expected 'replay' or 'auto'"
             )
         object.__setattr__(self, "parameters", _normalise(dict(self.parameters)))
 
@@ -238,7 +227,6 @@ class JobSpec:
             "replications": self.spec.replications,
             "record_instants": self.spec.record_instants,
             "evaluator": self.spec.evaluator,
-            "backend": self.spec.backend,
         }
 
     @classmethod
@@ -251,7 +239,6 @@ class JobSpec:
                 replications=payload.get("replications", 1),
                 record_instants=payload.get("record_instants", False),
                 evaluator=payload.get("evaluator", "replay"),
-                backend=payload.get("backend"),
             )
             return cls(spec=spec, replication=payload["replication"])
         except KeyError as missing:

@@ -61,6 +61,7 @@ from .dse import (
     problem_registry,
     ranked_rows,
 )
+from .dse.engine import resolve_backend
 from .errors import CampaignError, ModelError
 from .examples_lib import build_didactic_architecture
 from .generator import build_chain_architecture
@@ -189,18 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="replay",
         choices=list(EVALUATOR_MODES),
         help="candidate scoring path: 'replay' computes every iteration, "
-        "'steady' certifies the periodic regime and extrapolates the rest "
+        "'auto' certifies the periodic regime and extrapolates the rest "
         "(identical objectives, per-candidate fallback to replay when the "
-        "problem does not qualify), 'auto' is steady-whenever-possible",
-    )
-    dse_run.add_argument(
-        "--backend",
-        default=None,
-        choices=["auto", "python", "numpy"],
-        help="array backend for the batched replay sweep: 'python' is the "
-        "zero-dependency reference, 'numpy' vectorises across the candidates "
-        "of a generation (bit-identical results), 'auto' picks numpy when "
-        "importable; default: auto-detect",
+        "candidate does not qualify)",
     )
     dse_run.add_argument("--items", type=int, default=None, help="data items per evaluation")
     dse_run.add_argument(
@@ -816,7 +808,6 @@ def _run_dse_run(arguments: argparse.Namespace) -> int:
         progress=_dse_progress if _want_progress(arguments) else None,
         ledger=None if arguments.no_ledger else telemetry.RunLedger(arguments.ledger),
         evaluator=arguments.evaluator,
-        backend=arguments.backend,
     )
     problem = explorer.problem
     space = explorer.build_space()
@@ -826,7 +817,7 @@ def _run_dse_run(arguments: argparse.Namespace) -> int:
         f"(max {space.max_resources} of {len(space.resources)} usable), "
         f"strategy {arguments.strategy!r}, budget {arguments.budget}, "
         f"evaluator {arguments.evaluator!r}, "
-        f"backend {arguments.backend or 'auto'!r}"
+        f"backend {resolve_backend(None)!r}"
     )
     report = explorer.run()
     if report.resumed:

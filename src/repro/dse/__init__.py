@@ -19,7 +19,7 @@ Layout
 * :mod:`repro.dse.compile` -- :class:`CompiledProblem`: one TDG template
   per problem, lowered once onto index tables; each candidate writes only
   what its mapping decides over them, with a certified steady-state
-  evaluator (``evaluator="steady"``) that stops replaying once the
+  evaluator (``evaluator="auto"``) that stops replaying once the
   periodic regime locks in;
 * :mod:`repro.dse.search` -- exhaustive / random / annealing / nsga2
   strategies over objective *vectors*, with pluggable scalarisation and

@@ -40,7 +40,7 @@ data-dependent workload durations for the same stimulus tokens.
   i.e. a case needing boundary feedback), the evaluation transparently
   falls back to the exact from-scratch path.
 
-**Steady-state evaluation** (``evaluator="steady"``/``"auto"``) stacks on
+**Steady-state evaluation** (``evaluator="auto"``) stacks on
 top of the array sweep: on periodic stimuli with iteration-independent
 durations the evolution instants enter a periodic regime ``x(k+1) = x(k)
 + c``.  When the steady gate of :func:`repro.dse.engine.lower_spec`
@@ -204,14 +204,13 @@ class CompiledProblem:
     ) -> CandidateEvaluation:
         """Score one candidate (same objectives as ``evaluate_mapping``).
 
-        The pure-Python reference: a batch of one swept on the ``python``
-        backend, so the record carries ``backend="python"``.  ``evaluator``
-        selects the scoring path: ``"replay"`` sweeps every iteration,
-        ``"steady"`` and ``"auto"`` stop at the certified periodic regime
-        when the problem admits it (and sweep every iteration when it does
-        not).  All modes produce bit-identical objectives.
+        A batch of one: ``evaluate_batch([candidate], evaluator)[0]``.
+        ``evaluator`` selects the scoring path: ``"replay"`` sweeps every
+        iteration, ``"auto"`` stops at the certified periodic regime when
+        the problem admits it (and sweeps every iteration when it does not).
+        Both modes produce bit-identical objectives.
         """
-        return self.evaluate_batch([candidate], evaluator, backend="python")[0]
+        return self.evaluate_batch([candidate], evaluator)[0]
 
     def _lower(self, candidate: MappingCandidate, evaluator: str) -> ArrayProgram:
         """Write what ``candidate``'s mapping decides over the lowered template.
@@ -241,7 +240,7 @@ class CompiledProblem:
                 mapping.resource_of(slot.function) for slot in self.template.execute_slots
             ]
         return lower_spec(
-            self._program, schedule_arcs, tables, resources, steady=evaluator != "replay"
+            self._program, schedule_arcs, tables, resources, steady=evaluator == "auto"
         )
 
     # ------------------------------------------------------------------
@@ -251,36 +250,35 @@ class CompiledProblem:
         self,
         candidates: Sequence[MappingCandidate],
         evaluator: str = "replay",
-        backend: Optional[str] = None,
     ) -> List[CandidateEvaluation]:
         """Score a whole generation of candidates with one batched array sweep.
 
         Per candidate, the candidate's mapping is written over the problem's
         lowered template and the result *lowered* onto flat integer tables
         (:func:`repro.dse.engine.lower_spec`); the programs are replayed
-        together on the selected backend -- pure-Python list arithmetic or one
-        numpy sweep vectorised across candidates.  Nothing carries over from
-        one candidate to the next: results are bit-identical, instant for
-        instant and field for field (wall-clock and ``backend`` aside),
-        whatever the backend, the batch and its order:
+        together by :func:`repro.dse.engine.replay_batch`, which picks the
+        sweep of each program.  Nothing carries over from one candidate to
+        the next: results are bit-identical, instant for instant and field
+        for field (wall-clock and ``backend`` aside), whatever the sweep,
+        the batch and its order:
 
         * infeasible candidates produce the same infeasibility reports;
-        * ``"steady"``/``"auto"`` candidates whose gate holds are lowered in
-          steady mode and stop at their certificate;
+        * ``"auto"`` candidates whose gate holds are lowered in steady mode
+          and stop at their certificate;
         * candidates whose outputs need boundary feedback fall back to
           explicit simulation.
 
-        ``backend`` is ``"python"``/``"numpy"``/``"auto"``/``None``
-        (see :func:`repro.dse.engine.resolve_backend`).  Reported
-        ``wall_seconds`` of batch-swept candidates spans from their
-        specialisation through the shared sweep; it is provenance, not an
-        objective.
+        Each record's ``backend`` names the sweep that produced it;
+        infeasible candidates are never swept and name
+        :func:`repro.dse.engine.resolve_backend`.  A swept candidate's
+        ``wall_seconds`` is its own lowering and assembly plus an equal
+        share of the batch sweep, so the batch's records add up to at most
+        its wall time; it is provenance, not an objective.
         """
         if evaluator not in EVALUATOR_MODES:
             raise ModelError(
                 f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
             )
-        backend = resolve_backend(backend)
         candidates = list(candidates)
         results: List[Optional[CandidateEvaluation]] = [None] * len(candidates)
         pending: List[Tuple[int, MappingCandidate, float]] = []
@@ -293,27 +291,26 @@ class CompiledProblem:
             except ReproError as error:
                 # Patching and lowering surface the infeasibility facts
                 # (zero-delay cycles, invalid workload durations, delay-0
-                # ready arcs) before any sweep.  The record still carries the
-                # batch's backend: it was scored under that backend request,
-                # and a mixed-backend store should only be reported when
-                # sweeps actually mixed.
-                results[position] = _infeasible(candidate, error, start, backend)
+                # ready arcs) before any sweep.
+                results[position] = _infeasible(candidate, error, start)
                 continue
-            pending.append((position, candidate, start))
+            pending.append((position, candidate, time.perf_counter() - start))
             programs.append(program)
 
         if programs:
+            start = time.perf_counter()
             with telemetry.span(
-                "dse.compile.replay",
-                category="dse",
-                args={"backend": backend, "size": len(programs)},
+                "dse.compile.replay", category="dse", args={"size": len(programs)}
             ):
-                runs = replay_batch(programs, backend)
+                runs, backends = replay_batch(programs)
+            share = (time.perf_counter() - start) / len(programs)
             telemetry.count(
                 "dse.compile.replay_steps",
                 sum(program.iterations for program in programs if program.periods is None),
             )
-            for (position, candidate, start), program, run in zip(pending, programs, runs):
+            for (position, candidate, lowered), program, run, backend in zip(
+                pending, programs, runs, backends
+            ):
                 if run is None:
                     # An output would be accepted later than computed
                     # (boundary feedback): exact explicit simulation.
@@ -328,7 +325,9 @@ class CompiledProblem:
                         spans,
                         offers,
                         actual,
-                        start,
+                        # the clock of _assemble starts its own time plus
+                        # this candidate's lowering and share of the sweep
+                        time.perf_counter() - lowered - share,
                         evaluator="replay" if program.periods is None else "steady",
                         backend=backend,
                     )
@@ -420,15 +419,15 @@ class CompiledProblem:
 
 
 def _infeasible(
-    candidate: MappingCandidate, error: ReproError, start: float, backend: str = "python"
+    candidate: MappingCandidate, error: ReproError, start: float
 ) -> CandidateEvaluation:
-    """Record ``error`` as the infeasibility fact of ``candidate``."""
+    """Record ``error`` as the infeasibility fact of ``candidate`` (never swept)."""
     return _record_evaluation(
         CandidateEvaluation(
             candidate=candidate,
             infeasible=f"{type(error).__name__}: {error}",
             wall_seconds=time.perf_counter() - start,
-            backend=backend,
+            backend=resolve_backend(None),
         )
     )
 

@@ -11,8 +11,8 @@ each slot and each slot's resource -- orders and checks the patched
 tables, and turns them into an :class:`ArrayProgram`: per-node
 predecessor arc lists over per-iteration duration streams, and per
 resource the rows of its execute slots.  Replaying the Reception/Emission
-protocol is then a tight loop over list indices -- and, with the
-optional ``numpy`` backend, one call of a compiled C transcription of
+protocol is then a tight loop over list indices -- and, when ``numpy``
+imports and the kernel loads, one call of a compiled C transcription of
 that loop over the whole batch in int64 numpy buffers, followed by a
 second call that scores every resource's busy span in the same buffers.
 Every candidate the compiled path scores goes through here; the protocol
@@ -22,18 +22,20 @@ A replay returns ``(offers, actual, spans)``: the offer instants per
 input relation, the output instants per output relation, and per busy
 resource its ``(busy, lo, hi)`` -- the length of the union of its
 execute intervals and the first and last instant of any of them (idle
-resources are absent).  Both backends return exactly that shape, and
+resources are absent).  Both paths return exactly that shape, and
 :mod:`repro.dse.compile` turns the spans into utilisation fractions.
 
-A program lowered with ``steady=True`` carries its inputs' offer
-periods and is replayed by :func:`replay_program` in *steady mode* on
-either backend: the sweep stops once the periodic regime is certified
-and writes the remaining iterations in closed form, returning exactly
-what the full sweep would have.
+Which path sweeps a program is a rule, not an option (:func:`replay_batch`):
+the kernel sweeps every full-horizon program when it is available, and
+:func:`replay_program` sweeps everything else.  A program lowered with
+``steady=True`` carries its inputs' offer periods and is replayed by
+:func:`replay_program` in *steady mode*: the sweep stops once the periodic
+regime is certified and writes the remaining iterations in closed form,
+returning exactly what the full sweep would have.
 
 Invariants:
 
-* **Exactness.**  Both backends compute the very same (max, +)
+* **Exactness.**  Both paths compute the very same (max, +)
   recurrence as :class:`~repro.tdg.evaluator.TDGEvaluator`; results are
   bit-identical, instant for instant, to the explicit simulation
   (asserted by the equivalence suites).
@@ -44,11 +46,10 @@ Invariants:
   int64 overflow and leaves such candidates to :func:`replay_program` on
   Python integers, so no headroom is assumed; a resource whose span it
   cannot prove in int64 closed form is merged exactly on Python integers.
-* **Reference path stays pure Python.**  The ``python`` backend has no
-  third-party dependency; ``numpy`` is auto-detected and selected via
-  :func:`resolve_backend` / the ``REPRO_DSE_BACKEND`` environment
-  variable.  Its kernel is built on first use into a per-user cache;
-  without a C compiler the numpy backend sweeps with the reference.
+* **Reference path stays pure Python.**  :func:`replay_program` has no
+  third-party dependency.  The kernel needs ``numpy`` and a C compiler;
+  it is built on first use into a per-user cache, and without either
+  every program is swept by the reference.
 * **Every weight is a stream.**  A template weight is either constant or
   an execute slot's workload, and the compiled problem binds every such
   slot to a :class:`_TabulatedWeight` table, so every candidate lowers.
@@ -61,6 +62,7 @@ This module also owns :class:`_TabulatedWeight` and :class:`_TokenTable`
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import logging
 import os
@@ -95,7 +97,7 @@ __all__ = [
     "resolve_backend",
 ]
 
-#: Supported array backends, in reference-first order.
+#: The sweep paths a record may name, in reference-first order.
 BACKENDS: Tuple[str, ...] = ("python", "numpy")
 
 #: ε (no value yet) as an int64 sentinel.  Real instants are >= 0.
@@ -246,8 +248,9 @@ Span = Tuple[int, int, int]
 ProgramResult = Tuple[Dict[str, List[int]], Dict[str, List[int]], Dict[str, Span]]
 
 
+@functools.lru_cache(maxsize=None)
 def numpy_available() -> bool:
-    """Whether the optional numpy backend can be imported."""
+    """Whether numpy, which the compiled kernel's buffers need, imports."""
     try:
         import numpy  # noqa: F401
     except Exception:
@@ -255,27 +258,16 @@ def numpy_available() -> bool:
     return True
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve an explicit/None/``"auto"`` backend request to a concrete one.
+def resolve_backend(request: None = None) -> str:
+    """The backend this process sweeps full-horizon programs with.
 
-    Precedence: explicit argument, then the ``REPRO_DSE_BACKEND``
-    environment variable, then auto-detection (numpy when importable,
-    else the pure-Python reference).  Raises
-    :class:`~repro.errors.ModelError` for unknown names or when numpy is
-    requested but not importable.
+    ``"numpy"`` (the compiled kernel) when numpy imports and the kernel has
+    not failed to load, else ``"python"`` (:func:`replay_program`).  The
+    backend is not an option: ``request`` must be ``None``.
     """
-    if backend in (None, "", "auto"):
-        env = os.environ.get("REPRO_DSE_BACKEND", "").strip().lower()
-        backend = env or None
-    if backend in (None, "", "auto"):
-        return "numpy" if numpy_available() else "python"
-    if backend not in BACKENDS:
-        raise ModelError(
-            f"unknown DSE backend {backend!r}; expected one of {BACKENDS} (or 'auto')"
-        )
-    if backend == "numpy" and not numpy_available():
-        raise ModelError("backend 'numpy' requested but numpy is not importable")
-    return backend
+    if request is not None:
+        raise ModelError(f"the DSE backend is not selectable (got {request!r})")
+    return "numpy" if _kernel is not False and numpy_available() else "python"
 
 
 class TemplateProgram(NamedTuple):
@@ -847,45 +839,51 @@ def _merged_rows(rows: Sequence[Tuple[Sequence[int], Sequence[int]]]) -> Optiona
 
 
 def replay_batch(
-    programs: Sequence[ArrayProgram], backend: str = "python"
-) -> List[Optional[ProgramResult]]:
-    """Replay a batch of lowered programs on the selected backend.
+    programs: Sequence[ArrayProgram],
+) -> Tuple[List[Optional[ProgramResult]], List[str]]:
+    """Replay a batch of lowered programs; returns ``(results, backends)``.
 
-    Results align with ``programs``; an entry is ``None`` exactly when the
-    reference replay would fall back to the event-driven harness for that
-    candidate.  The numpy backend sweeps and scores each horizon group with
-    one call of each compiled kernel, or with the reference if there is no
-    kernel.  Steady-mode programs are replayed by the reference on either
-    backend: their certified prefixes are a few dozen iterations, and the
-    kernel only sweeps full horizons.
+    Both lists align with ``programs``.  A result is ``None`` exactly when
+    the reference replay would fall back to the event-driven harness for
+    that candidate; ``backends[p]`` names the path that swept program ``p``:
+    ``"numpy"`` for the compiled kernel, ``"python"`` for
+    :func:`replay_program`.  The kernel sweeps and scores each horizon
+    group of full-horizon programs with one call of each entry point.
+    :func:`replay_program` sweeps steady-mode programs (their certified
+    prefixes are a few dozen iterations, and the kernel only sweeps full
+    horizons), candidates whose sums leave int64, and every program when
+    numpy or the kernel is unavailable.
     """
     programs = list(programs)
     telemetry.count("dse.engine.batches")
     telemetry.gauge("dse.engine.batch_size", len(programs))
-    telemetry.count(f"dse.engine.backend.{backend}", len(programs))
     full = [p for p, program in enumerate(programs) if program.periods is None]
-    kernel = _sweep_kernel() if backend == "numpy" and full else None
-    if kernel is None:
-        if backend == "numpy" and full:
-            telemetry.count("dse.engine.kernel_unavailable", len(full))
-        return [replay_program(program) for program in programs]
-    results: List[Optional[ProgramResult]] = [
-        None if program.periods is None else replay_program(program) for program in programs
-    ]
-    for horizon in {programs[p].iterations for p in full}:
+    kernel = _sweep_kernel() if full and numpy_available() else None
+    if kernel is None and full:
+        telemetry.count("dse.engine.kernel_unavailable", len(full))
+    results: List[Optional[ProgramResult]] = [None] * len(programs)
+    backends = ["python"] * len(programs)
+    for p, program in enumerate(programs):
+        if kernel is None or program.periods is not None:
+            results[p] = replay_program(program)
+    for horizon in {programs[p].iterations for p in full} if kernel else ():
         positions = [p for p in full if programs[p].iterations == horizon]
-        group = [programs[p] for p in positions]
         try:
-            swept = _kernel_sweep(kernel, group)
+            swept = _kernel_sweep(kernel, [programs[p] for p in positions])
         except OverflowError:  # a duration or offer time beyond int64
-            telemetry.count("dse.engine.kernel_overflow_fallbacks", len(group))
-            swept = [replay_program(program) for program in group]
-        for position, result in zip(positions, swept):
-            results[position] = result
-    return results
+            telemetry.count("dse.engine.kernel_overflow_fallbacks", len(positions))
+            swept = [(replay_program(programs[p]), "python") for p in positions]
+        for position, (result, backend) in zip(positions, swept):
+            results[position], backends[position] = result, backend
+    for backend in BACKENDS:
+        if backend in backends:
+            telemetry.count(f"dse.engine.backend.{backend}", backends.count(backend))
+    return results, backends
 
 
-def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[ProgramResult]]:
+def _kernel_sweep(
+    kernel: Any, programs: List[ArrayProgram]
+) -> List[Tuple[Optional[ProgramResult], str]]:
     """Sweep and score programs sharing a horizon with one call of each kernel.
 
     Every candidate's nodes get a row block of one ``[nodes, K]`` history
@@ -896,8 +894,10 @@ def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[Pr
     swept, 1 an output went ε or decreased (``None``), 2 a sum left int64
     (or an index or stream length was out of range) -- the reference re-runs
     it.  The span kernel then scores every resource of each swept candidate
-    in place; a resource it flags is merged on Python integers.  Raises
-    :class:`OverflowError` when a stream does not fit int64.
+    in place; a resource it flags is merged on Python integers.  Returns
+    each program's result with the path that swept it (``"python"`` for a
+    status-2 re-run).  Raises :class:`OverflowError` when a stream does not
+    fit int64.
     """
     import numpy as np
 
@@ -974,12 +974,12 @@ def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[Pr
     span_rows = spans.tolist()
     output_values = hist[np.asarray(out_node, dtype=np.intp)].tolist()
     offer_values = offers.tolist()
-    results: List[Optional[ProgramResult]] = [None] * len(programs)
+    results: List[Tuple[Optional[ProgramResult], str]] = [(None, "numpy")] * len(programs)
     for c, code in enumerate(statuses):
         program = programs[c]
         if code == 2:
             telemetry.count("dse.engine.kernel_overflow_fallbacks")
-            results[c] = replay_program(program)
+            results[c] = (replay_program(program), "python")
             continue
         if code:
             continue
@@ -997,9 +997,12 @@ def _kernel_sweep(kernel: Any, programs: List[ArrayProgram]) -> List[Optional[Pr
             if merged is not None:
                 resource_spans[resource] = merged
         results[c] = (
-            {r: offer_values[in_ptr[c] + i] for i, (r, _, _, _) in enumerate(program.inputs)},
-            {r: output_values[out_ptr[c] + o] for o, (r, _) in enumerate(program.outputs)},
-            resource_spans,
+            (
+                {r: offer_values[in_ptr[c] + i] for i, (r, _, _, _) in enumerate(program.inputs)},
+                {r: output_values[out_ptr[c] + o] for o, (r, _) in enumerate(program.outputs)},
+                resource_spans,
+            ),
+            "numpy",
         )
     return results
 
@@ -1020,7 +1023,7 @@ def _in_bounds(program: ArrayProgram) -> bool:
     )
 
 
-#: The numpy backend's kernels over :func:`_kernel_sweep`'s tables: the sweep,
+#: The compiled kernels over :func:`_kernel_sweep`'s tables: the sweep,
 #: :func:`replay_program`'s masked form transcribed line for line, and the
 #: per-resource span scoring of :func:`_interleaved_span`.  The sha256 of the
 #: source keys the build cache.
@@ -1179,8 +1182,8 @@ def _sweep_kernel() -> Optional[_Kernel]:
             except (OSError, AttributeError, subprocess.SubprocessError) as error:
                 _kernel = False
                 _LOG.warning(
-                    "compiled sweep kernel unavailable (%s); the numpy backend "
-                    "sweeps with the pure-Python reference",
+                    "compiled sweep kernel unavailable (%s); every program "
+                    "is swept by the pure-Python reference",
                     error,
                 )
         return _kernel or None

@@ -22,7 +22,6 @@ search strategies can skip it and move on.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -49,10 +48,10 @@ __all__ = [
 
 #: Accepted ``evaluator`` modes of :func:`evaluate_candidate` (re-exported by
 #: :mod:`repro.dse.compile`, which owns the implementation): ``replay``
-#: computes every iteration, ``steady`` extrapolates the certified periodic
-#: regime (falling back to replay per candidate when the problem does not
-#: admit it), ``auto`` picks steady whenever the problem qualifies.
-EVALUATOR_MODES = ("replay", "steady", "auto")
+#: computes every iteration, ``auto`` extrapolates the certified periodic
+#: regime whenever the candidate qualifies (its record then says
+#: ``"steady"``) and replays the others.
+EVALUATOR_MODES = ("replay", "auto")
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ class CandidateEvaluation:
     #: Not an objective -- excluded from :meth:`metrics`; the campaign layer
     #: records it per job for provenance.
     evaluator: str = "replay"
-    #: Array backend that actually swept these instants: ``"python"`` (the
+    #: Sweep that actually produced these instants: ``"python"`` (the
     #: zero-dependency reference, also reported by the explicit path) or
-    #: ``"numpy"`` (vectorised across a candidate batch).
+    #: ``"numpy"`` (the compiled kernel, one call across a candidate batch).
     #: Like ``evaluator``, pure provenance -- excluded from :meth:`metrics`.
     backend: str = "python"
 
@@ -254,27 +253,12 @@ def evaluate_mapping(
     )
 
 
-def compile_enabled_by_default() -> bool:
-    """Whether ``evaluate_candidate`` uses the compiled path (env override).
-
-    Set ``REPRO_DSE_COMPILE=0`` to force the from-scratch build (the CI smoke
-    step runs the throughput harness in both modes through this switch).
-    """
-    return os.environ.get("REPRO_DSE_COMPILE", "1").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-
-
 def evaluate_candidate(
     problem: DesignProblem,
     candidate: MappingCandidate,
     parameters: Optional[Mapping[str, Any]] = None,
-    compiled: Optional[bool] = None,
+    compiled: bool = True,
     evaluator: str = "replay",
-    backend: Optional[str] = None,
 ) -> CandidateEvaluation:
     """Score one candidate of ``problem`` under resolved problem parameters.
 
@@ -283,55 +267,44 @@ def evaluate_candidate(
     :class:`~repro.dse.compile.CompiledProblem`: the allocation-independent
     TDG template of the problem is built once and only *specialised* per
     candidate, which is what makes exploration inner loops fast.  Pass
-    ``compiled=False`` (or set ``REPRO_DSE_COMPILE=0``) to force the original
-    from-scratch :func:`evaluate_mapping` build; both paths produce identical
-    objectives, instant for instant.
+    ``compiled=False`` to force the original from-scratch
+    :func:`evaluate_mapping` build (the reference); both paths produce
+    identical objectives, instant for instant.
 
     ``evaluator`` selects the compiled scoring path (see
     :data:`EVALUATOR_MODES`); the from-scratch path always replays and
-    silently ignores the mode.  ``backend`` selects the array engine
-    (``"python"``/``"numpy"``/``"auto"``/``None``, see
-    :func:`repro.dse.engine.resolve_backend`) and resolves exactly as in a
-    batch; the from-scratch path ignores it.  All combinations produce
-    bit-identical objectives.
+    silently ignores the mode.  Every combination produces bit-identical
+    objectives.
     """
-    return evaluate_candidates(
-        problem, [candidate], parameters, compiled, evaluator, backend
-    )[0]
+    return evaluate_candidates(problem, [candidate], parameters, compiled, evaluator)[0]
 
 
 def evaluate_candidates(
     problem: DesignProblem,
     candidates: Sequence[MappingCandidate],
     parameters: Optional[Mapping[str, Any]] = None,
-    compiled: Optional[bool] = None,
+    compiled: bool = True,
     evaluator: str = "replay",
-    backend: Optional[str] = None,
 ) -> List[CandidateEvaluation]:
     """Score a whole candidate batch; the batched form of :func:`evaluate_candidate`.
 
     On the compiled path (the default) the batch is swept in one go by
-    :meth:`~repro.dse.compile.CompiledProblem.evaluate_batch` on the
-    resolved array backend.  With ``compiled=False`` (or
-    ``REPRO_DSE_COMPILE=0``) every candidate is scored by the from-scratch
-    :func:`evaluate_mapping`, exactly as :func:`evaluate_candidate` would
-    -- ``backend`` is then ignored.  Either way the returned list aligns
-    with ``candidates`` and is bit-identical, instant for instant, to
-    mapping :func:`evaluate_candidate` over the same list.
+    :meth:`~repro.dse.compile.CompiledProblem.evaluate_batch`.  With
+    ``compiled=False`` every candidate is scored by the from-scratch
+    :func:`evaluate_mapping`, exactly as :func:`evaluate_candidate` would.
+    Either way the returned list aligns with ``candidates`` and is
+    bit-identical, instant for instant, to mapping
+    :func:`evaluate_candidate` over the same list.
     """
     if evaluator not in EVALUATOR_MODES:
         raise ModelError(
             f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
         )
     candidates = list(candidates)
-    if compiled is None:
-        compiled = compile_enabled_by_default()
     if compiled:
         from .compile import compiled_problem
 
-        return compiled_problem(problem, parameters).evaluate_batch(
-            candidates, evaluator=evaluator, backend=backend
-        )
+        return compiled_problem(problem, parameters).evaluate_batch(candidates, evaluator)
     resolved = problem.parameters(parameters)
     return [
         evaluate_mapping(

@@ -34,7 +34,6 @@ from __future__ import annotations
 import gc
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -167,12 +166,11 @@ class MappingExplorer:
     Each round's fresh candidates are scored in one
     :func:`~repro.dse.evaluate.evaluate_candidates` call through a cached
     :class:`~repro.dse.compile.CompiledProblem` -- the problem's TDG
-    template is compiled once and only specialised per candidate (set
-    ``REPRO_DSE_COMPILE=0`` to force the from-scratch build).  Results are
-    stored as ``dse-eval`` job records keyed by their job digest, so a
+    template is compiled once and only specialised per candidate.  Results
+    are stored as ``dse-eval`` job records keyed by their job digest, so a
     re-run against the same ``store`` evaluates nothing.  ``evaluator``
     selects the scoring path within the compiled evaluator
-    (``replay``/``steady``/``auto``, see :data:`~repro.dse.evaluate
+    (``replay``/``auto``, see :data:`~repro.dse.evaluate
     .EVALUATOR_MODES`); every mode produces identical objectives.  With
     ``strict`` left on, proposal sampling only draws service orders
     consistent with the data dependencies, so the budget is spent on
@@ -213,7 +211,6 @@ class MappingExplorer:
         progress: Optional[Callable[[Dict[str, Any]], None]] = None,
         ledger: Optional[Union[str, Path, "telemetry.RunLedger"]] = None,
         evaluator: str = "replay",
-        backend: Optional[str] = None,
     ) -> None:
         if budget < 1:
             raise ModelError("the exploration budget must be at least one candidate")
@@ -223,10 +220,6 @@ class MappingExplorer:
             raise ModelError(
                 f"unknown evaluator mode {evaluator!r}; expected one of {EVALUATOR_MODES}"
             )
-        if backend is not None:
-            # Fail fast (before any round runs) on a typo or on requesting
-            # numpy in an interpreter that does not have it.
-            resolve_backend(backend)
         self.problem = get_problem(problem) if isinstance(problem, str) else problem
         self.strategy_name = strategy
         self.budget = budget
@@ -246,12 +239,6 @@ class MappingExplorer:
         #: every mode yields identical objectives, so a checkpointed run may
         #: be resumed under another mode and stored records stay shareable.
         self.evaluator = evaluator
-        #: Array backend request threaded to the batch engine (``None`` to
-        #: auto-detect, or ``"auto"``/``"python"``/
-        #: ``"numpy"``).  Like ``evaluator`` it is excluded from
-        #: :meth:`_config`: both backends are certified bit-identical, so a
-        #: checkpoint resumes and stored records stay shareable either way.
-        self.backend = backend
         #: None picks the problem's own objective tuple (heterogeneous
         #: problems add per-kind axes to the default latency/resources pair).
         self.objectives = (
@@ -305,7 +292,6 @@ class MappingExplorer:
             parameters=parameters,
             record_instants=self.record_instants,
             evaluator=self.evaluator,
-            backend=self.backend,
         )
 
     def _score(
@@ -358,9 +344,10 @@ class MappingExplorer:
         """
         if not candidates:
             return []
-        options = {"evaluator": self.evaluator, "backend": self.backend}
         try:
-            evaluations = evaluate_candidates(self.problem, candidates, resolved, **options)
+            evaluations = evaluate_candidates(
+                self.problem, candidates, resolved, evaluator=self.evaluator
+            )
             return [evaluation_record(job, ev) for job, ev in zip(jobs, evaluations)]
         except Exception:
             # Keep the exploration running; the candidates that still raise
@@ -374,7 +361,9 @@ class MappingExplorer:
         records: List[Dict[str, Any]] = []
         for candidate, job in zip(candidates, jobs):
             try:
-                evaluation = evaluate_candidate(self.problem, candidate, resolved, **options)
+                evaluation = evaluate_candidate(
+                    self.problem, candidate, resolved, evaluator=self.evaluator
+                )
             except Exception as error:
                 telemetry.count("dse.explore.errors")
                 records.append(JobResult.from_error(job, error).to_record())
@@ -592,19 +581,17 @@ class MappingExplorer:
         """The run's provenance record (see :mod:`repro.telemetry.manifest`).
 
         The problem parameterisation feeds the problem digest; everything
-        that shapes the execution -- strategy, seed, budget, evaluator mode,
-        backend -- feeds the config digest, so the regression sentinel
-        only ever compares runs of the same problem under the same setup.
+        that shapes the execution -- strategy, seed, budget, evaluator mode
+        and the backend this process sweeps with -- feeds the config digest,
+        so the regression sentinel only ever compares runs of the same
+        problem under the same setup.
         """
         resolved = self.problem.parameters(self.parameters)
         config = self._config(resolved)
         config.pop("parameters", None)  # digested separately (problem digest)
         config["budget"] = self.budget
         config["evaluator"] = self.evaluator
-        config["backend"] = self.backend or "auto"
-        config["compile"] = (
-            "compiled" if os.environ.get("REPRO_DSE_COMPILE", "1") != "0" else "explicit"
-        )
+        config["backend"] = resolve_backend(None)
         wall = report.wall_time_s
         hypervolume: Optional[float] = None
         if len(report.front.objectives) == 2 and len(report.front):

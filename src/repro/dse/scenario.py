@@ -68,11 +68,7 @@ def execute_dse_job(job: JobSpec, parameters: Mapping[str, Any]) -> Dict[str, An
     """Worker-side job body: rebuild problem + candidate, score, return record."""
     problem = get_problem(str(parameters["problem"]))
     candidate = MappingCandidate.from_parameters(parameters)
-    evaluation = evaluate_candidate(
-        problem, candidate, parameters,
-        evaluator=job.spec.evaluator,
-        backend=job.spec.backend,
-    )
+    evaluation = evaluate_candidate(problem, candidate, parameters, evaluator=job.spec.evaluator)
     return evaluation_record(job, evaluation)
 
 

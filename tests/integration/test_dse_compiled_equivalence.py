@@ -5,7 +5,9 @@ equal to the from-scratch ``build_equivalent_spec`` path for *every*
 enumerated candidate of the ``didactic`` problem -- feasible candidates
 objective for objective, infeasible candidates reason for reason.  The
 batched array engine inherits the obligation: one ``evaluate_batch``
-sweep over the whole space, on either backend, must reproduce the same
+sweep over the whole space, on either sweep (the ``backend`` fixture of the
+repository ``conftest.py``: the pure-Python reference, then the compiled
+kernel), must reproduce the same
 evaluations bit for bit, whatever the batch and its order: every
 candidate is lowered from the problem's template alone, so nothing may
 carry over from the candidate scored before it.
@@ -17,15 +19,13 @@ import random
 import pytest
 
 from repro.dse import CompiledProblem, evaluate_candidate, get_problem
-from repro.dse.engine import numpy_available
+from repro.dse.engine import resolve_backend
 
 ITEMS = 4
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
 
 class TestCompiledEquivalence:
-    def test_every_didactic_candidate_matches_uncompiled_exactly(self):
+    def test_every_didactic_candidate_matches_uncompiled_exactly(self, reference_sweep):
         problem = get_problem("didactic")
         compiled = CompiledProblem(problem, {"items": ITEMS})
         space = problem.space({"items": ITEMS})
@@ -58,14 +58,13 @@ class TestCompiledEquivalence:
 
 
 class TestBatchedEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_whole_space_batch_matches_uncompiled_exactly(self, backend):
         """One batched sweep over the entire didactic space equals the
-        from-scratch path, field for field, on every backend."""
+        from-scratch path, field for field, on either sweep."""
         problem = get_problem("didactic")
         compiled = CompiledProblem(problem, {"items": ITEMS})
         candidates = list(problem.space({"items": ITEMS}).enumerate_candidates())
-        batched = compiled.evaluate_batch(candidates, backend=backend)
+        batched = compiled.evaluate_batch(candidates)
         assert len(batched) == 315
         feasible = 0
         for candidate, fast in zip(candidates, batched):
@@ -106,10 +105,14 @@ def _order_sample(problem, parameters, count, rng):
 
 class TestBatchOrderIndependence:
     @pytest.mark.parametrize("name,parameters,count", ORDER_CASES)
-    def test_any_batch_order_matches_uncompiled_exactly(self, name, parameters, count):
+    def test_any_batch_order_matches_uncompiled_exactly(
+        self, name, parameters, count, request
+    ):
         """A shuffled batch, the reversed batch and one candidate at a time
         all equal the from-scratch path, field for field -- infeasibility
-        messages included -- on one compiled problem reused throughout."""
+        messages included -- on one compiled problem reused throughout; so
+        does the shuffled batch on the reference sweep, and every record
+        names the sweep that produced it."""
         problem = get_problem(name)
         rng = random.Random(2014)
         candidates = _order_sample(problem, parameters, count, rng)
@@ -122,23 +125,24 @@ class TestBatchOrderIndependence:
         compiled = CompiledProblem(problem, parameters)
         shuffled = rng.sample(candidates, len(candidates))
         runs = {
-            "shuffled": zip(shuffled, compiled.evaluate_batch(shuffled, backend="python")),
-            "reversed": zip(
-                candidates[::-1], compiled.evaluate_batch(candidates[::-1], backend="python")
-            ),
-            "single": ((c, compiled.evaluate(c)) for c in candidates),
+            "shuffled": list(zip(shuffled, compiled.evaluate_batch(shuffled))),
+            "reversed": list(zip(candidates[::-1], compiled.evaluate_batch(candidates[::-1]))),
+            "single": [(c, compiled.evaluate(c)) for c in candidates],
         }
-        if numpy_available():
-            runs["numpy"] = zip(shuffled, compiled.evaluate_batch(shuffled, backend="numpy"))
+        backends = dict.fromkeys(runs, resolve_backend(None))
+        request.getfixturevalue("reference_sweep")
+        runs["reference"] = zip(shuffled, compiled.evaluate_batch(shuffled))
+        backends["reference"] = "python"
         for way, scored in runs.items():
             for candidate, fast in scored:
                 slow = reference[candidate.digest()]
                 for field in dataclasses.fields(fast):
                     if field.name == "wall_seconds":
                         continue
-                    if way == "numpy" and field.name == "backend":
-                        assert fast.backend == "numpy"
-                        continue
-                    assert getattr(fast, field.name) == getattr(slow, field.name), (
+                    if field.name == "backend":
+                        expected = backends[way]
+                    else:
+                        expected = getattr(slow, field.name)
+                    assert getattr(fast, field.name) == expected, (
                         f"{way}: {field.name} differs for {candidate.describe()}"
                     )

@@ -62,7 +62,7 @@ class TestEligibleProposals:
 
 
 class TestCompiledEquivalenceOnMixedBank:
-    def test_compiled_matches_from_scratch_instant_for_instant(self):
+    def test_compiled_matches_from_scratch_instant_for_instant(self, reference_sweep):
         problem = get_problem("lte")
         compiled = CompiledProblem(problem, PARAMS)
         space = problem.space(PARAMS)

@@ -19,7 +19,6 @@ from repro import telemetry
 from repro.campaign import ResultStore
 from repro.dse import CompiledProblem, MappingExplorer, front_from_store, get_problem
 from repro.dse.compile import _CACHE, _TabulatedWeight
-from repro.dse.engine import numpy_available
 from repro.maxplus import spectral_analysis
 
 PROBLEM = "didactic-periodic"
@@ -66,23 +65,29 @@ class TestSpectralPredictsReplay:
         assert checked >= 20  # the property quantified over a real space
 
 
-class TestSteadyFrontIdentity:
-    def run(self, evaluator, store=None, backend=None):
-        return MappingExplorer(
-            problem=PROBLEM,
-            strategy="nsga2",
-            budget=64,
-            seed=11,
-            parameters={"items": ITEMS},
-            evaluator=evaluator,
-            store=store,
-            backend=backend,
-        ).run()
+def explore(evaluator, store=None):
+    return MappingExplorer(
+        problem=PROBLEM,
+        strategy="nsga2",
+        budget=64,
+        seed=11,
+        parameters={"items": ITEMS},
+        evaluator=evaluator,
+        store=store,
+    ).run()
 
-    def test_steady_front_is_bit_identical_to_replay(self):
-        replay = self.run("replay")
+
+@pytest.fixture(scope="module")
+def replay():
+    """The replay-mode exploration, swept as this process sweeps by default
+    (module-scoped, so it is built before any test forces a sweep)."""
+    return explore("replay")
+
+
+class TestSteadyFrontIdentity:
+    def test_steady_front_is_bit_identical_to_replay(self, replay):
         with telemetry.collect(enable=True) as scope:
-            steady = self.run("steady")
+            steady = explore("auto")
             counters = scope.snapshot()["counters"]
         assert counters.get("dse.steady.extrapolations", 0) > 0
         assert steady.front.digests() == replay.front.digests()
@@ -93,17 +98,12 @@ class TestSteadyFrontIdentity:
         ):
             assert steady_metrics == replay_metrics
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["python"] + (["numpy"] if numpy_available() else []),
-    )
-    def test_steady_interop_with_the_array_backends(self, backend):
-        """Steady certificates and the array sweep cooperate: a steady
-        exploration pinned to either backend (steady extrapolation where
-        the certificate holds, batched array replay where it does not)
-        reproduces the replay-mode front bit for bit."""
-        replay = self.run("replay")
-        steady = self.run("steady", backend=backend)
+    def test_steady_interop_with_the_array_backends(self, replay, backend):
+        """Steady certificates and both sweeps cooperate: a steady
+        exploration on either sweep (steady extrapolation where the
+        certificate holds, that sweep where it does not) reproduces the
+        default-sweep replay-mode front bit for bit."""
+        steady = explore("auto")
         assert steady.front.digests() == replay.front.digests()
         assert steady.front.vectors() == replay.front.vectors()
         for (_, steady_metrics), (_, replay_metrics) in zip(
@@ -113,7 +113,7 @@ class TestSteadyFrontIdentity:
 
     def test_store_records_carry_the_mode_into_the_front(self, tmp_path):
         store = ResultStore(tmp_path / "steady.jsonl")
-        report = self.run("steady", store=store)
+        report = explore("auto", store=store)
         front, entries, problems, contexts, evaluators = front_from_store(store)
         assert problems == {PROBLEM}
         assert len(contexts) == 1

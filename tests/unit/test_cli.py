@@ -119,6 +119,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dse", "run", "--jobs", "2"])
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--backend", "numpy"], ["--backend", "python"], ["--evaluator", "steady"]],
+        ids=["backend-numpy", "backend-python", "evaluator-steady"],
+    )
+    def test_dse_run_rejects_removed_options_with_exit_2(self, option, capsys):
+        # The sweep is picked by the code, and "auto" is the one name of the
+        # steady path: neither is a 'dse run' option any more.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dse", "run", "--budget", "4", *option])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
     def test_dse_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dse", "run", "--strategy", "quantum"])
@@ -387,22 +400,23 @@ class TestDseCommands:
         base = ["dse", "run", "--problem", "didactic-periodic", "--budget", "16",
                 "--items", "8", "--seed", "3"]
         summaries = {}
-        for mode in ("replay", "steady"):
+        # "auto" extrapolates every certified candidate: its records say "steady".
+        for mode, recorded in (("replay", "replay"), ("auto", "steady")):
             store = str(tmp_path / f"{mode}.jsonl")
             assert main(base + ["--store", store, "--evaluator", mode]) == 0
             run_out = capsys.readouterr().out
             assert f"evaluator {mode!r}" in run_out
             assert main(["dse", "front", "--store", store]) == 0
             front_out = capsys.readouterr().out
-            assert f"evaluator mode(s): {mode}" in front_out
+            assert f"evaluator mode(s): {recorded}" in front_out
             summaries[mode] = re.search(
                 r"front size \d+, hypervolume [\d.]+", front_out
             ).group(0)
-        assert summaries["steady"] == summaries["replay"]
+        assert summaries["auto"] == summaries["replay"]
 
     def test_dse_front_warns_on_mixed_evaluator_modes(self, tmp_path, capsys):
         store = str(tmp_path / "mixed.jsonl")
-        for seed, mode in (("3", "replay"), ("4", "steady")):
+        for seed, mode in (("3", "replay"), ("4", "auto")):
             assert main(["dse", "run", "--problem", "didactic-periodic",
                          "--budget", "12", "--items", "6", "--seed", seed,
                          "--store", store, "--evaluator", mode]) == 0
@@ -416,7 +430,7 @@ class TestDseCommands:
         store = str(tmp_path / "dse.jsonl")
         assert main(["dse", "run", "--problem", "didactic-periodic",
                      "--budget", "10", "--items", "6", "--seed", "3",
-                     "--store", store, "--evaluator", "steady"]) == 0
+                     "--store", store, "--evaluator", "auto"]) == 0
         capsys.readouterr()
         assert main(["dse", "show", "didactic-periodic", "--store", store]) == 0
         output = capsys.readouterr().out

@@ -97,7 +97,7 @@ class TestTemplateSpecialisation:
 
 
 class TestCompiledProblem:
-    def test_compiled_matches_uncompiled_default_candidate(self, problem):
+    def test_compiled_matches_uncompiled_default_candidate(self, problem, reference_sweep):
         compiled = CompiledProblem(problem, {"items": 8})
         candidate = problem.space({"items": 8}).default_candidate()
         fast = compiled.evaluate(candidate)
@@ -153,10 +153,9 @@ class TestCompiledProblem:
         assert evaluation.feasible
         assert len(_CACHE) == 1
 
-    def test_env_toggle_disables_compiled_path(self, problem, monkeypatch):
-        monkeypatch.setenv("REPRO_DSE_COMPILE", "0")
+    def test_uncompiled_reference_skips_the_compile_cache(self, problem):
         candidate = problem.space({"items": 6}).default_candidate()
-        evaluation = evaluate_candidate(problem, candidate, {"items": 6})
+        evaluation = evaluate_candidate(problem, candidate, {"items": 6}, compiled=False)
         assert evaluation.feasible
         assert len(_CACHE) == 0  # never compiled
 
@@ -167,7 +166,9 @@ class TestCompiledProblem:
         compiled = CompiledProblem(problem, {"items": 6})
         candidate = problem.space({"items": 6}).default_candidate()
         monkeypatch.setattr(
-            compile_module, "replay_batch", lambda programs, backend: [None] * len(programs)
+            compile_module,
+            "replay_batch",
+            lambda programs: ([None] * len(programs), ["numpy"] * len(programs)),
         )
         fast = compiled.evaluate(candidate)
         slow = evaluate_candidate(problem, candidate, {"items": 6}, compiled=False)
@@ -198,7 +199,7 @@ class TestCompiledProblem:
         monkeypatch.setattr(compile_module, "evaluate_mapping", lambda *a, **k: sentinel)
         assert compiled.evaluate(candidate) is sentinel
 
-    def test_compiled_matches_uncompiled_on_fork_problem(self):
+    def test_compiled_matches_uncompiled_on_fork_problem(self, reference_sweep):
         fork = get_problem("fork")
         compiled = CompiledProblem(fork, {"items": 6})
         for candidate in list(fork.space({"items": 6}).enumerate_candidates(limit=12)):
@@ -239,10 +240,10 @@ class TestInfeasibilityReports:
             "GraphError: workload _FailsAtThree returned an invalid duration "
             "for iteration 3: -1"
         )
-        for evaluator in ("replay", "steady", "auto"):
+        for evaluator in ("replay", "auto"):
             assert compiled.evaluate(candidate, evaluator=evaluator).infeasible == expected
 
-    def test_missing_stimuli_match_the_from_scratch_report(self):
+    def test_missing_stimuli_match_the_from_scratch_report(self, reference_sweep):
         problem = _fork_variant(stimuli_factory=lambda parameters: {})
         candidate = problem.space({"items": 4}).default_candidate()
         fast = CompiledProblem(problem, {"items": 4}).evaluate(candidate)

@@ -1,14 +1,14 @@
-"""The numpy backend's compiled kernels against the pure-Python reference.
+"""The compiled sweep kernels against the pure-Python reference.
 
-``replay_batch(programs, "numpy")`` flattens a batch into int64 buffers,
-sweeps it with one call of a C transcription of ``replay_program`` and
-scores every resource's busy span with a second call.  These tests hold
-it to the reference result for result on random lowered programs, hold
-the spans to a brute-force union oracle (with the Python merge taking
-every resource the closed form refuses), check the per-candidate
-overflow fallback onto Python integers, and check that a missing
-compiler, a corrupt cached object and two concurrent builds all end in
-exact results.
+With the kernel loaded, ``replay_batch(programs)`` flattens a batch into
+int64 buffers, sweeps it with one call of a C transcription of
+``replay_program`` and scores every resource's busy span with a second
+call.  These tests hold it to the reference result for result on random
+lowered programs, hold the spans to a brute-force union oracle (with the
+Python merge taking every resource the closed form refuses), check the
+per-candidate overflow fallback onto Python integers and the sweep each
+result names, and check that a missing compiler, a corrupt cached object
+and two concurrent builds all end in exact results.
 """
 
 import dataclasses
@@ -40,12 +40,6 @@ from repro.dse.engine import (  # noqa: E402
 from repro.dse.evaluate import evaluate_candidates  # noqa: E402
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
-
-
-@pytest.fixture(scope="module")
-def kernel():
-    if engine._sweep_kernel() is None:
-        pytest.skip("no C compiler: the compiled sweep kernel is unavailable")
 
 
 @pytest.fixture
@@ -166,22 +160,27 @@ def random_batch(seed):
 
 
 def sweep(programs):
-    """``replay_batch`` on numpy, plus the counters it left behind."""
+    """``replay_batch`` with the kernel loaded: results, the sweep that
+    produced each, and the counters it left behind."""
     with telemetry.collect(enable=True) as scope:
-        results = replay_batch(programs, "numpy")
+        results, backends = replay_batch(programs)
         counters = scope.snapshot()["counters"]
-    return results, counters
+    return results, backends, counters
 
 
 class TestKernelEqualsReference:
-    def test_random_batches(self, kernel):
+    def test_random_batches(self, kernel_sweep):
         seen = {"none": 0, "swept": 0, "empty": 0, "closed_spans": 0, "span_merges": 0}
         for seed in range(300):
             batch = random_batch(seed)
-            results, counters = sweep(batch)
+            results, backends, counters = sweep(batch)
             assert results == [replay_program(program) for program in batch], seed
             assert counters["dse.engine.kernel_swept"] == len(batch)
             assert counters.get("dse.engine.kernel_unavailable", 0) == 0
+            # Only a candidate the kernel leaves with status 2 names the reference.
+            overflowed = counters.get("dse.engine.kernel_overflow_fallbacks", 0)
+            assert backends.count("python") == overflowed
+            assert backends.count("numpy") == len(batch) - overflowed
             merges = counters.get("dse.engine.span_merges", 0)
             seen["span_merges"] += merges
             spans = 0
@@ -197,7 +196,7 @@ class TestKernelEqualsReference:
         # The generator reaches every branch the reference has.
         assert all(seen.values()), seen
 
-    def test_eps_reads_stay_masked(self, kernel):
+    def test_eps_reads_stay_masked(self, kernel_sweep):
         # Node 2 reads only the never-written node 1, through a weight that
         # would lift ε above the threshold if the read were not masked.
         program = ArrayProgram(
@@ -209,7 +208,7 @@ class TestKernelEqualsReference:
             outputs=[("out", 3)],
             slots=[("R0", [(2, 2)]), ("R1", [(0, 3)])],
         )
-        results, counters = sweep([program])
+        results, _, counters = sweep([program])
         assert results == [replay_program(program)]
         # R0 never holds an instant (idle, merged); R1 is busy 0-1, 10-11, 20-21.
         assert results[0][2] == {"R1": (3, 0, 21)}
@@ -223,15 +222,17 @@ class TestKernelEqualsReference:
             ("fork", {"items": 6}),
         ],
     )
-    def test_registered_problems(self, kernel, name, parameters):
+    def test_registered_problems(self, kernel_sweep, request, name, parameters):
         problem = get_problem(name)
         space = problem.space(parameters)
         candidates = list(itertools.islice(space.enumerate_candidates(), 12))
         with telemetry.collect(enable=True) as scope:
-            batched = evaluate_candidates(problem, candidates, parameters, backend="numpy")
+            batched = evaluate_candidates(problem, candidates, parameters)
             counters = scope.snapshot()["counters"]
-        reference = evaluate_candidates(problem, candidates, parameters, backend="python")
+        request.getfixturevalue("reference_sweep")
+        reference = evaluate_candidates(problem, candidates, parameters)
         assert counters.get("dse.engine.kernel_swept", 0) > 0
+        assert {slow.backend for slow in reference} == {"python"}
         for fast, slow in zip(batched, reference):
             assert_same_evaluation(fast, slow)
 
@@ -345,7 +346,7 @@ def closed_form_holds(histories):
 
 
 class TestKernelSpans:
-    def test_spans_equal_the_union_oracle(self, kernel):
+    def test_spans_equal_the_union_oracle(self, kernel_sweep):
         closed = merged = 0
         for case in range(150):
             rng = random.Random(case)
@@ -354,7 +355,7 @@ class TestKernelSpans:
                 (f"R{r}", random_histories(rng, iterations)) for r in range(rng.randint(1, 4))
             ]
             program = span_program(resources, iterations)
-            results, counters = sweep([program])
+            results, _, counters = sweep([program])
             ((_, _, spans),) = results
             assert results == [replay_program(program)], case
             for name, histories in resources:
@@ -370,23 +371,23 @@ class TestKernelSpans:
         assert closed > 50 and merged > 50, (closed, merged)
 
     @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
-    def test_int64_overflow_merges_on_python_ints(self, kernel, case):
+    def test_int64_overflow_merges_on_python_ints(self, kernel_sweep, case):
         histories = OVERFLOW_CASES[case]
         program = span_program([("R", histories)], len(histories[0][0]))
-        results, counters = sweep([program])
+        results, _, counters = sweep([program])
         assert results == [replay_program(program)]
         assert results[0][2]["R"] == union_oracle(histories)
         assert results[0][2]["R"][0] > INT64_MAX
         assert counters["dse.engine.span_merges"] == 1
 
-    def test_degenerate_resources(self, kernel):
+    def test_degenerate_resources(self, kernel_sweep):
         # K == 0, a resource with no slot, a resource with one slot, and one
         # whose first start sits on the ε threshold itself (so it is ε).
         empty = span_program([("R", [([], [])]), ("none", [])], 0)
         single = span_program([("R", [([0, 5], [5, 9])]), ("none", [])], 2)
         threshold = span_program([("R", [([EPSILON_THRESHOLD, 5], [0, 9])])], 2)
         programs = [empty, single, threshold]
-        results, counters = sweep(programs)
+        results, _, counters = sweep(programs)
         assert results == [replay_program(program) for program in programs]
         spans = [result[2] for result in results]
         assert spans == [{}, {"R": (9, 0, 9)}, {"R": (4, 5, 9)}]
@@ -415,7 +416,7 @@ def overflow_batch(value):
 
 class TestOverflowFallback:
     @pytest.mark.parametrize("value", [2**62 - 7, 2**62])
-    def test_only_the_overflowing_candidate_replays(self, kernel, monkeypatch, value):
+    def test_only_the_overflowing_candidate_replays(self, kernel_sweep, monkeypatch, value):
         batch = overflow_batch(value)
         expected = [replay_program(program) for program in batch]
         calls = []
@@ -423,24 +424,26 @@ class TestOverflowFallback:
         monkeypatch.setattr(
             engine, "replay_program", lambda program: calls.append(program) or reference(program)
         )
-        results, counters = sweep(batch)
+        results, backends, counters = sweep(batch)
         assert results == expected
         assert calls == [batch[2]]  # every other candidate came from the kernel
+        assert backends == ["numpy", "numpy", "python", "numpy"]
         assert counters["dse.engine.kernel_overflow_fallbacks"] == 1
         assert counters["dse.engine.kernel_swept"] == len(batch)
         assert max(expected[2][1]["out"]) > 2**63 - 1
 
-    def test_durations_beyond_int64_replay_their_group(self, kernel):
+    def test_durations_beyond_int64_replay_their_group(self, kernel_sweep):
         # A duration that int64 cannot even hold: the whole horizon group
         # goes to the reference, exactly.
         batch = overflow_batch(2**64 + 3)
         expected = [replay_program(program) for program in batch]
-        results, counters = sweep(batch)
+        results, backends, counters = sweep(batch)
         assert results == expected
+        assert backends == ["python"] * len(batch)
         assert counters["dse.engine.kernel_overflow_fallbacks"] == len(batch)
         assert "dse.engine.kernel_swept" not in counters
 
-    def test_out_of_range_indices_fail_like_the_reference(self, kernel):
+    def test_out_of_range_indices_fail_like_the_reference(self, kernel_sweep):
         batch = overflow_batch(1)
         bad = batch[1]._replace(plan_arcs=[((99, 0, [1] * 6),)] + list(batch[1].plan_arcs[1:]))
         with pytest.raises(IndexError):
@@ -448,7 +451,7 @@ class TestOverflowFallback:
         with pytest.raises(IndexError):
             sweep([batch[0], bad])
 
-    def test_short_streams_fail_like_the_reference(self, kernel):
+    def test_short_streams_fail_like_the_reference(self, kernel_sweep):
         # A weight stream or offer schedule shorter than the horizon: the
         # kernel must not read past it, so the reference decides.
         base = ArrayProgram(
@@ -471,7 +474,7 @@ class TestOverflowFallback:
         # A short stream behind a never-written source is never read.
         unread = base._replace(node_count=3, plan_arcs=[((2, 0, [1]),)])
         full = base._replace(plan_arcs=[((0, 0, [1, 1, 1]),)])
-        results, counters = sweep([unread, full])
+        results, _, counters = sweep([unread, full])
         assert results == [replay_program(unread), replay_program(full)]
         assert results[0] is None  # its output never holds an instant
         assert results[1][2] == {"R": (3, 0, 21)}
@@ -496,16 +499,17 @@ class TestKernelUnavailable:
         parameters = {"items": 20}
         space = problem.space(parameters)
         candidates = list(itertools.islice(space.enumerate_candidates(), 6))
-        reference = evaluate_candidates(problem, candidates, parameters, backend="python")
+        reference = evaluate_candidates(problem, candidates, parameters, compiled=False)
         with caplog.at_level(logging.WARNING, logger="repro.dse.engine"):
             with telemetry.collect(enable=True) as scope:
-                first = evaluate_candidates(problem, candidates, parameters, backend="numpy")
-                second = evaluate_candidates(problem, candidates, parameters, backend="numpy")
+                first = evaluate_candidates(problem, candidates, parameters)
+                second = evaluate_candidates(problem, candidates, parameters)
                 counters = scope.snapshot()["counters"]
         for batch in (first, second):
             for fast, slow in zip(batch, reference):
                 assert_same_evaluation(fast, slow)
-                assert fast.backend == "numpy"
+                # The reference swept it, and the record says so.
+                assert fast.backend == "python"
         assert counters["dse.engine.kernel_unavailable"] == 2 * len(candidates)
         assert "dse.engine.kernel_swept" not in counters
         warnings = [r for r in caplog.records if r.name == "repro.dse.engine"]
@@ -531,7 +535,7 @@ CHILD = textwrap.dedent(
     from test_dse_kernel import random_batch
     assert engine._sweep_kernel() is not None, "kernel unavailable"
     batch = random_batch(11)
-    assert replay_batch(batch, "numpy") == [replay_program(p) for p in batch]
+    assert replay_batch(batch)[0] == [replay_program(p) for p in batch]
     print("ok")
     """
 )
@@ -555,14 +559,14 @@ def finished(process):
 
 
 class TestKernelCache:
-    def test_garbage_object_is_rebuilt(self, kernel, tmp_path):
+    def test_garbage_object_is_rebuilt(self, kernel_sweep, tmp_path):
         assert finished(spawn(tmp_path)) == "ok"
         (built,) = (tmp_path / "repro").glob("sweep-*.so")
         built.write_bytes(b"not a shared object")
         assert finished(spawn(tmp_path)) == "ok"
         assert built.read_bytes() != b"not a shared object"
 
-    def test_concurrent_builds_into_an_empty_cache(self, kernel, tmp_path):
+    def test_concurrent_builds_into_an_empty_cache(self, kernel_sweep, tmp_path):
         processes = [spawn(tmp_path), spawn(tmp_path)]
         assert [finished(process) for process in processes] == ["ok", "ok"]
         leftovers = sorted(path.name for path in (tmp_path / "repro").iterdir())

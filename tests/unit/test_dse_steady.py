@@ -37,7 +37,7 @@ def clear_compile_cache():
 def assert_same_objectives(steady, replay):
     """Every objective field identical (wall clock and scoring path aside)."""
     for field in dataclasses.fields(steady):
-        if field.name in ("wall_seconds", "evaluator"):
+        if field.name in ("wall_seconds", "evaluator", "backend"):
             continue
         assert getattr(steady, field.name) == getattr(replay, field.name), field.name
 
@@ -54,7 +54,7 @@ class TestSteadyBitIdentity:
         compiled = CompiledProblem(problem, params)
         extrapolated = 0
         for candidate in candidates_of(name, params, limit=10):
-            steady = compiled.evaluate(candidate, evaluator="steady")
+            steady = compiled.evaluate(candidate, evaluator="auto")
             replay = compiled.evaluate(candidate, evaluator="replay")
             if steady.feasible:
                 extrapolated += steady.evaluator == "steady"
@@ -65,7 +65,7 @@ class TestSteadyBitIdentity:
         params = {"items": 12}
         problem = get_problem("didactic-periodic")
         candidate = problem.space(params).default_candidate()
-        steady = CompiledProblem(problem, params).evaluate(candidate, evaluator="steady")
+        steady = CompiledProblem(problem, params).evaluate(candidate, evaluator="auto")
         scratch = evaluate_candidate(problem, candidate, params, compiled=False)
         assert steady.evaluator == "steady"
         assert_same_objectives(steady, scratch)
@@ -75,7 +75,9 @@ class TestSteadyBitIdentity:
         problem = get_problem("didactic-periodic")
         compiled = CompiledProblem(problem, params)
         candidate = problem.space(params).default_candidate()
-        assert compiled.evaluate(candidate, evaluator="auto").evaluator == "steady"
+        evaluation = compiled.evaluate(candidate, evaluator="auto")
+        # A steady-mode program is swept by the reference, and says so.
+        assert (evaluation.evaluator, evaluation.backend) == ("steady", "python")
 
     def test_unknown_mode_is_rejected(self):
         problem = get_problem("didactic")
@@ -86,6 +88,19 @@ class TestSteadyBitIdentity:
             evaluate_candidate(problem, candidate, {"items": 4}, evaluator="bogus")
         assert "bogus" not in EVALUATOR_MODES
 
+    def test_steady_is_a_record_value_not_a_mode(self):
+        # "auto" is the one name of the steady path; a request for "steady"
+        # is rejected wherever a mode is taken.
+        assert EVALUATOR_MODES == ("replay", "auto")
+        problem = get_problem("didactic-periodic")
+        candidate = problem.space({"items": 4}).default_candidate()
+        with pytest.raises(ModelError, match="unknown evaluator mode"):
+            CompiledProblem(problem, {"items": 4}).evaluate(candidate, evaluator="steady")
+        with pytest.raises(ModelError, match="unknown evaluator mode"):
+            MappingExplorer(problem="didactic-periodic", evaluator="steady")
+        with pytest.raises(CampaignError, match="unknown evaluator mode"):
+            ScenarioSpec("dse", {}, evaluator="steady")
+
 
 class TestFallbackTriggers:
     def test_data_dependent_durations_fall_back_to_replay(self):
@@ -95,7 +110,7 @@ class TestFallbackTriggers:
         compiled = CompiledProblem(get_problem("didactic"), params)
         with telemetry.collect(enable=True) as scope:
             for candidate in candidates_of("didactic", params, limit=4):
-                evaluation = compiled.evaluate(candidate, evaluator="steady")
+                evaluation = compiled.evaluate(candidate, evaluator="auto")
                 assert evaluation.feasible
                 assert evaluation.evaluator == "replay"
             counters = scope.snapshot()["counters"]
@@ -107,7 +122,7 @@ class TestFallbackTriggers:
         problem = get_problem("didactic-periodic")
         compiled = CompiledProblem(problem, params)
         candidate = problem.space(params).default_candidate()
-        assert compiled.evaluate(candidate, evaluator="steady").evaluator == "steady"
+        assert compiled.evaluate(candidate, evaluator="auto").evaluator == "steady"
         # Break the periodicity promise of one stimulus: once the template
         # is lowered again, every candidate must replay.
         relation = next(iter(compiled.stimuli))
@@ -116,7 +131,7 @@ class TestFallbackTriggers:
         )
         compiled._program = lower_template(compiled.template, compiled.stimuli)
         with telemetry.collect(enable=True) as scope:
-            evaluation = compiled.evaluate(candidate, evaluator="steady")
+            evaluation = compiled.evaluate(candidate, evaluator="auto")
             counters = scope.snapshot()["counters"]
         assert evaluation.evaluator == "replay"
         assert counters["dse.steady.fallback.aperiodic_stimulus"] == 1
@@ -129,7 +144,7 @@ class TestFallbackTriggers:
         compiled = CompiledProblem(problem, params)
         candidate = problem.space(params).default_candidate()
         with telemetry.collect(enable=True) as scope:
-            steady = compiled.evaluate(candidate, evaluator="steady")
+            steady = compiled.evaluate(candidate, evaluator="auto")
             counters = scope.snapshot()["counters"]
         replay = compiled.evaluate(candidate, evaluator="replay")
         assert counters.get("dse.steady.exhausted", 0) == 1
@@ -145,7 +160,7 @@ class TestTemplatePatch:
         template = copy.deepcopy(compiled._program)
         with telemetry.collect(enable=True) as scope:
             evaluations = [
-                compiled.evaluate(candidate, evaluator="steady")
+                compiled.evaluate(candidate, evaluator="auto")
                 for candidate in candidates
             ]
             counters = scope.snapshot()["counters"]
@@ -161,9 +176,9 @@ class TestTemplatePatch:
         warm = CompiledProblem(problem, params)
         candidates = candidates_of("didactic-periodic", params, limit=6)
         for candidate in candidates:  # warm: patched after the previous ones
-            warm_eval = warm.evaluate(candidate, evaluator="steady")
+            warm_eval = warm.evaluate(candidate, evaluator="auto")
             cold_eval = CompiledProblem(problem, params).evaluate(
-                candidate, evaluator="steady"
+                candidate, evaluator="auto"
             )
             assert_same_objectives(warm_eval, cold_eval)
 
@@ -172,7 +187,7 @@ class TestEvaluatorModeIsExecutionStrategy:
     def test_scenario_digest_ignores_the_mode(self):
         base = ScenarioSpec("dse", {"problem": "didactic", "items": 4})
         steady = ScenarioSpec(
-            "dse", {"problem": "didactic", "items": 4}, evaluator="steady"
+            "dse", {"problem": "didactic", "items": 4}, evaluator="auto"
         )
         assert steady.digest() == base.digest()
         assert "evaluator" not in steady.canonical()
@@ -213,7 +228,7 @@ class TestEvaluatorModeIsExecutionStrategy:
         with pytest.raises(ModelError, match="unknown evaluator mode"):
             MappingExplorer(problem="didactic", evaluator="warp")
         explorer = MappingExplorer(
-            problem="didactic", evaluator="steady", parameters={"items": 4}
+            problem="didactic", evaluator="auto", parameters={"items": 4}
         )
         resolved = explorer.problem.parameters(explorer.parameters)
         assert "evaluator" not in explorer._config(resolved)

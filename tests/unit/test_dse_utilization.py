@@ -239,7 +239,7 @@ class TestClosedFormTail:
         certified = 0
         for candidate in candidates:
             try:
-                program = compiled._lower(candidate, "steady")
+                program = compiled._lower(candidate, "auto")
             except ReproError:
                 continue  # infeasible service order
             assert program.periods is not None  # the steady gate admitted it
@@ -262,7 +262,7 @@ def dual_server_platform(parameters):
 
 def steady_replay_pair(compiled, candidate):
     with telemetry.collect(enable=True) as scope:
-        steady = compiled.evaluate(candidate, evaluator="steady")
+        steady = compiled.evaluate(candidate, evaluator="auto")
         counters = scope.snapshot()["counters"]
     replay = compiled.evaluate(candidate, evaluator="replay")
     return steady, replay, counters
@@ -270,7 +270,7 @@ def steady_replay_pair(compiled, candidate):
 
 def assert_same_objectives(steady, replay):
     for field in dataclasses.fields(steady):
-        if field.name not in ("wall_seconds", "evaluator"):
+        if field.name not in ("wall_seconds", "evaluator", "backend"):
             assert getattr(steady, field.name) == getattr(replay, field.name), field.name
 
 
