@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ModelError
 from ..kernel.simtime import PS_PER_SECOND, Duration
@@ -164,7 +164,17 @@ class PerUnitExecutionTime(ExecutionTimeModel):
             raise ModelError(f"{what} must be a non-negative integer, got {units!r}")
         return units
 
-    def _units(self, token: Optional[DataToken]) -> int:
+    @property
+    def affine_ps(self) -> Tuple[int, int]:
+        """``(base, per_unit)`` in picoseconds: ``duration_ps == base + per_unit * units``."""
+        return self._base_ps, self._per_unit_ps
+
+    def units(self, token: Optional[DataToken]) -> int:
+        """The validated unit count ``token[attribute]`` (``default_units`` when absent).
+
+        Raises :class:`~repro.errors.ModelError` for a value that is not a
+        non-negative integer (``bool`` included).
+        """
         if token is None:
             return self.default_units
         units = token.get(self.attribute, self.default_units)
@@ -173,10 +183,10 @@ class PerUnitExecutionTime(ExecutionTimeModel):
         return self._checked_units(units, f"token attribute {self.attribute!r}")
 
     def duration_ps(self, k: int, token: Optional[DataToken]) -> int:
-        return self._base_ps + self._per_unit_ps * self._units(token)
+        return self._base_ps + self._per_unit_ps * self.units(token)
 
     def operations(self, k: int, token: Optional[DataToken]) -> float:
-        return self._base_operations + self._operations_per_unit * self._units(token)
+        return self._base_operations + self._operations_per_unit * self.units(token)
 
 
 class TableExecutionTime(ExecutionTimeModel):

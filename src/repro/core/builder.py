@@ -76,6 +76,7 @@ from ..archmodel.workload import (
 )
 from ..errors import ModelError
 from ..kernel.simtime import Duration
+from ..tdg.arc import WorkloadWeight
 from ..tdg.graph import TemporalDependencyGraph
 from ..tdg.node import NodeKind
 from .spec import (
@@ -98,27 +99,6 @@ __all__ = [
 ]
 
 
-class _WorkloadWeight:
-    """Arc-weight callable evaluating a workload model on the iteration's token.
-
-    :meth:`weight_ps` is the evaluator's integer fast path (see
-    :attr:`~repro.tdg.arc.DependencyArc.weight_callable`); the workload's
-    ``duration_ps`` is already validated, so no :class:`Duration` is built.
-    """
-
-    __slots__ = ("workload", "_duration_ps")
-
-    def __init__(self, workload: ExecutionTimeModel) -> None:
-        self.workload = workload
-        self._duration_ps = workload.duration_ps
-
-    def weight_ps(self, k: int, context: Mapping[str, object]) -> int:
-        return self._duration_ps(k, context.get("token") if context else None)
-
-    def __call__(self, k: int, context: Mapping[str, object]) -> Duration:
-        return Duration(self.weight_ps(k, context))
-
-
 def workload_weight(workload: ExecutionTimeModel):
     """Arc weight for an execute step's workload.
 
@@ -128,7 +108,7 @@ def workload_weight(workload: ExecutionTimeModel):
     """
     if isinstance(workload, ConstantExecutionTime):
         return Duration(workload.duration_ps(0, None))
-    return _WorkloadWeight(workload)
+    return WorkloadWeight(workload)
 
 
 def build_template(

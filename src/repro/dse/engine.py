@@ -539,14 +539,41 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     # Bind history rows into the tables once, so the hot loop below works
     # on list references instead of re-indexing the vocabulary per visit.
     # Each node's arcs are split into zero-weight (row, delay) pairs and
-    # weighted (row, delay, stream) triples; a node whose only arc is
-    # weighted also carries that arc alone, so the settled sweep computes it
-    # without a loop.
+    # weighted (row, delay, stream) triples; a node with a single arc also
+    # carries that arc alone, so the settled sweep computes it without a loop
+    # (a zero-weight one only on a full sweep, whose zero streams are all
+    # zero over the horizon).
+    # A zero-weight arc is dropped when it can never decide its node's max:
+    # another arc of the node, with a non-negative stream, reads at the same
+    # delay a node that is never below the dropped arc's source -- it takes
+    # the max over that source plus a non-negative weight, directly or
+    # through other nodes of the same iteration.  above[n] is the bitmask of
+    # the sources node n is never below.
+    above: Dict[int, int] = {}
+    for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs):
+        mask = 0
+        for src, delay, w in arcs:
+            if not delay and kinds[id(w)][1]:
+                mask |= 1 << src | above.get(src, 0)
+        above[node_idx] = mask
     plan = []
     for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs):
+        if len(arcs) > 1:
+            covered: Dict[int, int] = {}  # delay -> sources another arc is never below
+            for src, delay, w in arcs:
+                if kinds[id(w)][1]:
+                    covered[delay] = covered.get(delay, 0) | above.get(src, 0)
+            arcs = [
+                (src, delay, w)
+                for src, delay, w in arcs
+                if not (kinds[id(w)][0] and covered.get(delay, 0) >> src & 1)
+            ]
         zero_arcs = tuple((hist[src], delay) for src, delay, w in arcs if kinds[id(w)][0])
         weighted = tuple((hist[src], delay, w) for src, delay, w in arcs if not kinds[id(w)][0])
-        single = weighted[0] if len(weighted) == 1 and not zero_arcs else None
+        single = None
+        if len(arcs) == 1 and (weighted or periods is None):
+            src, delay, w = arcs[0]
+            single = (hist[src], delay, w)
         plan.append((hist[node_idx], zero_arcs, weighted, single))
     # Iterations in a row in which no plan node was ε.  Once they cover
     # every delay, no read can meet ε again: delayed reads land in that

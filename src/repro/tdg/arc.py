@@ -15,20 +15,49 @@ An arc expresses one term of a (max, +) evolution equation:
   tokens of iteration ``k``).
 
 Internally the weight is normalised to integer picoseconds so that the
-per-iteration evaluation loop only touches plain integers.
+per-iteration evaluation only touches plain integers.  A
+:class:`WorkloadWeight` tells the evaluator *which* workload model a
+weight evaluates on the iteration's token, so arcs sharing a workload
+share one evaluation per iteration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
 from ..errors import GraphError
 from ..kernel.simtime import Duration
 from .node import InstantNode
 
-__all__ = ["DependencyArc", "WeightLike"]
+if TYPE_CHECKING:
+    from ..archmodel.workload import ExecutionTimeModel
+
+__all__ = ["DependencyArc", "WeightLike", "WorkloadWeight"]
 
 WeightLike = Union[Duration, Callable[[int, Mapping[str, Any]], Duration], None]
+
+
+class WorkloadWeight:
+    """Arc-weight callable evaluating a workload model on the iteration's token.
+
+    :meth:`weight_ps` is the evaluator's integer fast path (see
+    :attr:`DependencyArc.weight_callable`); the workload's ``duration_ps``
+    is already validated, so no :class:`Duration` is built.  The evaluator
+    recognises this exact type and evaluates each distinct ``workload``
+    once per iteration, however many arcs carry it.
+    """
+
+    __slots__ = ("workload", "_duration_ps")
+
+    def __init__(self, workload: ExecutionTimeModel) -> None:
+        self.workload = workload
+        self._duration_ps = workload.duration_ps
+
+    def weight_ps(self, k: int, context: Mapping[str, Any]) -> int:
+        return self._duration_ps(k, context.get("token") if context else None)
+
+    def __call__(self, k: int, context: Mapping[str, Any]) -> Duration:
+        return Duration(self.weight_ps(k, context))
 
 
 class DependencyArc:

@@ -1,7 +1,8 @@
 """``replay_program`` against the fully masked sweep it was derived from.
 
 The pure-Python reference sweep pads every history row with ε instead of
-bounds-checking delayed reads, skips the add on zero-weight arcs, and --
+bounds-checking delayed reads, skips the add on zero-weight arcs, drops a
+zero-weight arc another arc of its node provably never falls below, and --
 once no plan node has been ε for more than ``max_delay`` iterations in a
 row, in a program with no negative weight and no arc from a row nothing
 writes -- drops the ε test altogether.  :func:`masked_replay` below is
@@ -238,6 +239,33 @@ def test_zero_and_weighted_arcs_of_one_node_both_count():
     result = replay_program(program)
     assert result == masked_replay(program)
     assert result[1]["out"] == [10 * k + 5 for k in range(12)]
+
+
+def test_a_zero_arc_below_another_source_never_decides():
+    # C = max(E, B) with B = E + 4: B is never below E, so the sweep may drop
+    # C's arc from E -- but only at the delay B is read at.
+    for arcs_c, expected in (
+        ([(0, 0, [0] * 12), (1, 0, [0] * 12)], [10 * k + 4 for k in range(12)]),
+        ([(0, 1, [0] * 12), (1, 0, [0] * 12)], [10 * k + 4 for k in range(12)]),
+        ([(0, 0, [0] * 12), (1, 1, [0] * 12)], [0] + [10 * k for k in range(1, 12)]),
+    ):
+        program = _two_node_program([(0, 0, [4] * 12)], arcs_c)
+        result = replay_program(program)
+        assert result == masked_replay(program)
+        assert result[1]["out"] == expected
+
+
+def test_a_negative_weight_dominates_nothing():
+    # C = max(E, B) with B = E - 5, and C = max(E, B - 10) with B = E + 4:
+    # either way C's arc from E decides.
+    for arcs_b, arcs_c in (
+        ([(0, 0, [-5] * 12)], [(0, 0, [0] * 12), (1, 0, [0] * 12)]),
+        ([(0, 0, [4] * 12)], [(0, 0, [0] * 12), (1, 0, [-10] * 12)]),
+    ):
+        program = _two_node_program(arcs_b, arcs_c)
+        result = replay_program(program)
+        assert result == masked_replay(program)
+        assert result[1]["out"] == [10 * k for k in range(12)]
 
 
 def test_a_short_zero_stream_still_fails_where_read():

@@ -1,22 +1,32 @@
 """Differential test of :class:`~repro.tdg.evaluator.TDGEvaluator`.
 
-The evaluator's ``step`` runs on flat plan tuples and an iteration-major
-ring of value lists.  :class:`ReferenceEvaluator` below is the previous
-implementation (per-node rings, a per-node write-back after every step),
-kept verbatim as the oracle.  Hypothesis builds random graphs -- delays
-0-3, constant, plain-callable and workload-backed weights, ε inputs --
-and interleaves ``step`` with ``override_value``, ``peek_delayed``,
-``value``, recorded histories and listeners; both evaluators must agree
-on every result and every error.
+The evaluator runs Python generated for its graph over an iteration-major
+ring of value lists.  :class:`ReferenceEvaluator` below is an earlier
+implementation (per-node rings, a per-arc plan walk, a per-node write-back
+after every step), kept verbatim as the oracle.  Hypothesis builds random
+graphs -- up to 20 computed nodes named with quotes, braces, newlines and
+code, delays 0-3, constant, plain-callable and workload-backed weights,
+weight and workload objects shared across arcs, a second per-unit
+attribute, counting and negative-returning callables -- and interleaves
+``step`` (ε inputs, invalid token attributes, no token or no context) with
+``override_value``, ``peek_delayed``, ``value``, recorded histories and
+listeners.  Both evaluators must agree on every result, every error
+(:class:`~repro.errors.ComputationError`, :class:`~repro.errors.GraphError`
+and :class:`~repro.errors.ModelError`) and every call of a counting weight.
 """
 
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.archmodel import DataToken, PerUnitExecutionTime
+from repro.archmodel import (
+    DataDependentExecutionTime,
+    DataToken,
+    PerUnitExecutionTime,
+    TableExecutionTime,
+)
 from repro.core.builder import workload_weight
-from repro.errors import ComputationError
+from repro.errors import ComputationError, GraphError, ModelError
 from repro.kernel.simtime import Duration, Time
 from repro.tdg import TDGEvaluator, TemporalDependencyGraph
 from repro.tdg.node import InstantNode
@@ -231,6 +241,58 @@ class _AffineWeight:
         return Duration(self.a * (k % 5) + self.b)
 
 
+class _CountingWeight:
+    """A plain weight callable counting its calls: ``k % 3 + bias`` ps."""
+
+    def __init__(self, bias: int) -> None:
+        self.bias = bias
+        self.calls = 0
+
+    def __call__(self, k: int, context: Mapping[str, Any]) -> Duration:
+        self.calls += 1
+        return Duration(k % 3 + self.bias)
+
+
+def _size(token: Optional[DataToken]) -> Any:
+    """The token's ``size`` attribute; -1 without a token."""
+    return -1 if token is None else token.get("size")
+
+
+class _NegativeWeight(_CountingWeight):
+    """A counting plain callable, negative when the token's size is ``trigger``.
+
+    A trigger of -1 fires without a token: on a ``peek_delayed`` (empty
+    context) and on steps given no token.  The failure follows the data,
+    not ``k``, so a sequence gets past a failed step.
+    """
+
+    def __init__(self, trigger: int) -> None:
+        super().__init__(2)
+        self.trigger = trigger
+
+    def __call__(self, k: int, context: Mapping[str, Any]) -> Duration:
+        duration = super().__call__(k, context)
+        token = context.get("token") if context else None
+        return Duration(-1) if _size(token) == self.trigger else duration
+
+
+class _TrustedWeight:
+    """A weight exposing the integer fast path ``weight_ps``: ``k % 4 + offset`` ps."""
+
+    def __init__(self, offset: int) -> None:
+        self.offset = offset
+
+    def weight_ps(self, k: int, context: Mapping[str, Any]) -> int:
+        return k % 4 + self.offset
+
+    def __call__(self, k: int, context: Mapping[str, Any]) -> Duration:
+        return Duration(self.weight_ps(k, context))
+
+
+def _sometimes_negative(k: int, token: Optional[DataToken]) -> Duration:
+    return Duration(-1) if _size(token) == 9 else Duration(3 * (k % 4))
+
+
 _weights = st.one_of(
     st.none(),
     st.integers(0, 50).map(Duration),
@@ -245,35 +307,102 @@ _weights = st.one_of(
     ),
 )
 
+# Stems of node names the generated code must never see: quotes, braces,
+# newlines and code.
+_stems = st.sampled_from(
+    ["x", "y", "it's", 'say "hi"', "{k}", "}{", "a\nb", "line\nbreak", "__import__('os')", "ε"]
+)
+
 
 @st.composite
-def _graphs(draw) -> TemporalDependencyGraph:
+def _graphs(draw) -> Tuple[TemporalDependencyGraph, List[_CountingWeight]]:
+    """A random graph and the counting weights on its arcs.
+
+    Besides the independent weights of ``_weights``, arcs draw from one pool
+    per graph, so weight and workload objects are shared across arcs: one
+    ``PerUnitExecutionTime`` (behind one shared weight object and behind
+    fresh ones), a second one on another attribute or default, a table
+    workload, a workload whose user function returns negative durations,
+    two weights with the integer fast path, and two counting plain
+    callables, one of which returns negative Durations.
+    """
     graph = TemporalDependencyGraph("fuzz")
-    inputs = [f"u{i}" for i in range(draw(st.integers(1, 2)))]
+    counter = _CountingWeight(draw(st.integers(0, 5)))
+    negative = _NegativeWeight(draw(st.integers(-1, 9)))
+    base = draw(st.integers(0, 30))
+    size = PerUnitExecutionTime(Duration(base), Duration(draw(st.integers(1, 5))))
+    other = PerUnitExecutionTime(
+        Duration(draw(st.one_of(st.just(base), st.integers(0, 30)))),
+        Duration(draw(st.integers(0, 5))),
+        attribute=draw(st.sampled_from(["size", "n"])),
+        default_units=draw(st.integers(0, 3)),
+    )
+    durations = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    table = TableExecutionTime([Duration(d) for d in durations])
+    shared = workload_weight(size)
+    pool = st.one_of(
+        _weights,
+        st.sampled_from(
+            [
+                shared,
+                workload_weight(other),
+                workload_weight(table),
+                workload_weight(DataDependentExecutionTime(_sometimes_negative)),
+                counter,
+                negative,
+                _TrustedWeight(draw(st.integers(0, 9))),
+                _TrustedWeight(draw(st.integers(10, 19))),
+            ]
+        ),
+        st.builds(lambda: workload_weight(size)),
+        st.sampled_from([workload_weight(other), counter, negative]),
+    )
+    inputs = [f"{draw(_stems)}@{i}" for i in range(draw(st.integers(1, 2)))]
     for name in inputs:
         graph.add_input(name)
     computed = []
-    for j in range(draw(st.integers(1, 7))):
-        name = f"y{j}" if draw(st.booleans()) else f"x{j}"
-        (graph.add_output if name[0] == "y" else graph.add_internal)(name)
+    for j in range(draw(st.integers(1, 20))):
+        name = f"{draw(_stems)}#{j}"
+        (graph.add_output if draw(st.booleans()) else graph.add_internal)(name)
         computed.append(name)
+    # In a grounded graph each node's first arc is a zero-delay one, so once
+    # the inputs have values no node stays ε and the ε-free body runs.
+    grounded = draw(st.booleans())
     for j, target in enumerate(computed):
-        for _ in range(draw(st.integers(1, 3))):
-            delay = draw(st.integers(0, 3))
+        for arc in range(draw(st.integers(1, 3))):
+            delay = 0 if grounded and not arc else draw(st.integers(0, 3))
             # Zero-delay arcs only come from earlier nodes, so the
             # same-iteration structure stays acyclic; delayed ones may loop.
             sources = inputs + computed[:j] if delay == 0 else inputs + computed
             source = draw(st.sampled_from(sources))
-            graph.add_arc(source, target, draw(_weights), delay=delay)
-    return graph
+            graph.add_arc(source, target, draw(pool), delay=delay)
+    return graph, [counter, negative]
 
 
 _node = st.integers(0, 50)  # taken modulo the node count
 _instant = st.one_of(st.none(), st.integers(0, 400))
+# Token attributes, valid or not: a negative, bool, float, text or None
+# attribute must raise the reference's ModelError.
+_attribute = st.sampled_from(
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, -1, -3, True, False, 1.5, 2.0, "a", None]
+)
+_token_step = st.tuples(
+    st.just("step-token"),
+    st.lists(st.integers(0, 400), min_size=2, max_size=2),
+    st.dictionaries(st.sampled_from(["size", "n"]), _attribute, max_size=2),
+    st.sampled_from(["token", "token", "no token", "no context"]),
+)
 _operations = st.lists(
     st.one_of(
         st.tuples(st.just("step"), st.lists(_instant, min_size=2, max_size=2), st.integers(0, 9)),
         st.tuples(st.just("step"), st.lists(_instant, min_size=2, max_size=2), st.integers(0, 9)),
+        # No ε input: a run of these reaches the ε-free body.
+        _token_step,
+        _token_step,
+        # Consecutive steps with instants and valid tokens.
+        st.tuples(
+            st.just("run"), st.lists(st.integers(0, 9), min_size=1, max_size=8), st.integers(0, 3)
+        ),
         st.tuples(st.just("override"), _node, st.integers(-1, 5), _instant),
         st.tuples(st.just("peek"), _node),
         st.tuples(st.just("value"), _node, st.one_of(st.none(), st.integers(-1, 6))),
@@ -283,25 +412,49 @@ _operations = st.lists(
 )
 
 
-def _outcome(call: Callable[[], Any]) -> Tuple[str, Any]:
+def _outcome(call: Callable[[], Any]) -> Tuple[Any, ...]:
     try:
         return ("ok", call())
-    except ComputationError as error:
-        return ("error", str(error))
+    except (ComputationError, GraphError, ModelError) as error:
+        return ("error", type(error).__name__, str(error))
 
 
-def _state(evaluator) -> Tuple[Any, ...]:
+def _state(evaluator, stale: bool) -> Tuple[Any, ...]:
+    # After a step that raised, the reference's current-values list is half
+    # overwritten (it is reused in place); last_values is compared again
+    # after the next step that completes.
     recorded = sorted(evaluator._recorded)
     return (
         evaluator.iteration,
-        _outcome(evaluator.last_values),
+        None if stale else _outcome(evaluator.last_values),
         [(name, evaluator.recorded(name), evaluator.recorded_times(name)) for name in recorded],
     )
 
 
+def _paired(pair, call, counters: List[_CountingWeight]) -> Tuple[List[Any], List[List[int]]]:
+    """``call(evaluator)``'s outcome on both evaluators and the counting weights' calls it made."""
+    results, calls = [], []
+    for evaluator in pair:
+        before = [counter.calls for counter in counters]
+        results.append(_outcome(lambda: call(evaluator)))
+        calls.append([counter.calls - start for counter, start in zip(counters, before)])
+    return results, calls
+
+
+def _expanded(operations):
+    """The operations with each run replaced by its steps (instants ``None``: chosen per ``k``)."""
+    for operation in operations:
+        if operation[0] == "run":
+            for size in operation[1]:
+                yield ("step-token", None, {"size": size, "n": operation[2]}, "token")
+        else:
+            yield operation
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_graphs(), st.data(), _operations)
-def test_flat_step_matches_the_reference_evaluator(graph, data, operations):
+def test_flat_step_matches_the_reference_evaluator(graph_and_counters, data, operations):
+    graph, counters = graph_and_counters
     names = [node.name for node in graph.nodes]
     record_all = data.draw(st.booleans(), label="record_all")
     record = data.draw(st.lists(st.sampled_from(names), unique=True), label="record")
@@ -310,18 +463,24 @@ def test_flat_step_matches_the_reference_evaluator(graph, data, operations):
     pair = (flat, reference)
     logs: Tuple[List[Any], List[Any]] = ([], [])
     inputs = [node.name for node in graph.input_nodes]
+    stale = False
 
-    for operation in operations:
+    for operation in _expanded(operations):
         kind = operation[0]
         k = reference.iteration
-        if kind == "step":
-            instants = dict(zip(inputs, operation[1]))
-            context = {
-                "token": DataToken(k, {"size": operation[2]}),
-                "tokens": {},
-                "iteration": k,
-            }
-            results = [evaluator.step(instants, context) for evaluator in pair]
+        calls = [[], []]
+        if kind in ("step", "step-token"):
+            instants = dict(zip(inputs, operation[1] or [10 * k, 10 * k + 3]))
+            if kind == "step":
+                attributes, given = {"size": operation[2]}, "token"
+            else:
+                attributes, given = operation[2], operation[3]
+            token = DataToken(k, attributes) if given == "token" else None
+            context = {"token": token, "tokens": {}, "iteration": k}
+            if given == "no context":
+                context = None
+            results, calls = _paired(pair, lambda e: e.step(instants, context), counters)
+            stale = results[1][0] == "error"
         elif kind == "override":
             name = names[operation[1] % len(names)]
             results = [
@@ -330,7 +489,7 @@ def test_flat_step_matches_the_reference_evaluator(graph, data, operations):
             ]
         elif kind == "peek":
             name = names[operation[1] % len(names)]
-            results = [_outcome(lambda e=e: e.peek_delayed(name)) for e in pair]
+            results, calls = _paired(pair, lambda e: e.peek_delayed(name), counters)
         elif kind == "value":
             name = names[operation[1] % len(names)]
             back = operation[2]
@@ -343,5 +502,6 @@ def test_flat_step_matches_the_reference_evaluator(graph, data, operations):
                 )
             results = [None, None]
         assert results[0] == results[1], operation
-        assert _state(flat) == _state(reference), operation
+        assert calls[0] == calls[1], operation
+        assert _state(flat, stale) == _state(reference, stale), operation
         assert logs[0] == logs[1], operation

@@ -274,3 +274,121 @@ class TestEvaluator:
         evaluator.step({"u": 0})
         assert set(evaluator.last_values()) == {"u", "x1", "y"}
         assert evaluator.recorded("u") == [0]
+
+
+class TestGeneratedCode:
+    """The evaluator runs code generated per graph, cached by its source text."""
+
+    def test_evaluators_of_one_graph_share_their_code(self):
+        first, second = TDGEvaluator(simple_graph()), TDGEvaluator(simple_graph())
+        assert first._eps_free.__code__ is second._eps_free.__code__
+        assert first._eps_aware.__code__ is second._eps_aware.__code__
+        # Each evaluator still owns its functions and ring.
+        assert first._eps_free is not second._eps_free
+
+    def test_a_changed_constant_compiles_new_code(self):
+        changed = TemporalDependencyGraph("simple")
+        changed.add_input("u")
+        changed.add_internal("x1")
+        changed.add_output("y")
+        changed.add_arc("u", "x1", microseconds(4))  # 3 us in simple_graph()
+        changed.add_arc("x1", "y", microseconds(2))
+        changed.add_arc("y", "x1", microseconds(1), delay=1)
+        reference, other = TDGEvaluator(simple_graph()), TDGEvaluator(changed)
+        assert other._eps_free.__code__ is not reference._eps_free.__code__
+        assert other.step({"u": 0}) == {"y": microseconds(6).picoseconds}
+
+    def test_the_code_cache_is_bounded(self):
+        from repro.tdg import evaluator as module
+
+        for offset in range(module._CODE_CACHE_LIMIT + 5):
+            graph = TemporalDependencyGraph("bounded")
+            graph.add_input("u")
+            graph.add_output("y")
+            graph.add_arc("u", "y", Duration(offset))
+            TDGEvaluator(graph)
+        assert len(module._CODE_CACHE) <= module._CODE_CACHE_LIMIT
+
+    def test_node_names_never_enter_the_source(self):
+        hostile = "__import__('os').system('false')\n\"{x}\""
+        output, ready = "y'); raise SystemExit('", "ready{}\n#"
+        graph = TemporalDependencyGraph("hostile")
+        graph.add_input(hostile)
+        graph.add_output(output)
+        graph.add_internal(ready)
+        graph.add_arc(hostile, output, microseconds(1))
+        graph.add_arc(output, ready, microseconds(2), delay=1)
+        evaluator = TDGEvaluator(graph)
+        assert evaluator.step({hostile: 0}) == {output: microseconds(1).picoseconds}
+        assert evaluator.peek_delayed(ready) == microseconds(3).picoseconds
+        with pytest.raises(ComputationError, match="requires delayed arcs only"):
+            evaluator.peek_delayed(output)
+        with pytest.raises(ComputationError, match="missing input instant"):
+            evaluator.step({})
+
+    def test_the_eps_aware_body_runs_only_while_a_read_value_is_eps(self):
+        evaluator = TDGEvaluator(simple_graph())
+        evaluator.step({"u": 0})  # k = 0 reads y(-1) = ε
+        evaluator.step({"u": 10})
+        assert evaluator.eps_aware_steps == 1
+        evaluator.override_value("y", 1, None)
+        evaluator.step({"u": 20})  # reads the overridden ε
+        evaluator.step({"u": None})  # ε input; y(3) still follows y(2)
+        assert evaluator.eps_aware_steps == 3
+        assert evaluator.step({"u": 30}) == {"y": microseconds(11).picoseconds + 20}
+        assert evaluator.eps_aware_steps == 3
+
+    def test_hoisted_workloads_keep_each_models_value_and_check(self):
+        from repro.archmodel import DataToken, PerUnitExecutionTime
+        from repro.core.builder import workload_weight
+        from repro.errors import ModelError
+
+        # Two per-unit models on one attribute with different defaults and
+        # per-unit costs, each behind two arcs.
+        small = PerUnitExecutionTime(Duration(5), Duration(1), default_units=0)
+        large = PerUnitExecutionTime(Duration(5), Duration(3), default_units=2)
+        graph = TemporalDependencyGraph("hoisted")
+        graph.add_input("u")
+        for name in ("a", "b", "c", "d"):
+            graph.add_output(name)
+        graph.add_arc("u", "a", workload_weight(small))
+        graph.add_arc("u", "b", workload_weight(large))
+        graph.add_arc("a", "c", workload_weight(small))
+        graph.add_arc("b", "d", workload_weight(large))
+        graph.add_arc("d", "a", delay=1)
+        evaluator = TDGEvaluator(graph)
+
+        def step(token):
+            return evaluator.step({"u": 100}, {"token": token})
+
+        step(None)  # warm-up: the ε-aware body
+        assert step(DataToken(1, {})) == {"a": 122, "b": 111, "c": 127, "d": 122}
+        assert step(DataToken(2, {"size": 4})) == {"a": 122, "b": 117, "c": 131, "d": 134}
+        assert evaluator.eps_aware_steps == 1
+        for bad in (-1, True, 1.5):
+            with pytest.raises(ModelError) as raised:
+                step(DataToken(3, {"size": bad}))
+            with pytest.raises(ModelError) as expected:
+                small.duration_ps(3, DataToken(3, {"size": bad}))
+            assert str(raised.value) == str(expected.value)
+        assert evaluator.iteration == 3
+
+    def test_peek_evaluates_the_delayed_arcs_before_a_zero_delay_one(self):
+        calls = []
+
+        def weight(k, context):
+            calls.append(k)
+            return Duration(1)
+
+        graph = simple_graph()
+        graph.add_internal("r")
+        graph.add_arc("y", "r", weight, delay=1)
+        graph.add_arc("x1", "r")
+        evaluator = TDGEvaluator(graph)
+        with pytest.raises(ComputationError, match="'r'.*arc from 'x1' has delay 0"):
+            evaluator.peek_delayed("r")
+        assert calls == []  # y(-1) is ε: its weight is not evaluated
+        evaluator.step({"u": 0})
+        with pytest.raises(ComputationError, match="'r'.*arc from 'x1' has delay 0"):
+            evaluator.peek_delayed("r")
+        assert calls == [1]  # y(0) has a value: its weight is evaluated first
