@@ -16,6 +16,7 @@ returns a :class:`SpeedupMeasurement`.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -127,6 +128,9 @@ def measure_speedup(
         sinks=sinks,
         record_activity=record_activity,
     )
+    # Each timed run starts from a collected heap, so neither pays for a
+    # collection of garbage that earlier work left behind.
+    gc.collect()
     start = time.perf_counter()
     explicit_stats = explicit_model.run()
     explicit_wall = time.perf_counter() - start
@@ -142,6 +146,7 @@ def measure_speedup(
         spec=spec,
         record_activity=record_activity,
     )
+    gc.collect()
     start = time.perf_counter()
     equivalent_stats = equivalent_model.run()
     equivalent_wall = time.perf_counter() - start
