@@ -7,16 +7,17 @@ through JSON unchanged, which is what lets results cross process
 boundaries and live in the JSONL result store.
 
 Output accuracy is carried twice: as the boolean verdict of the in-worker
-comparison, and as ``instants_digest`` -- a SHA-256 over the explicit
-model's output instants in picoseconds -- so two campaign runs can be
-checked for instant-for-instant identity without storing the full
-sequences.  The full sequences are kept only when the spec asked for
-``record_instants``.
+comparison, and as ``instants_digest`` -- a versioned SHA-256 over the
+output instants as little-endian int64 picoseconds (:func:`instants_digest`)
+-- so two campaign runs can be checked for instant-for-instant identity
+without storing the full sequences.  The full sequences are kept only when
+the spec asked for ``record_instants``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -24,13 +25,74 @@ from ..analysis.speedup import SpeedupMeasurement
 from ..errors import CampaignError
 from .spec import JobSpec
 
-__all__ = ["JobResult", "instants_digest"]
+__all__ = [
+    "INSTANTS_DIGEST_PREFIX",
+    "JobResult",
+    "int64_digest",
+    "instants_digest",
+    "pack_instants",
+    "packed_digest",
+]
+
+
+#: Version prefix of every :func:`instants_digest` value.  Records written
+#: before it existed hold a bare 64-hex SHA-256 of the instants' decimal
+#: text; the two formats never compare equal.
+INSTANTS_DIGEST_PREFIX = "i64:"
+
+
+def pack_instants(instants: Sequence[int]) -> bytes:
+    """``instants`` as little-endian int64 bytes; :class:`CampaignError` outside int64."""
+    try:
+        return struct.pack(f"<{len(instants)}q", *instants)
+    except struct.error:
+        for value in instants:
+            try:
+                struct.pack("<q", value)
+            except struct.error:
+                raise CampaignError(
+                    f"output instant {value!r} is not an int64 picosecond count "
+                    "(instants are digested as int64, never truncated)"
+                ) from None
+        raise
 
 
 def instants_digest(instants: Sequence[Optional[int]]) -> str:
-    """SHA-256 fingerprint of an output-instant sequence (integer picoseconds)."""
-    text = ",".join("-" if value is None else str(value) for value in instants)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    """Versioned SHA-256 of an output-instant sequence (integer picoseconds).
+
+    The hashed bytes are one tag byte and the instants as little-endian
+    int64.  Tag 0: no instant is ε, and the packed instants follow.  Tag 1:
+    one byte per instant (1 where it is ε, ``None``), then the instants with
+    ε packed as 0.  So no two distinct sequences share a byte string, and
+    the value is :data:`INSTANTS_DIGEST_PREFIX` plus the hex digest.
+    Raises :class:`CampaignError` for an instant outside int64.
+    """
+    digest = int64_digest(instants)
+    if digest is None:  # ε, or a value pack_instants rejects below
+        mask = bytes(value is None for value in instants)
+        values = [0 if value is None else value for value in instants]
+        return _digest(b"\x01", mask, pack_instants(values))
+    return digest
+
+
+def int64_digest(instants: Sequence[int]) -> Optional[str]:
+    """:func:`instants_digest` of ε-free int64 ``instants``; ``None`` for any other sequence."""
+    try:
+        return packed_digest(struct.pack(f"<{len(instants)}q", *instants))
+    except struct.error:
+        return None
+
+
+def packed_digest(*chunks: bytes) -> str:
+    """:func:`instants_digest` of ε-free instants packed, in order, as little-endian int64."""
+    return _digest(b"\x00", *chunks)
+
+
+def _digest(*chunks: bytes) -> str:
+    hasher = hashlib.sha256()
+    for chunk in chunks:
+        hasher.update(chunk)
+    return INSTANTS_DIGEST_PREFIX + hasher.hexdigest()
 
 
 @dataclass(frozen=True)

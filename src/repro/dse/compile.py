@@ -318,13 +318,14 @@ class CompiledProblem:
                     telemetry.count("dse.engine.replay_fallbacks")
                     results[position] = self._explicit_fallback(candidate)
                     continue
-                offers, actual, spans = run
+                offers, actual, spans, digests = run
                 results[position] = _record_evaluation(
                     self._assemble(
                         candidate,
                         spans,
                         offers,
                         actual,
+                        digests,
                         # the clock of _assemble starts its own time plus
                         # this candidate's lowering and share of the sweep
                         time.perf_counter() - lowered - share,
@@ -351,6 +352,7 @@ class CompiledProblem:
         spans: Mapping[str, Span],
         offers: Mapping[str, List[int]],
         actual: Mapping[str, List[int]],
+        digests: Mapping[str, Optional[str]],
         start: float,
         evaluator: str = "replay",
         backend: str = "python",
@@ -358,7 +360,8 @@ class CompiledProblem:
         """Extract the objectives (mirror of ``evaluate_mapping``'s epilogue).
 
         ``spans`` maps each busy resource to its ``(busy, lo, hi)`` as the
-        sweep returned them; ``offers`` and ``actual`` span the whole horizon.
+        sweep returned them; ``offers`` and ``actual`` span the whole horizon,
+        and ``digests`` holds the sweep's digest of each output.
         """
         outputs = self.application.external_outputs()
         if not outputs:
@@ -407,6 +410,7 @@ class CompiledProblem:
             wall_seconds=time.perf_counter() - start,
             output_instants=instants,
             per_output_instants=per_output,
+            instants_digest=digests[outputs[0].name],
             evaluator=evaluator,
             backend=backend,
         )

@@ -77,6 +77,7 @@ from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Seq
 from .. import telemetry
 from ..archmodel.token import DataToken
 from ..archmodel.workload import ExecutionTimeModel
+from ..campaign.results import int64_digest, pack_instants, packed_digest
 from ..environment.stimulus import Stimulus
 from ..errors import ComputationError, GraphError, ModelError
 from ..kernel.simtime import Duration
@@ -244,8 +245,12 @@ class ArrayProgram(NamedTuple):
 Span = Tuple[int, int, int]
 
 #: replay result: (offer instants per input relation, output instants per
-#: output relation, span per resource with at least one interval).
-ProgramResult = Tuple[Dict[str, List[int]], Dict[str, List[int]], Dict[str, Span]]
+#: output relation, span per resource with at least one interval, and per
+#: output relation the :func:`~repro.campaign.results.instants_digest` of
+#: its instants -- ``None`` when one leaves int64).
+ProgramResult = Tuple[
+    Dict[str, List[int]], Dict[str, List[int]], Dict[str, Span], Dict[str, Optional[str]]
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -711,6 +716,7 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
         telemetry.count("dse.steady.exhausted")
     offers = {relation: offer_lists[i] for i, (relation, _, _, _) in enumerate(inputs)}
     actual = {relation: out_lists[i] for i, (relation, _) in enumerate(program.outputs)}
+    digests = {relation: _output_digest(instants, tail) for relation, instants in actual.items()}
     spans: Dict[str, Span] = {}
     written_out = False
     for resource, pairs in program.slots:
@@ -729,7 +735,7 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
             spans[resource] = span
     if written_out:
         telemetry.count("dse.steady.tail_materialized")
-    return offers, actual, spans
+    return offers, actual, spans, digests
 
 
 def _uniform_drift(hist: Sequence[Sequence[int]], at: int) -> Optional[int]:
@@ -749,6 +755,24 @@ def _uniform_drift(hist: Sequence[Sequence[int]], at: int) -> Optional[int]:
         elif new - old != drift:
             return None
     return drift
+
+
+def _output_digest(instants: List[int], tail: Optional[Tuple[int, int]]) -> Optional[str]:
+    """The digest of one output's instants, ``None`` when one leaves int64.
+
+    With numpy, a certified ``(extra, cycle)`` tail is packed from its
+    closed form instead of from the written-out list.  Output instants never
+    decrease, so a tail that starts at or above 0 and ends within int64
+    bounds the whole row.
+    """
+    extra, cycle = tail or (0, 0)
+    head = len(instants) - extra
+    if not (extra and numpy_available() and instants[head] >= 0 and instants[-1] < 1 << 63):
+        return int64_digest(instants)
+    import numpy as np
+
+    steps = np.arange(extra, dtype=np.int64) * cycle + instants[head]
+    return packed_digest(pack_instants(instants[:head]), steps.astype("<i8", copy=False).tobytes())
 
 
 def _arithmetic_tail(start: int, delta_ps: int, count: int) -> Sequence[int]:
@@ -999,7 +1023,9 @@ def _kernel_sweep(
 
     statuses = status.tolist()
     span_rows = spans.tolist()
-    output_values = hist[np.asarray(out_node, dtype=np.intp)].tolist()
+    output_rows = hist[np.asarray(out_node, dtype=np.intp)]
+    output_values = output_rows.tolist()
+    output_bytes = output_rows.astype("<i8", copy=False)  # the digests' byte order
     offer_values = offers.tolist()
     results: List[Tuple[Optional[ProgramResult], str]] = [(None, "numpy")] * len(programs)
     for c, code in enumerate(statuses):
@@ -1023,11 +1049,13 @@ def _kernel_sweep(
             )
             if merged is not None:
                 resource_spans[resource] = merged
+        outputs = [(r, out_ptr[c] + o) for o, (r, _) in enumerate(program.outputs)]
         results[c] = (
             (
                 {r: offer_values[in_ptr[c] + i] for i, (r, _, _, _) in enumerate(program.inputs)},
-                {r: output_values[out_ptr[c] + o] for o, (r, _) in enumerate(program.outputs)},
+                {r: output_values[row] for r, row in outputs},
                 resource_spans,
+                {r: packed_digest(output_bytes[row].tobytes()) for r, row in outputs},
             ),
             "numpy",
         )

@@ -30,6 +30,7 @@ from .. import telemetry
 from ..archmodel.application import ApplicationModel
 from ..archmodel.architecture import ArchitectureModel
 from ..archmodel.platform import PlatformModel
+from ..campaign.results import int64_digest
 from ..core.builder import build_equivalent_spec
 from ..core.model import EquivalentArchitectureModel
 from ..environment.stimulus import Stimulus
@@ -80,6 +81,10 @@ class CandidateEvaluation:
     #: declaration order.  ``latency_ps`` is the max last instant across them,
     #: so multi-output designs are not silently scored on one output only.
     per_output_instants: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
+    #: :func:`~repro.campaign.results.instants_digest` of ``output_instants``,
+    #: computed where the instants were produced; ``None`` when infeasible or
+    #: when an instant leaves int64 (the campaign record then says so).
+    instants_digest: Optional[str] = None
     #: Scoring path that actually produced these objectives: ``"replay"``
     #: (every iteration computed) or ``"steady"`` (the steady mode of the
     #: sweep: periodic regime certified and extrapolated when it settles).
@@ -249,6 +254,7 @@ def evaluate_mapping(
             wall_seconds=time.perf_counter() - start,
             output_instants=instants,
             per_output_instants=per_output,
+            instants_digest=int64_digest(instants),
         )
     )
 

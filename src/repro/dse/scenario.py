@@ -42,6 +42,9 @@ def evaluation_record(job: JobSpec, evaluation: CandidateEvaluation) -> Dict[str
     """Pack one candidate evaluation as a JSON-safe job-result record."""
     feasible = evaluation.feasible
     keep_instants = job.spec.record_instants and feasible
+    digest = evaluation.instants_digest
+    if feasible and digest is None:  # an instant beyond int64: instants_digest raises
+        digest = instants_digest(evaluation.output_instants)
     result = JobResult(
         job_digest=job.digest(),
         scenario=job.spec.scenario,
@@ -55,7 +58,7 @@ def evaluation_record(job: JobSpec, evaluation: CandidateEvaluation) -> Dict[str
         # No explicit/equivalent comparison happens in the DSE inner loop;
         # accuracy is asserted once, on the chosen mapping (integration test).
         outputs_identical=True,
-        instants_digest=instants_digest(evaluation.output_instants) if feasible else None,
+        instants_digest=digest,
         output_instants=evaluation.output_instants if keep_instants else None,
         metrics=evaluation.metrics(),
         evaluator=evaluation.evaluator,

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import pickle
+import struct
 from collections.abc import Mapping
 from typing import Any, Dict
 
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign import JobSpec, ResultStore, ScenarioSpec, canonical_json, derive_seed
 from repro.campaign import spec as spec_module
 from repro.campaign.registry import default_registry
-from repro.campaign.results import instants_digest
+from repro.campaign.results import (
+    INSTANTS_DIGEST_PREFIX,
+    instants_digest,
+    int64_digest,
+    pack_instants,
+    packed_digest,
+)
 from repro.dse import MappingCandidate, MappingExplorer, get_problem
 from repro.dse.scenario import DSE_SCENARIO
 from repro.errors import CampaignError
@@ -177,7 +184,15 @@ GOLDEN_SPECS = {
     ),
 }
 
-GOLDEN_INSTANTS = "8c07e8b59973a8898e166e471457e2e4c1486cf7f64bc8e6c1168d7ca760f84a"
+#: ``instants_digest([5, None, 7])``: the versioned SHA-256 over one tag
+#: byte, the ε mask and little-endian int64 instants.  Re-pinned when the
+#: digest stopped hashing decimal text; job digests (the store keys) did not
+#: change, so stores written before still hit.
+GOLDEN_INSTANTS = "i64:d545ab382139d7e8b010921b4c827b33b9c007894a8304ea3e91d64e2648c2c1"
+
+#: The same sequence in the format stores written before the prefix hold:
+#: a bare SHA-256 of the decimal text ``5,-,7``.
+GOLDEN_INSTANTS_DECIMAL = "8c07e8b59973a8898e166e471457e2e4c1486cf7f64bc8e6c1168d7ca760f84a"
 
 
 class TestGoldenIdentities:
@@ -202,6 +217,117 @@ class TestGoldenIdentities:
 
     def test_instants_digest_with_none(self):
         assert instants_digest([5, None, 7]) == GOLDEN_INSTANTS
+        # The golden value is the documented byte string, hashed.
+        packed = b"\x01" + bytes([0, 1, 0]) + struct.pack("<3q", 5, 0, 7)
+        assert GOLDEN_INSTANTS == "i64:" + hashlib.sha256(packed).hexdigest()
+
+    def test_old_format_golden_is_the_decimal_text_digest(self):
+        assert hashlib.sha256(b"5,-,7").hexdigest() == GOLDEN_INSTANTS_DECIMAL
+        assert GOLDEN_INSTANTS != GOLDEN_INSTANTS_DECIMAL
+
+
+# -- the instants digest format ----------------------------------------------
+
+INT64_MAX = 2**63 - 1
+int64s = st.integers(min_value=-(2**63), max_value=INT64_MAX)
+instants_lists = st.lists(st.one_of(st.none(), int64s, st.sampled_from([0, 1, -1])), max_size=12)
+
+
+def _decimal_digest(instants) -> str:
+    """The digest stores written before the ``i64:`` prefix hold."""
+    text = ",".join("-" if value is None else str(value) for value in instants)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+class TestInstantsDigestFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(instants_lists)
+    def test_carries_the_version_prefix_and_never_equals_an_old_value(self, instants):
+        digest = instants_digest(instants)
+        assert digest.startswith(INSTANTS_DIGEST_PREFIX) and len(digest) == 68
+        assert digest != _decimal_digest(instants)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instants_lists, instants_lists)
+    def test_distinct_sequences_get_distinct_digests(self, left, right):
+        assert (instants_digest(left) == instants_digest(right)) == (left == right)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ([None, 5], [5, None]),
+            ([None], [0]),
+            ([0, None], [None, 0]),
+            ([None, None, 1], [None, 1, None]),
+            ([], [None]),
+        ],
+    )
+    def test_epsilon_placement_changes_the_digest(self, left, right):
+        assert instants_digest(left) != instants_digest(right)
+
+    def test_int64_bounds_are_distinct_and_beyond_them_is_an_error(self):
+        edges = [INT64_MAX, INT64_MAX - 1, -(2**63), -(2**63) + 1, 0, None]
+        assert len({instants_digest([value]) for value in edges}) == len(edges)
+        for value in (2**63, -(2**63) - 1, 2**64):
+            for instants in ([value], [1, value], [None, value]):
+                with pytest.raises(CampaignError, match="not an int64"):
+                    instants_digest(instants)
+
+    def test_non_integers_are_an_error(self):
+        for value in (1.0, "7", b"7"):
+            with pytest.raises(CampaignError, match="not an int64"):
+                instants_digest([value])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(int64s, max_size=40))
+    def test_packed_bytes_are_numpy_little_endian_int64(self, instants):
+        numpy = pytest.importorskip("numpy")
+        packed = numpy.asarray(instants, dtype="<i8").tobytes()
+        assert pack_instants(instants) == packed
+        assert int64_digest(instants) == packed_digest(packed) == instants_digest(instants)
+        half = 8 * (len(instants) // 2)
+        assert packed_digest(packed[:half], packed[half:]) == instants_digest(instants)
+
+    def test_int64_digest_declines_what_it_cannot_pack(self):
+        assert int64_digest([1, None]) is None
+        assert int64_digest([2**63]) is None
+
+
+class TestOldFormatStores:
+    """Stores may mix formats: records written before the prefix keep their
+    decimal-text digests and are still served on a warm re-run."""
+
+    def test_warm_rerun_serves_old_records_untouched(self, tmp_path):
+        def explore(store):
+            return MappingExplorer(
+                "didactic",
+                strategy="random",
+                budget=8,
+                seed=5,
+                parameters={"items": 6},
+                store=store,
+                record_instants=True,
+            ).run()
+
+        fresh = ResultStore(tmp_path / "fresh.jsonl")
+        scored = explore(fresh).evaluated
+        assert scored >= 5
+        old = ResultStore(tmp_path / "old.jsonl")
+        for key in fresh.digests():
+            record = dict(fresh.get(key))
+            new_value = record["instants_digest"]
+            assert new_value == instants_digest(record["output_instants"])
+            record["instants_digest"] = _decimal_digest(record["output_instants"])
+            assert record["instants_digest"] != new_value
+            old.put(key, record)
+        before = (tmp_path / "old.jsonl").read_bytes()
+
+        report = explore(ResultStore(tmp_path / "old.jsonl"))
+        assert report.evaluated == 0 and report.cache_hits == scored
+        assert (tmp_path / "old.jsonl").read_bytes() == before
+        reread = ResultStore(tmp_path / "old.jsonl")
+        for key in reread.digests():
+            assert not reread.get(key)["instants_digest"].startswith(INSTANTS_DIGEST_PREFIX)
 
 
 # -- the canonical walk against the path-tracking original --------------------

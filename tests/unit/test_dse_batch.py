@@ -19,7 +19,7 @@ import pytest
 
 from repro import telemetry
 from repro.campaign import ResultStore
-from repro.campaign.results import JobResult
+from repro.campaign.results import INSTANTS_DIGEST_PREFIX, JobResult, instants_digest
 from repro.campaign.registry import default_registry
 from repro.campaign.runner import run_job
 from repro.campaign.spec import JobSpec, ScenarioSpec
@@ -32,8 +32,8 @@ from repro.dse.evaluate import (
     evaluate_candidate,
     evaluate_candidates,
 )
-from repro.dse.scenario import DSE_SCENARIO, execute_dse_job
-from repro.errors import ModelError
+from repro.dse.scenario import DSE_SCENARIO, evaluation_record, execute_dse_job
+from repro.errors import CampaignError, ModelError
 
 #: Small parameterisations keep the whole matrix under a few seconds.
 PROBLEMS = {
@@ -123,7 +123,8 @@ class TestBatchMatchesSingle:
         relation = compiled.application.external_outputs()[0].name
 
         def silent_sweep(programs):
-            return [({}, {relation: []}, {}) for _ in programs], [backend] * len(programs)
+            silent = ({}, {relation: []}, {}, {relation: None})
+            return [silent for _ in programs], [backend] * len(programs)
 
         monkeypatch.setattr(compile_module, "replay_batch", silent_sweep)
         scored = compiled.evaluate_batch(candidates)
@@ -132,7 +133,7 @@ class TestBatchMatchesSingle:
         assert {(e.backend, e.evaluator) for e in silent} == {(backend, "replay")}
 
         steady = compiled._assemble(
-            candidates[0], {}, {}, {relation: []}, 0.0,
+            candidates[0], {}, {}, {relation: []}, {relation: None}, 0.0,
             evaluator="steady", backend=backend,
         )
         assert steady.infeasible == "the model produced no output instants"
@@ -199,6 +200,54 @@ class TestSweepProvenance:
         assert histogram["total_ns"] / 1e9 <= report.wall_time_s
         charged = sum(result.equivalent_wall_seconds for result in report.results)
         assert charged <= report.wall_time_s
+
+
+class TestDigestAcrossPaths:
+    """Each sweep digests the instants where it has them -- the kernel from
+    its int64 rows, the steady mode from its closed-form tail, the reference
+    and the explicit path from the instant lists -- and every path gives the
+    digest of the instants it returns, byte for byte."""
+
+    @pytest.mark.parametrize("name, items", [("chain-periodic", 300), ("fork", 6), ("lte", 3)])
+    def test_every_path_gives_the_same_digest(self, name, items, request):
+        problem = get_problem(name)
+        parameters = {"items": items}
+        candidates = candidates_of(problem, parameters, count=6)
+        paths = {
+            "explicit": evaluate_candidates(problem, candidates, parameters, compiled=False),
+            "steady": evaluate_candidates(problem, candidates, parameters, evaluator="auto"),
+        }
+        if numpy_available() and engine._sweep_kernel() is not None:
+            paths["kernel"] = evaluate_candidates(problem, candidates, parameters)
+        request.getfixturevalue("reference_sweep")
+        paths["python"] = evaluate_candidates(problem, candidates, parameters)
+        for position, reference in enumerate(paths["explicit"]):
+            expected = instants_digest(reference.output_instants) if reference.feasible else None
+            for path, evaluations in paths.items():
+                assert evaluations[position].instants_digest == expected, (path, position)
+        if name == "chain-periodic":
+            assert {e.evaluator for e in paths["steady"]} == {"steady"}
+
+    def test_records_carry_the_versioned_digest(self):
+        problem = get_problem("didactic")
+        candidates = candidates_of(problem, PROBLEMS["didactic"], count=4)
+        spec = ScenarioSpec(DSE_SCENARIO, {"problem": "didactic", **PROBLEMS["didactic"]})
+        for evaluation in evaluate_candidates(problem, candidates, PROBLEMS["didactic"]):
+            record = evaluation_record(spec.job(0), evaluation)
+            assert record["instants_digest"].startswith(INSTANTS_DIGEST_PREFIX)
+            assert record["instants_digest"] == instants_digest(evaluation.output_instants)
+
+    def test_a_record_beyond_int64_is_a_clear_error(self):
+        problem = get_problem("didactic")
+        (candidate,) = candidates_of(problem, PROBLEMS["didactic"], count=1)
+        evaluation = dataclasses.replace(
+            evaluate_candidate(problem, candidate, PROBLEMS["didactic"]),
+            output_instants=(1, 2**63),
+            instants_digest=None,
+        )
+        spec = ScenarioSpec(DSE_SCENARIO, {"problem": "didactic", **PROBLEMS["didactic"]})
+        with pytest.raises(CampaignError, match="not an int64"):
+            evaluation_record(spec.job(0), evaluation)
 
 
 class TestResolveBackend:

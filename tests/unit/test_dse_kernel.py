@@ -356,7 +356,7 @@ class TestKernelSpans:
             ]
             program = span_program(resources, iterations)
             results, _, counters = sweep([program])
-            ((_, _, spans),) = results
+            ((_, _, spans, _),) = results
             assert results == [replay_program(program)], case
             for name, histories in resources:
                 expected = union_oracle(histories)

@@ -24,6 +24,8 @@ from typing import List, Optional
 import pytest
 
 from repro import telemetry
+from repro.campaign.results import int64_digest
+from repro.dse import engine
 from repro.dse.engine import (
     EPSILON_THRESHOLD,
     NEG_EPSILON,
@@ -37,7 +39,8 @@ from repro.dse.engine import (
 
 
 def masked_replay(program: ArrayProgram) -> Optional[ProgramResult]:
-    """The sweep before padding, zero-arc and settling (kept verbatim)."""
+    """The sweep before padding, zero-arc and settling (kept verbatim, plus
+    the output digests of the written-out lists)."""
     iterations = program.iterations
     neg = NEG_EPSILON
     eps = EPSILON_THRESHOLD
@@ -114,7 +117,7 @@ def masked_replay(program: ArrayProgram) -> Optional[ProgramResult]:
             span = _merged_rows(rows)
         if span is not None:
             spans[resource] = span
-    return offers, actual, spans
+    return offers, actual, spans, {relation: int64_digest(row) for relation, row in actual.items()}
 
 
 def random_program(rng: random.Random, iterations: int) -> ArrayProgram:
@@ -395,6 +398,35 @@ def test_steady_mode_equals_the_full_sweep():
         "short horizon",
     )
     assert all(seen[shape] >= 10 for shape in shapes), seen
+
+
+def test_steady_digests_without_numpy_equal_the_full_sweep(monkeypatch):
+    """Without numpy the steady tail is digested from the written-out list;
+    the digests are the same bytes either way."""
+    programs = [steady_program(random.Random(seed)) for seed in range(300)]
+    with_numpy = [replay_program(program) for program in programs]
+    monkeypatch.setattr(engine, "numpy_available", lambda: False)
+    for seed, (program, expected) in enumerate(zip(programs, with_numpy)):
+        assert replay_program(program) == expected, seed
+        assert expected == replay_program(program._replace(periods=None)), seed
+
+
+@pytest.mark.parametrize("cycle", [0, 1, 25, 2**40])
+def test_closed_form_tail_digest_equals_the_list_digest(cycle):
+    head = [0, 3, 3, 90]
+    tail = [head[-1] + cycle * (j + 1) for j in range(50)]
+    digest = engine._output_digest(head + tail, (len(tail), cycle))
+    assert digest is not None and digest == int64_digest(head + tail)
+
+
+def test_tail_beyond_int64_has_no_digest():
+    """A tail leaving int64 is not truncated: the sweep leaves the digest to
+    the campaign record, which raises."""
+    cycle = 2**61
+    row = [0] + [cycle * (j + 1) for j in range(4)]
+    assert row[-1] >= 2**63
+    assert engine._output_digest(row, (4, cycle)) is None
+    assert engine._output_digest(row, None) is None
 
 
 def test_steady_mode_returns_the_full_result_object_for_object():

@@ -176,7 +176,7 @@ class TestClosedFormMatchesMerge:
                 slot_histories.append((resource, histories))
             everything = [pair for pairs in reference.values() for pair in pairs]
             requested = resources + ["idle"]  # a used resource with no slot
-            _, _, spans = replay_program(span_program(slot_histories, iterations))
+            spans = replay_program(span_program(slot_histories, iterations))[2]
             got = _utilization(requested, spans)
             if not everything:
                 assert got == {resource: 0.0 for resource in requested}
