@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Mapping
 
 from ..errors import CampaignError
 
-__all__ = ["ScenarioSpec", "JobSpec", "canonical_json", "derive_seed"]
+__all__ = ["ScenarioSpec", "JobSpec", "canonical_json", "plain_canonical_json", "derive_seed"]
 
 
 _INFINITIES = (float("inf"), float("-inf"))
@@ -116,6 +116,16 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def canonical_json(value: Any) -> str:
     """Stable JSON encoding (sorted keys, no whitespace) used for digests."""
     return _dumps(_normalise(value, "value"))
+
+
+def plain_canonical_json(value: Any) -> str:
+    """:func:`canonical_json` of a value the caller knows is already plain.
+
+    Plain means dicts with ``str`` keys, lists or tuples, ``str``, ``int``
+    and ``None`` -- values the canonical walk returns unchanged -- so the
+    walk is skipped and the text is the same byte for byte.
+    """
+    return _dumps(value)
 
 
 def _sha256(text: str) -> str:

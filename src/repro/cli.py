@@ -219,6 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse_run.add_argument("--top", type=int, default=None, help="also print the top-N ranked table")
     dse_run.add_argument(
+        "--record-instants",
+        action="store_true",
+        help="persist each feasible candidate's output-instant sequences in the store",
+    )
+    dse_run.add_argument(
         "--checkpoint",
         type=str,
         default=None,
@@ -801,6 +806,7 @@ def _run_dse_run(arguments: argparse.Namespace) -> int:
         explore_orders=not arguments.no_orders,
         strict=not arguments.loose_orders,
         store=ResultStore(arguments.store) if arguments.store else None,
+        record_instants=arguments.record_instants,
         checkpoint=arguments.checkpoint,
         resume=arguments.resume,
         max_rounds=arguments.rounds,

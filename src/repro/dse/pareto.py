@@ -16,6 +16,11 @@ campaign results, so the front can be rebuilt from a result store alone
 :func:`crowding_distance`, :func:`hypervolume_2d`) work on plain float
 tuples, which is what search strategies observe -- they never touch
 metric dicts.
+
+:func:`nondominated_rank` sorts the default two objectives exactly in
+O(n log n) (Kung, Luccio & Preparata, JACM 1975; Jensen, IEEE TEC 2003)
+and peels fronts in O(n^2 * fronts) for three or more objectives or any
+NaN; both give the same ranks.
 """
 
 from __future__ import annotations
@@ -100,10 +105,17 @@ def nondominated_rank(vectors: Sequence[Sequence[float]]) -> List[int]:
     """Non-dominated sorting of objective vectors: rank 1 is the Pareto front,
     rank 2 the front of what remains, and so on.
 
-    Exact ties share a rank (neither dominates the other).  Peeling is
-    O(n^2 * fronts), fine for the population sizes and candidate counts the
-    evaluator sustains.
+    Exact ties share a rank (neither dominates the other).  Two-objective
+    vectors without NaN are ranked in O(n log n) by :func:`_rank_2d`;
+    anything else is peeled front by front in O(n^2 * fronts), fine for the
+    population sizes and candidate counts the evaluator sustains.
     """
+    two_objectives = all(
+        len(vector) == 2 and vector[0] == vector[0] and vector[1] == vector[1]
+        for vector in vectors
+    )
+    if two_objectives:  # NaN != NaN, so any NaN takes the peeling loop
+        return _rank_2d(vectors)
     ranks = [0] * len(vectors)
     remaining = list(range(len(vectors)))
     rank = 1
@@ -120,6 +132,42 @@ def nondominated_rank(vectors: Sequence[Sequence[float]]) -> List[int]:
         in_front = set(front)
         remaining = [i for i in remaining if i not in in_front]
         rank += 1
+    return ranks
+
+
+def _rank_2d(vectors: Sequence[Sequence[float]]) -> List[int]:
+    """Exact non-dominated ranks of NaN-free two-objective vectors.
+
+    Visits the points in ascending ``(x, y)`` order, so every point that
+    can dominate the current one has been placed already.  Each front keeps
+    its last placed point, which has the front's largest x and smallest y:
+    the front holds a dominator of the current point exactly when that last
+    point dominates it.  The fronts holding a dominator form a prefix (each
+    member of a front is dominated by a member of every earlier front, and
+    dominance is transitive), so a binary search over the last points finds
+    the point's rank.
+    """
+    ranks = [0] * len(vectors)
+    last_x: List[float] = []
+    last_y: List[float] = []
+    for index in sorted(range(len(vectors)), key=lambda i: (vectors[i][0], vectors[i][1])):
+        x, y = vectors[index][0], vectors[index][1]
+        low, high = 0, len(last_y)
+        while low < high:
+            middle = (low + high) // 2
+            # Sorted order gives last_x[middle] <= x: the last point
+            # dominates unless it is an exact duplicate or has a larger y.
+            if last_y[middle] < y or (last_y[middle] == y and last_x[middle] != x):
+                low = middle + 1
+            else:
+                high = middle
+        if low == len(last_y):
+            last_x.append(x)
+            last_y.append(y)
+        else:
+            last_x[low] = x
+            last_y[low] = y
+        ranks[index] = low + 1
     return ranks
 
 

@@ -564,27 +564,35 @@ class NsgaSearch(SearchStrategy):
         self.mutation_rate = mutation_rate
         #: Evaluated survivors: ``(candidate, objective vector)`` pairs.
         self._population: List[Tuple[MappingCandidate, Tuple[float, ...]]] = []
+        #: Each member's non-domination rank, kept by a truncating
+        #: :meth:`observe` (survivors keep their rank); None lets
+        #: :meth:`propose` rank the population itself.  Never checkpointed.
+        self._ranks: Optional[List[int]] = None
         self._generation = 0
 
     # -- selection machinery -----------------------------------------------------
     @staticmethod
-    def _fronts(vectors: Sequence[Tuple[float, ...]]) -> Dict[int, List[int]]:
-        """Member indices grouped by non-domination rank, ranks ascending."""
+    def _fronts(ranks: Sequence[int]) -> Dict[int, List[int]]:
+        """Member indices (ascending) grouped by non-domination rank, ranks ascending."""
         members_by_rank: Dict[int, List[int]] = {}
-        for index, rank in enumerate(nondominated_rank(vectors)):
+        for index, rank in enumerate(ranks):
             members_by_rank.setdefault(rank, []).append(index)
         return {rank: members_by_rank[rank] for rank in sorted(members_by_rank)}
 
     def _ranked(self) -> Tuple[List[int], List[float]]:
-        """Per-member (non-domination rank, within-front crowding distance)."""
+        """Per-member (non-domination rank, within-front crowding distance).
+
+        Crowding is computed within each front over its members in
+        ascending population index, so ties break the same way whether the
+        ranks were kept by :meth:`observe` or computed here.
+        """
         vectors = [vector for _, vector in self._population]
-        ranks = [0] * len(vectors)
+        ranks = self._ranks if self._ranks is not None else nondominated_rank(vectors)
         crowding = [0.0] * len(vectors)
-        for rank, members in self._fronts(vectors).items():
+        for members in self._fronts(ranks).values():
             for index, distance in zip(
                 members, crowding_distance([vectors[i] for i in members])
             ):
-                ranks[index] = rank
                 crowding[index] = distance
         return ranks, crowding
 
@@ -653,10 +661,12 @@ class NsgaSearch(SearchStrategy):
                 (observation.candidate, tuple(observation.vector)),
             )
         entries = list(merged.values())
+        ranks: Optional[List[int]] = None
         if len(entries) > self.population_size:
             vectors = [vector for _, vector in entries]
+            merged_ranks = nondominated_rank(vectors)
             selected: List[int] = []
-            for rank, members in self._fronts(vectors).items():
+            for members in self._fronts(merged_ranks).values():
                 room = self.population_size - len(selected)
                 if room <= 0:
                     break
@@ -671,7 +681,11 @@ class NsgaSearch(SearchStrategy):
                 )
                 selected.extend(index for index, _ in by_spread[:room])
             entries = [entries[index] for index in selected]
+            # Survivors keep their rank: the fronts below the boundary survive
+            # whole, so every dominator of a survivor survives too.
+            ranks = [merged_ranks[index] for index in selected]
         self._population = entries
+        self._ranks = ranks
         self._generation += 1
         telemetry.gauge("dse.search.nsga2.generation", self._generation)
         telemetry.gauge("dse.search.nsga2.population", len(entries))
@@ -699,6 +713,7 @@ class NsgaSearch(SearchStrategy):
         self._check_state(state)
         _restore_rng(self._rng, state["rng"])
         self._generation = int(state["generation"])
+        self._ranks = None
         self._population = [
             (
                 _candidate_from_state(entry["candidate"]),

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -48,7 +49,7 @@ from ..archmodel.application import ApplicationModel, RelationKind
 from ..archmodel.mapping import Mapping as ArchMapping
 from ..archmodel.platform import PlatformModel, ProcessingResource, ResourceKind
 from ..archmodel.primitives import ReadStep, WriteStep
-from ..campaign.spec import canonical_json
+from ..campaign.spec import canonical_json, plain_canonical_json
 from ..errors import ModelError
 
 __all__ = ["MappingCandidate", "DesignSpace", "EligibilitySpec"]
@@ -127,9 +128,28 @@ class MappingCandidate:
         """
         memo = self.__dict__.get("_digest")
         if memo is None:
-            text = canonical_json(self.to_parameters())
+            parameters = self.to_parameters()
+            text = (plain_canonical_json if self._plain() else canonical_json)(parameters)
             memo = self.__dict__["_digest"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         return memo
+
+    def _plain(self) -> bool:
+        """True when every name is exactly ``str`` and every step index ``int``.
+
+        Such a candidate's parameters need no canonical walk; anything else
+        goes through :func:`~repro.campaign.spec.canonical_json`, which
+        validates (or rejects) it.
+        """
+        for function, resource in self.allocation:
+            if type(function) is not str or type(resource) is not str:
+                return False
+        for resource, order in self.orders:
+            if type(resource) is not str:
+                return False
+            for function, index in order:
+                if type(function) is not str or type(index) is not int:
+                    return False
+        return True
 
     # -- realisation ------------------------------------------------------------
     def build_mapping(self, name: str = "candidate") -> ArchMapping:
@@ -238,9 +258,22 @@ class DesignSpace:
         self.explore_orders = explore_orders
         self.strict = strict
         self.has_eligibility = eligible is not None
+        #: Resources grouped by interchangeability class, in bank order.
+        self._by_class: Dict[Tuple, List[ProcessingResource]] = {}
+        for resource in self.resources:
+            self._by_class.setdefault(self._interchange_class(resource), []).append(resource)
         self._eligible = self._resolve_eligibility(eligible)
+        #: Per function, its execute slots in behaviour order.
+        self._slots: Dict[str, Tuple[Slot, ...]] = {
+            function.name: tuple((function.name, index) for index, _ in function.execute_steps())
+            for function in application.functions
+        }
         self._slot_topo = self._slot_topological_index()
-        self._order_nodes, self._order_edges, self._order_rep = self._dependency_dag()
+        self._order_nodes, self._order_successors, self._order_node_of = self._dependency_dag()
+        self._order_in_degree = [0] * len(self._order_nodes)
+        for successors in self._order_successors:
+            for target in successors:
+                self._order_in_degree[target] += 1
 
     # ------------------------------------------------------------------
     # eligibility (kind-constrained allocation)
@@ -289,12 +322,9 @@ class DesignSpace:
                 )
             resolved[function] = tuple(names)
 
-        by_class: Dict[Tuple, List[ProcessingResource]] = {}
-        for resource in self.resources:
-            by_class.setdefault(self._interchange_class(resource), []).append(resource)
         for function, names in resolved.items():
             name_set = set(names)
-            for members in by_class.values():
+            for members in self._by_class.values():
                 inside = [r.name for r in members if r.name in name_set]
                 if inside and len(inside) != len(members):
                     outside = [r.name for r in members if r.name not in name_set]
@@ -378,10 +408,10 @@ class DesignSpace:
         return {slot: topo[slot] for slot in execute_slots}
 
     def _slots_of(self, function: str) -> Tuple[Slot, ...]:
-        return tuple(
-            (function, index)
-            for index, _ in self.application.function(function).execute_steps()
-        )
+        try:
+            return self._slots[function]
+        except KeyError:
+            raise ModelError(f"unknown function {function!r}") from None
 
     def default_order(self, functions: Sequence[str]) -> Tuple[Slot, ...]:
         """Feasible service order for one resource: slots by global topological index."""
@@ -403,9 +433,11 @@ class DesignSpace:
         schedulable ones -- any such extension is one global schedule free of
         zero-delay cycles.
 
-        Returns ``(nodes, edges, rep)`` where ``rep`` maps each ``(function,
-        step_index)`` to its contracted representative, ``nodes`` lists the
-        representatives in declaration order and ``edges`` is the adjacency.
+        Returns ``(nodes, successors, node_of)``: ``nodes`` lists the
+        representatives in declaration order, and the sampler refers to each
+        by its position there; ``successors[i]`` lists node ``i``'s targets in
+        edge insertion order, and ``node_of`` maps each ``(function,
+        step_index)`` to the position of its representative.
         """
         relations = self.application.relations()
         write_step: Dict[str, Tuple[str, int]] = {}
@@ -450,7 +482,11 @@ class DesignSpace:
         for relation, spec in relations.items():
             if spec.is_internal and spec.kind is RelationKind.FIFO:
                 add_edge(write_step[relation], read_step[relation])
-        return tuple(nodes), edges, rep
+        position = {node: index for index, node in enumerate(nodes)}
+        successors = tuple(
+            tuple(position[target] for target in edges[node]) for node in nodes
+        )
+        return tuple(nodes), successors, {step: position[rep[step]] for step in step_nodes}
 
     def _sample_feasible_orders(
         self,
@@ -468,39 +504,43 @@ class DesignSpace:
         when the fixed orders themselves contradict the dependencies (the
         caller then falls back to unconstrained interleavings).
         """
-        nodes, edges, rep = self._order_nodes, self._order_edges, self._order_rep
-        in_degree = {node: 0 for node in nodes}
-        for successors in edges.values():
-            for target in successors:
-                in_degree[target] += 1
-        extra: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
+        nodes, successors = self._order_nodes, self._order_successors
+        node_of = self._order_node_of
+        in_degree = list(self._order_in_degree)
+        extra: Dict[int, List[int]] = {}
         for order in fixed_orders.values():
             for first, second in zip(order, order[1:]):
-                extra.setdefault(rep[first], []).append(rep[second])
-        for successors in extra.values():
-            for target in successors:
+                target = node_of[second]
+                extra.setdefault(node_of[first], []).append(target)
                 in_degree[target] += 1
 
-        slot_resource: Dict[Tuple[str, int], str] = {}
+        slot_resource: Dict[int, str] = {}
         for function, resource in candidate.allocation:
             if resource in targets:
                 for slot in self._slots_of(function):
-                    slot_resource[slot] = resource
+                    slot_resource[node_of[slot]] = resource
 
-        ready = [node for node in nodes if in_degree[node] == 0]
+        # Nodes are numbered in declaration order, so ``ready`` -- and with it
+        # every ``rng.randrange`` draw -- follows the declaration order.
+        ready = [node for node, degree in enumerate(in_degree) if degree == 0]
         orders: Dict[str, List[Slot]] = {resource: [] for resource in targets}
+        randrange, pop, push = rng.randrange, ready.pop, ready.append
         emitted = 0
         while ready:
-            node = ready.pop(rng.randrange(len(ready)))
+            node = pop(randrange(len(ready)))
             emitted += 1
             resource = slot_resource.get(node)
             if resource is not None:
-                orders[resource].append(node)
-            for successors in (edges.get(node, ()), extra.get(node, ())):
-                for target in successors:
+                orders[resource].append(nodes[node])
+            for target in successors[node]:
+                in_degree[target] -= 1
+                if not in_degree[target]:
+                    push(target)
+            if node in extra:
+                for target in extra[node]:
                     in_degree[target] -= 1
-                    if in_degree[target] == 0:
-                        ready.append(target)
+                    if not in_degree[target]:
+                        push(target)
         if emitted != len(nodes):
             return None  # the fixed orders close a dependency cycle
         return {resource: tuple(order) for resource, order in orders.items()}
@@ -524,9 +564,7 @@ class DesignSpace:
         through the relabelling; resources without an explicit order get the
         dependency-aware default.
         """
-        by_class: Dict[Tuple, List[ProcessingResource]] = {}
-        for resource in self.resources:
-            by_class.setdefault(self._interchange_class(resource), []).append(resource)
+        by_class = self._by_class
         relabel: Dict[str, str] = {}
         used_per_class: Dict[Tuple, int] = {}
         for function in self.functions:
@@ -941,10 +979,11 @@ class DesignSpace:
     # ------------------------------------------------------------------
     # recombination
     # ------------------------------------------------------------------
-    def _inherited_order(
-        self, parent: MappingCandidate, group: Set[str]
-    ) -> Optional[Tuple[Slot, ...]]:
-        """The parent's explicit order for the resource serving exactly ``group``.
+    @staticmethod
+    def _orders_by_group(
+        parent: MappingCandidate,
+    ) -> Dict[FrozenSet[str], Tuple[Slot, ...]]:
+        """The parent's explicit orders, keyed by the function group each serves.
 
         Service orders are sequences of ``(function, step)`` slots, so they
         transfer between resources (and across the canonical relabelling) as
@@ -953,11 +992,11 @@ class DesignSpace:
         groups: Dict[str, List[str]] = {}
         for function, resource in parent.allocation:
             groups.setdefault(resource, []).append(function)
-        orders = dict(parent.orders)
-        for resource, functions in groups.items():
-            if set(functions) == group and resource in orders:
-                return orders[resource]
-        return None
+        return {
+            frozenset(groups[resource]): order
+            for resource, order in dict(parent.orders).items()
+            if resource in groups
+        }
 
     def crossover(
         self, a: MappingCandidate, b: MappingCandidate, rng: random.Random
@@ -1021,11 +1060,12 @@ class DesignSpace:
             child_groups.setdefault(resource, []).append(function)
         orders: Dict[str, Tuple[Slot, ...]] = dict(child.orders)
         inherited: Dict[str, Tuple[Slot, ...]] = {}
+        by_group_a, by_group_b = self._orders_by_group(a), self._orders_by_group(b)
         for resource, _default in child.orders:
-            group = set(child_groups[resource])
-            parents = (a, b) if rng.random() < 0.5 else (b, a)
-            for parent in parents:
-                order = self._inherited_order(parent, group)
+            group = frozenset(child_groups[resource])
+            parents = (by_group_a, by_group_b) if rng.random() < 0.5 else (by_group_b, by_group_a)
+            for by_group in parents:
+                order = by_group.get(group)
                 if order is not None:
                     inherited[resource] = order
                     break

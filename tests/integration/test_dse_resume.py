@@ -7,11 +7,15 @@
 * the CLI round-trips the same guarantee through ``dse run
   --checkpoint/--resume`` and ``dse front`` rebuilds the identical front
   from the store alone;
+* an nsga2 run cut right after an observe that truncated its population
+  resumes to the uninterrupted store, and its checkpoint holds no cached
+  ranks or crowding distances;
 * resume validation refuses mismatched configurations and missing stores;
 * ``NsgaSearch`` reaches a 2D hypervolume at least as large as the
   annealing baseline on the didactic problem under an equal budget.
 """
 
+import json
 import re
 
 import pytest
@@ -102,6 +106,72 @@ class TestInterruptAndResume:
         assert newest.rounds == report.rounds
         assert [entry[0] for entry in newest.results] == digest_sequence(report)
         assert newest.front == report.front.digests()
+
+
+#: The keys of a checkpoint snapshot and of an nsga2 strategy state.  Ranks
+#: carried from one round's observe to the next propose are a cache, never
+#: part of the checkpoint.
+CHECKPOINT_KEYS = {
+    "budget", "cache_hits", "errors", "evaluated", "explore_orders", "front",
+    "infeasible", "max_resources", "objectives", "parameters", "problem",
+    "results", "rounds", "seed", "spent", "stale_rounds", "strategy",
+    "strategy_options", "strategy_state", "strict", "version",
+}
+NSGA_STATE_KEYS = {"generation", "population", "rng", "strategy"}
+POPULATION = 16  # NsgaSearch's default population_size
+
+
+class TestResumeAfterTruncation:
+    """nsga2 interrupted right after an observe that truncated its population."""
+
+    @pytest.mark.parametrize(
+        "problem, parameters, rounds",
+        [
+            ("chain", {"items": ITEMS}, 3),
+            ("lte", {"items": 4, "processors": 3, "dsps": 3}, 2),  # three objectives
+        ],
+        ids=["chain", "lte"],
+    )
+    def test_resumed_store_equals_the_straight_store(
+        self, tmp_path, problem, parameters, rounds
+    ):
+        def run(store_path, **options):
+            return MappingExplorer(
+                problem,
+                strategy="nsga2",
+                budget=BUDGET,
+                seed=SEED,
+                parameters=parameters,
+                store=ResultStore(store_path),
+                **options,
+            ).run()
+
+        straight = run(tmp_path / "straight.jsonl")
+        ck_path = tmp_path / "ck.jsonl"
+        run(tmp_path / "resumed.jsonl", max_rounds=rounds, checkpoint=ck_path)
+
+        snapshot = json.loads(ck_path.read_text())
+        assert set(snapshot) == CHECKPOINT_KEYS
+        state = snapshot["strategy_state"]
+        assert set(state) == NSGA_STATE_KEYS
+        assert all(set(entry) == {"candidate", "vector"} for entry in state["population"])
+        # Each round proposes at most POPULATION candidates, so more feasible
+        # candidates than the earlier rounds could hold means the last round
+        # brought fresh ones into a full population: its observe truncated.
+        feasible = len(snapshot["results"]) - snapshot["infeasible"] - snapshot["errors"]
+        assert len(state["population"]) == POPULATION
+        assert feasible > (rounds - 1) * POPULATION
+
+        resumed = run(tmp_path / "resumed.jsonl", checkpoint=ck_path, resume=True)
+        assert resumed.resumed
+        assert digest_sequence(resumed) == digest_sequence(straight)
+        assert resumed.front.digests() == straight.front.digests()
+        stores = [ResultStore(tmp_path / name) for name in ("straight.jsonl", "resumed.jsonl")]
+        assert stores[0].digests() == stores[1].digests()
+        for key in stores[0].digests():
+            first, second = (store.get(key) for store in stores)
+            for field in ("metrics", "instants_digest", "backend", "job_digest"):
+                assert first[field] == second[field], (key, field)
 
 
 class TestResumeValidation:

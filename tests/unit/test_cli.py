@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from repro.campaign import ResultStore
 from repro.campaign import runner as runner_module
+from repro.campaign.results import instants_digest
 from repro.cli import build_parser, main
 
 
@@ -87,6 +89,10 @@ class TestParser:
         assert arguments.checkpoint is None
         assert arguments.resume is False
         assert arguments.rounds is None
+        assert arguments.record_instants is False
+        assert build_parser().parse_args(
+            ["dse", "run", "--record-instants"]
+        ).record_instants is True
 
     def test_dse_run_checkpoint_round_trips(self):
         arguments = build_parser().parse_args(
@@ -436,6 +442,26 @@ class TestDseCommands:
         output = capsys.readouterr().out
         assert f"stored records in {store}:" in output
         assert "steady" in output
+
+    def test_dse_run_records_instants(self, tmp_path, capsys):
+        # Every feasible record carries its instants, and the stored digest
+        # is the digest of exactly those instants.
+        store = str(tmp_path / "dse.jsonl")
+        argv = ["dse", "run", "--problem", "chain", "--strategy", "nsga2",
+                "--budget", "24", "--items", "8", "--seed", "11",
+                "--record-instants", "--store", store]
+        assert main(argv) == 0
+        capsys.readouterr()
+        results = ResultStore(store)
+        records = [results.get(key) for key in results.digests()]
+        feasible = [record for record in records if record["metrics"]["feasible"]]
+        assert len(records) == 24 and feasible
+        for record in feasible:
+            assert record["output_instants"]
+            assert instants_digest(record["output_instants"]) == record["instants_digest"]
+        # The stored records satisfy a warm re-run that asks for instants.
+        assert main(argv) == 0
+        assert ", 0 evaluated," in capsys.readouterr().out
 
 
 class TestObsLedgerCommands:

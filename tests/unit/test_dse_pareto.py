@@ -2,7 +2,11 @@
 and ranked reporting."""
 
 import math
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+
+from repro.dse import pareto
 from repro.dse.pareto import (
     DEFAULT_OBJECTIVES,
     Objective,
@@ -238,3 +242,81 @@ class TestVectorHelpers:
         assert front.hypervolume(reference) == front.hypervolume()
         assert front.hypervolume((300e6, 3.0)) > 0.0
         assert ParetoFront().hypervolume() == 0.0
+
+
+def peeling_rank(vectors):
+    """The reference: peel the non-dominated set off what remains, front by front."""
+    ranks = [0] * len(vectors)
+    remaining = list(range(len(vectors)))
+    rank = 1
+    while remaining:
+        front = [
+            i
+            for i in remaining
+            if not any(vector_dominates(vectors[j], vectors[i]) for j in remaining if j != i)
+        ]
+        for i in front:
+            ranks[i] = rank
+        remaining = [i for i in remaining if i not in front]
+        rank += 1
+    return ranks
+
+
+#: Few distinct values, so exact duplicates, equal x with different y and
+#: infinite coordinates turn up in most examples.
+COORDINATE = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf])
+NAN_OR_COORDINATE = st.one_of(COORDINATE, st.just(math.nan))
+
+
+class TestTwoObjectiveRank:
+    """The O(n log n) two-objective sort against the peeling reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(COORDINATE, COORDINATE), max_size=24))
+    def test_matches_the_peeling_reference(self, vectors):
+        assert nondominated_rank(vectors) == peeling_rank(vectors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), max_size=24
+        )
+    )
+    def test_matches_the_peeling_reference_on_any_floats(self, vectors):
+        assert nondominated_rank(vectors) == peeling_rank(vectors)
+
+    def test_edge_cases(self):
+        inf = math.inf
+        cases = [
+            [],
+            [(1.0, 2.0)],
+            [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],  # exact duplicates
+            [(1.0, 3.0), (1.0, 2.0), (1.0, 1.0)],  # equal x, different y
+            [(3.0, 1.0), (2.0, 1.0), (1.0, 1.0)],  # equal y, different x
+            [(2.0, 2.0), (1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (2.0, 3.0)],
+            [(inf, inf), (-inf, inf), (inf, -inf), (-inf, -inf), (0.0, 0.0)],
+            [(inf, 1.0), (inf, 1.0), (inf, 2.0), (1.0, inf)],
+        ]
+        for vectors in cases:
+            assert nondominated_rank(vectors) == peeling_rank(vectors), vectors
+        assert nondominated_rank([(1.0, 1.0), (1.0, 1.0), (1.0, 2.0)]) == [1, 1, 2]
+
+    def test_two_objective_vectors_take_the_fast_path(self):
+        vectors = [(2.0, 1.0), (1.0, 2.0), (2.0, 2.0)]
+        with mock.patch.object(pareto, "_rank_2d", wraps=pareto._rank_2d) as fast:
+            assert nondominated_rank(vectors) == [1, 1, 2]
+        fast.assert_called_once()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(NAN_OR_COORDINATE, NAN_OR_COORDINATE), max_size=12))
+    def test_nan_takes_the_general_path(self, vectors):
+        vectors.append((math.nan, 0.0))
+        with mock.patch.object(pareto, "_rank_2d", side_effect=AssertionError("fast path")):
+            assert nondominated_rank(vectors) == peeling_rank(vectors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(COORDINATE, COORDINATE, COORDINATE), min_size=1, max_size=16))
+    def test_three_objectives_take_the_general_path(self, vectors):
+        with mock.patch.object(pareto, "_rank_2d", side_effect=AssertionError("fast path")):
+            ranks = nondominated_rank(vectors)
+        assert ranks == peeling_rank(vectors)

@@ -1,12 +1,14 @@
 """Unit tests for the design-space model (candidates, enumeration, mutation)."""
 
+import hashlib
 import random
 
 import pytest
 
-from repro.dse import CompiledProblem, MappingCandidate, get_problem
+from repro.campaign import canonical_json
+from repro.dse import CompiledProblem, MappingCandidate, get_problem, problem_names
 from repro.dse.space import _interleavings
-from repro.errors import ModelError, ReproError
+from repro.errors import CampaignError, ModelError, ReproError
 
 
 @pytest.fixture()
@@ -51,6 +53,39 @@ class TestCandidateEncoding:
     def test_from_parameters_requires_allocation(self):
         with pytest.raises(ModelError, match="allocation"):
             MappingCandidate.from_parameters({"orders": {}})
+
+    @pytest.mark.parametrize("problem", problem_names())
+    def test_digest_is_the_canonical_json_digest(self, problem):
+        # digest() skips the canonical walk for plain candidates; the text
+        # it hashes must stay the canonical JSON byte for byte.
+        space = get_problem(problem).space({"items": 4})
+        rng = random.Random(problem)
+        candidates = [space.default_candidate()]
+        candidates += [space.random_candidate(rng) for _ in range(20)]
+        candidates += [space.mutate(candidate, rng) for candidate in candidates]
+        for candidate in candidates:
+            text = canonical_json(candidate.to_parameters())
+            assert candidate.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_digest_of_a_non_plain_candidate_takes_the_canonical_walk(self, space):
+        base = space.canonical({"F1": "P1", "F2": "P1", "F3": "P1", "F4": "P1"})
+        resource, order = base.orders[0]
+        # A float step index is valid JSON but not plain: the walk encodes it.
+        floating = MappingCandidate(
+            allocation=base.allocation,
+            orders=((resource, tuple((function, float(index)) for function, index in order)),),
+        )
+        text = canonical_json(floating.to_parameters())
+        assert floating.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert floating.digest() != base.digest()
+        # Values the walk rejects are still rejected.
+        for bad in (float("nan"), object()):
+            broken = MappingCandidate(
+                allocation=base.allocation,
+                orders=((resource, ((order[0][0], bad),) + order[1:]),),
+            )
+            with pytest.raises(CampaignError):
+                broken.digest()
 
 
 class TestCanonicalisation:
