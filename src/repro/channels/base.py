@@ -11,6 +11,11 @@ when data is exchanged, so every channel keeps:
   model constitutes the accuracy claim.
 * ``exchange_count`` -- the number of exchanges, used to measure the
   event ratio of Table I.
+
+Instants are recorded as integer picoseconds read from
+:attr:`Simulator.now_ps <repro.kernel.scheduler.Simulator.now_ps>`, so an
+exchange allocates no ``Time``; the introspection properties build
+:class:`~repro.kernel.simtime.Time` values when they are read.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ class ChannelBase:
     def __init__(self, simulator: "Simulator", name: str) -> None:
         self._simulator = simulator
         self.name = name
-        self._exchange_instants: List[Time] = []
+        self._exchange_instants: List[int] = []
         self._exchanged_tokens: List[object] = []
 
     # -- bookkeeping -----------------------------------------------------
     def _record_exchange(self, token: object) -> None:
-        self._exchange_instants.append(self._simulator.now)
+        self._exchange_instants.append(self._simulator.now_ps)
         self._exchanged_tokens.append(token)
 
     # -- introspection ----------------------------------------------------
@@ -47,6 +52,11 @@ class ChannelBase:
     @property
     def exchange_instants(self) -> Tuple[Time, ...]:
         """Instants at which data was exchanged over the relation, in order."""
+        return tuple(map(Time, self._exchange_instants))
+
+    @property
+    def exchange_instants_ps(self) -> Tuple[int, ...]:
+        """:attr:`exchange_instants` in integer picoseconds."""
         return tuple(self._exchange_instants)
 
     @property
@@ -62,7 +72,7 @@ class ChannelBase:
     def exchange_instant(self, k: int) -> Optional[Time]:
         """Return the instant of the ``(k+1)``-th exchange, or ``None`` if it has not happened."""
         if 0 <= k < len(self._exchange_instants):
-            return self._exchange_instants[k]
+            return Time(self._exchange_instants[k])
         return None
 
     def __repr__(self) -> str:

@@ -54,7 +54,7 @@ class FifoChannel(ChannelBase):
         self._items: Deque[object] = deque()
         self._space_event = simulator.create_event(f"{name}.space")
         self._data_event = simulator.create_event(f"{name}.data")
-        self._read_instants: List[Time] = []
+        self._read_instants: List[int] = []
 
     # -- protocol -------------------------------------------------------------
     def write(self, token: object) -> Generator:
@@ -70,7 +70,7 @@ class FifoChannel(ChannelBase):
         while not self._items:
             yield self._data_event
         token = self._items.popleft()
-        self._read_instants.append(self._simulator.now)
+        self._read_instants.append(self._simulator.now_ps)
         self._space_event.notify_immediate()
         return token
 
@@ -78,7 +78,7 @@ class FifoChannel(ChannelBase):
     @property
     def read_instants(self) -> Tuple[Time, ...]:
         """Instants at which tokens were removed from the FIFO, in order."""
-        return tuple(self._read_instants)
+        return tuple(map(Time, self._read_instants))
 
     @property
     def occupancy(self) -> int:

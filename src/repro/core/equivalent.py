@@ -111,26 +111,32 @@ class EquivalentProcessModel:
         spec = self.spec
         computer = self.computer
         simulator = self.simulator
+        inputs = [
+            (boundary.relation, self._input_channels[boundary.relation])
+            for boundary in spec.boundary_inputs
+        ]
+        outputs_to = [
+            (boundary.relation, self._pending[boundary.relation],
+             self._stored_events[boundary.relation])
+            for boundary in spec.boundary_outputs
+        ]
         while self.max_iterations is None or computer.next_iteration < self.max_iterations:
             iteration = computer.next_iteration
             tokens: Dict[str, Optional[DataToken]] = {}
             instants: Dict[str, int] = {}
-            for boundary in spec.boundary_inputs:
-                ready_ps = computer.ready_instant(boundary.relation)
-                now_ps = simulator.now.picoseconds
+            for relation, channel in inputs:
+                ready_ps = computer.ready_instant(relation)
+                now_ps = simulator.now_ps
                 if ready_ps is not None and ready_ps > now_ps:
                     yield Duration(ready_ps - now_ps)
-                token = yield from self._input_channels[boundary.relation].read()
-                tokens[boundary.relation] = token
-                instants[boundary.relation] = simulator.now.picoseconds
+                tokens[relation] = yield from channel.read()
+                instants[relation] = simulator.now_ps
             # ComputeInstant(): zero simulation time.
             outputs = computer.compute_iteration(instants, tokens)
             primary_token = tokens.get(spec.primary_input)
-            for boundary in spec.boundary_outputs:
-                self._pending[boundary.relation].append(
-                    (iteration, outputs[boundary.relation], primary_token)
-                )
-                self._stored_events[boundary.relation].notify_immediate()
+            for relation, pending, stored_event in outputs_to:
+                pending.append((iteration, outputs[relation], primary_token))
+                stored_event.notify_immediate()
 
     def _emission(self, relation: str) -> Generator:
         simulator = self.simulator
@@ -142,11 +148,11 @@ class EquivalentProcessModel:
                 yield stored_event
             iteration, offer_ps, token = pending.popleft()
             if offer_ps is not None:
-                now_ps = simulator.now.picoseconds
+                now_ps = simulator.now_ps
                 if offer_ps > now_ps:
                     yield Duration(offer_ps - now_ps)
             yield from channel.write(token)
-            actual_ps = simulator.now.picoseconds
+            actual_ps = simulator.now_ps
             if offer_ps is None or actual_ps != offer_ps:
                 self.computer.feedback(relation, iteration, actual_ps)
 

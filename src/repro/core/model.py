@@ -196,8 +196,15 @@ class EquivalentArchitectureModel:
 
     def offer_instants(self, relation: str) -> List[Time]:
         """The environment's ``u(k)`` instants on an external input relation."""
+        return self._stimulus_driver(relation).offer_instants
+
+    def offer_instants_ps(self, relation: str) -> List[int]:
+        """:meth:`offer_instants` in integer picoseconds."""
+        return self._stimulus_driver(relation).offer_instants_ps
+
+    def _stimulus_driver(self, relation: str) -> StimulusDriver:
         try:
-            return self._stimulus_drivers[relation].offer_instants
+            return self._stimulus_drivers[relation]
         except KeyError:
             raise ModelError(f"relation {relation!r} has no stimulus driver") from None
 

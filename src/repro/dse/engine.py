@@ -348,7 +348,7 @@ def lower_template(template: Any, stimuli: Mapping[str, Stimulus]) -> TemplatePr
     for boundary, stimulus in zip(template.boundary_inputs, stimulus_of):
         schedule = period = None
         if stimulus is not None:
-            schedule = [stimulus.offer_time(k).picoseconds for k in range(iterations)]
+            schedule = [stimulus.offer_time_ps(k) for k in range(iterations)]
             period = stimulus.offer_period_ps()
         ready = index[boundary.ready_node]
         inputs.append((boundary.relation, index[boundary.exchange_node], schedule, ready, period))
@@ -545,9 +545,10 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     # on list references instead of re-indexing the vocabulary per visit.
     # Each node's arcs are split into zero-weight (row, delay) pairs and
     # weighted (row, delay, stream) triples; a node with a single arc also
-    # carries that arc alone, so the settled sweep computes it without a loop
-    # (a zero-weight one only on a full sweep, whose zero streams are all
-    # zero over the horizon).
+    # carries that arc alone, and one with two zero-weight arcs carries them
+    # as one flat pair, so the settled sweep computes either without a loop
+    # (a zero-weight single arc only on a full sweep, whose zero streams are
+    # all zero over the horizon).
     # A zero-weight arc is dropped when it can never decide its node's max:
     # another arc of the node, with a non-negative stream, reads at the same
     # delay a node that is never below the dropped arc's source -- it takes
@@ -561,7 +562,15 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
             if not delay and kinds[id(w)][1]:
                 mask |= 1 << src | above.get(src, 0)
         above[node_idx] = mask
-    plan = []
+    # Iterations in a row in which no plan node was ε.  Once they cover
+    # every delay, no read can meet ε again: delayed reads land in that
+    # window, and same-iteration reads follow the topological order up from
+    # the exchange instants, which are never ε; with no negative weight, no
+    # sum falls back to ε either.  From then on the sweep skips the ε test.
+    can_settle = all(
+        src in written and kinds[id(w)][1] for arcs in program.plan_arcs for src, _, w in arcs
+    )
+    kept = []
     for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs):
         if len(arcs) > 1:
             covered: Dict[int, int] = {}  # delay -> sources another arc is never below
@@ -573,21 +582,28 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
                 for src, delay, w in arcs
                 if not (kinds[id(w)][0] and covered.get(delay, 0) >> src & 1)
             ]
+        # A node left with one zero-weight arc of the same iteration copies
+        # its source, value for value, where every value is ε or an instant
+        # (no negative weight, no unwritten source): on a full sweep it
+        # shares the source's row and the sweep never visits it.  Rows are
+        # bound below, once every copy shares its source's row.
+        if can_settle and periods is None and len(arcs) == 1 and not arcs[0][1]:
+            src, _, w = arcs[0]
+            if kinds[id(w)][0]:
+                hist[node_idx] = hist[src]
+                continue
+        kept.append((node_idx, arcs))
+    plan = []
+    for node_idx, arcs in kept:
         zero_arcs = tuple((hist[src], delay) for src, delay, w in arcs if kinds[id(w)][0])
         weighted = tuple((hist[src], delay, w) for src, delay, w in arcs if not kinds[id(w)][0])
-        single = None
+        single = pair = None
         if len(arcs) == 1 and (weighted or periods is None):
             src, delay, w = arcs[0]
             single = (hist[src], delay, w)
-        plan.append((hist[node_idx], zero_arcs, weighted, single))
-    # Iterations in a row in which no plan node was ε.  Once they cover
-    # every delay, no read can meet ε again: delayed reads land in that
-    # window, and same-iteration reads follow the topological order up from
-    # the exchange instants, which are never ε; with no negative weight, no
-    # sum falls back to ε either.  From then on the sweep skips the ε test.
-    can_settle = all(
-        src in written and kinds[id(w)][1] for arcs in program.plan_arcs for src, _, w in arcs
-    )
+        elif len(zero_arcs) == 2 and not weighted:
+            pair = zero_arcs[0] + zero_arcs[1]
+        plan.append((hist[node_idx], zero_arcs, weighted, single, pair))
     settled = 0
     bound_inputs = [
         (
@@ -635,10 +651,16 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
             prev[i] = now
         # ComputeInstant(): the (max, +) sweep in topological order.
         if can_settle and settled > pad:
-            for node_row, zero_arcs, weighted, single in plan:
+            for node_row, zero_arcs, weighted, single, pair in plan:
                 if single is not None:
                     source_row, delay, weights = single
                     node_row.append(source_row[at - delay] + weights[k])
+                    continue
+                if pair is not None:
+                    row_a, delay_a, row_b, delay_b = pair
+                    value = row_a[at - delay_a]
+                    best = row_b[at - delay_b]
+                    node_row.append(value if value > best else best)
                     continue
                 best = neg
                 for source_row, delay in zero_arcs:
@@ -653,7 +675,7 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
                 node_row.append(best)
         else:
             settled += 1
-            for node_row, zero_arcs, weighted, _ in plan:
+            for node_row, zero_arcs, weighted, _, _ in plan:
                 best = neg
                 for source_row, delay in zero_arcs:
                     value = source_row[at - delay]

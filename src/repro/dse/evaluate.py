@@ -199,7 +199,7 @@ def evaluate_mapping(
     per_output = tuple(
         (
             spec_rel.name,
-            tuple(instant.picoseconds for instant in model.output_instants(spec_rel.name)),
+            model.channel(spec_rel.name).exchange_instants_ps,
         )
         for spec_rel in outputs
     )
@@ -214,10 +214,10 @@ def evaluate_mapping(
         )
 
     inputs = architecture.external_inputs()
-    offers = model.offer_instants(inputs[0].name) if inputs else []
+    offers = model.offer_instants_ps(inputs[0].name) if inputs else []
     pairs = min(len(offers), len(instants))
     mean_latency = (
-        sum(instants[k] - offers[k].picoseconds for k in range(pairs)) / pairs
+        sum(instants[k] - offers[k] for k in range(pairs)) / pairs
         if pairs
         else 0.0
     )

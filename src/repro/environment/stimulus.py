@@ -45,6 +45,10 @@ class Stimulus(abc.ABC):
         process handles that.
         """
 
+    def offer_time_ps(self, k: int) -> int:
+        """:meth:`offer_time` in integer picoseconds (what the stimulus driver reads)."""
+        return self.offer_time(k).picoseconds
+
     @abc.abstractmethod
     def token(self, k: int) -> DataToken:
         """The token offered as item ``k``."""
@@ -92,8 +96,11 @@ class PeriodicStimulus(Stimulus):
         return self.count
 
     def offer_time(self, k: int) -> Time:
+        return Time(self.offer_time_ps(k))
+
+    def offer_time_ps(self, k: int) -> int:
         self._check_index(k)
-        return self.start + self.period * k
+        return self.start.picoseconds + self.period.picoseconds * k
 
     def token(self, k: int) -> DataToken:
         self._check_index(k)
@@ -181,9 +188,12 @@ class RandomSizeStimulus(Stimulus):
         return self.count
 
     def offer_time(self, k: int) -> Time:
+        return Time(self.offer_time_ps(k))
+
+    def offer_time_ps(self, k: int) -> int:
         if not 0 <= k < self.count:
             raise ModelError(f"stimulus index {k} out of range [0, {self.count})")
-        return self.start + self.period * k
+        return self.start.picoseconds + self.period.picoseconds * k
 
     def token(self, k: int) -> DataToken:
         if not 0 <= k < self.count:

@@ -60,14 +60,14 @@ def function_process(
                 workload = workloads[step_index]
                 duration_ps = workload.duration_ps(iteration, token)
                 if trace is not None:
-                    start = simulator.now
+                    start_ps = simulator.now_ps
                     trace.record(
                         resource=resource.name,
                         function=function.name,
                         label=step.label,
                         iteration=iteration,
-                        start=start,
-                        end=start + Duration(duration_ps),
+                        start=Time(start_ps),
+                        end=Time(start_ps + duration_ps),
                         operations=workload.operations(iteration, token),
                     )
                 if duration_ps:
@@ -88,21 +88,26 @@ class StimulusDriver:
         self.simulator = simulator
         self.channel = channel
         self.stimulus = stimulus
-        self._offer_instants: List[Time] = []
+        self._offer_instants: List[int] = []
 
     @property
     def offer_instants(self) -> List[Time]:
         """The ``u(k)`` instants: when the environment reached each write."""
+        return list(map(Time, self._offer_instants))
+
+    @property
+    def offer_instants_ps(self) -> List[int]:
+        """:attr:`offer_instants` in integer picoseconds."""
         return list(self._offer_instants)
 
     def process(self) -> Generator:
         """The kernel process body (spawn with ``Simulator.spawn``)."""
         for index in range(len(self.stimulus)):
-            scheduled = self.stimulus.offer_time(index)
-            now = self.simulator.now
-            if scheduled > now:
-                yield scheduled - now
-            self._offer_instants.append(self.simulator.now)
+            scheduled_ps = self.stimulus.offer_time_ps(index)
+            now_ps = self.simulator.now_ps
+            if scheduled_ps > now_ps:
+                yield Duration(scheduled_ps - now_ps)
+            self._offer_instants.append(self.simulator.now_ps)
             yield from self.channel.write(self.stimulus.token(index))
 
 
@@ -113,13 +118,13 @@ class SinkDriver:
         self.simulator = simulator
         self.channel = channel
         self.sink = sink
-        self._accepted_instants: List[Time] = []
+        self._accepted_instants: List[int] = []
         self._tokens: List[object] = []
 
     @property
     def accepted_instants(self) -> List[Time]:
         """Instants at which the environment actually received each output item."""
-        return list(self._accepted_instants)
+        return list(map(Time, self._accepted_instants))
 
     @property
     def tokens(self) -> List[object]:
@@ -133,6 +138,6 @@ class SinkDriver:
             if delay:
                 yield delay
             token = yield from self.channel.read()
-            self._accepted_instants.append(self.simulator.now)
+            self._accepted_instants.append(self.simulator.now_ps)
             self._tokens.append(token)
             index += 1

@@ -51,11 +51,13 @@ class Event:
             raise TypeError("notify() expects a Duration delay")
         if delay.is_negative():
             raise SimulationError(f"cannot notify event {self.name!r} in the past (delay {delay})")
-        self._simulator._schedule_notification(self, delay)
+        self._simulator._schedule_notification(self, delay.picoseconds)
 
     def notify_immediate(self) -> None:
         """Notify the event in the next delta cycle (equivalent to ``notify(ZERO)``)."""
-        self.notify(ZERO_DURATION)
+        simulator = self._simulator
+        simulator._delta_notifications += 1
+        simulator._pending_delta_notifications.append(self)
 
     # -- kernel interface ----------------------------------------------------
     def _add_waiter(self, process: "SimProcess") -> None:

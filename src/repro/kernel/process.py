@@ -59,6 +59,12 @@ class ProcessState(enum.Enum):
     FAULTED = "faulted"
 
 
+_READY = ProcessState.READY
+_WAITING = ProcessState.WAITING
+_TERMINATED = ProcessState.TERMINATED
+_FAULTED = ProcessState.FAULTED
+
+
 class SimProcess:
     """A kernel-scheduled coroutine wrapping a generator.
 
@@ -102,6 +108,8 @@ class SimProcess:
         return self._state in (ProcessState.TERMINATED, ProcessState.FAULTED)
 
     # -- kernel interface ----------------------------------------------------
+    # The ready queue and the delta-resume list are the simulator's; both are
+    # looked up on each call because the scheduler swaps them every cycle.
     def _event_fired(self, event: Event) -> None:
         """Called by an event when it fires while this process waits on it."""
         for other in self._pending_events:
@@ -109,14 +117,14 @@ class SimProcess:
                 other._remove_waiter(self)
         self._pending_events = ()
         self._send_value = event
-        self._state = ProcessState.READY
-        self.simulator._make_ready(self)
+        self._state = _READY
+        self.simulator._ready.append(self)
 
     def _timeout_expired(self) -> None:
         """Called by the scheduler when a timed wait elapses."""
         self._send_value = None
-        self._state = ProcessState.READY
-        self.simulator._make_ready(self)
+        self._state = _READY
+        self.simulator._ready.append(self)
 
     def _run(self) -> None:
         """Advance the generator until its next wait request (or termination)."""
@@ -125,23 +133,31 @@ class SimProcess:
         try:
             request = self._generator.send(send_value)
         except StopIteration:
-            self._state = ProcessState.TERMINATED
+            self._state = _TERMINATED
             return
         except Exception:
-            self._state = ProcessState.FAULTED
+            self._state = _FAULTED
             raise
         self._handle_request(request)
 
     def _handle_request(self, request: WaitRequest) -> None:
-        if request is None:
-            self._state = ProcessState.READY
-            self.simulator._schedule_delta_resume(self)
+        # Exact-type tests first: models yield plain Durations and Events, so
+        # the isinstance ladder only runs for None, subclasses, collections
+        # and invalid requests.
+        kind = type(request)
+        if kind is Event:
+            self._wait_on_events((request,))
             return
-        if isinstance(request, Duration):
-            if request.is_negative():
+        if kind is Duration or isinstance(request, Duration):
+            delay_ps = request._ps
+            if delay_ps < 0:
                 raise SimulationError(f"process {self.name!r} waited for a negative duration")
-            self._state = ProcessState.WAITING
-            self.simulator._schedule_timed_resume(self, request)
+            self._state = _WAITING
+            self.simulator._schedule_timed_resume(self, delay_ps)
+            return
+        if request is None:
+            self._state = _READY
+            self.simulator._pending_delta_resumes.append(self)
             return
         if isinstance(request, Event):
             self._wait_on_events((request,))
@@ -161,7 +177,7 @@ class SimProcess:
         )
 
     def _wait_on_events(self, events: tuple) -> None:
-        self._state = ProcessState.WAITING
+        self._state = _WAITING
         self._pending_events = events
         for event in events:
             event._add_waiter(self)

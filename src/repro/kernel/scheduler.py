@@ -40,14 +40,14 @@ Example
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Deque, Generator, List, Optional, Tuple, Union
 
 from ..errors import SimulationError
 from .event import Event
-from .process import ProcessState, SimProcess
+from .process import _FAULTED, _TERMINATED, ProcessState, SimProcess
 from .simtime import Duration, Time
 
 __all__ = ["Simulator"]
@@ -87,6 +87,11 @@ class Simulator:
     def now(self) -> Time:
         """Current simulation time."""
         return Time(self._now_ps)
+
+    @property
+    def now_ps(self) -> int:
+        """Current simulation time in integer picoseconds (no allocation)."""
+        return self._now_ps
 
     def create_event(self, name: str = "") -> Event:
         """Create a new :class:`~repro.kernel.event.Event` bound to this simulator."""
@@ -173,25 +178,20 @@ class Simulator:
     # ------------------------------------------------------------------
     # internal API used by Event and SimProcess
     # ------------------------------------------------------------------
-    def _schedule_notification(self, event: Event, delay: Duration) -> None:
-        if delay.is_zero():
+    # Delays are integer picoseconds, checked non-negative by the caller.
+    def _schedule_notification(self, event: Event, delay_ps: int) -> None:
+        if not delay_ps:
             self._delta_notifications += 1
             self._pending_delta_notifications.append(event)
             return
         self._timed_notifications += 1
-        entry = (self._now_ps + delay.picoseconds, next(self._sequence), _KIND_NOTIFY, event)
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, (self._now_ps + delay_ps, next(self._sequence), _KIND_NOTIFY, event))
 
-    def _schedule_timed_resume(self, process: SimProcess, delay: Duration) -> None:
+    def _schedule_timed_resume(self, process: SimProcess, delay_ps: int) -> None:
         self._timed_notifications += 1
-        entry = (self._now_ps + delay.picoseconds, next(self._sequence), _KIND_RESUME, process)
-        heapq.heappush(self._heap, entry)
-
-    def _schedule_delta_resume(self, process: SimProcess) -> None:
-        self._pending_delta_resumes.append(process)
-
-    def _make_ready(self, process: SimProcess) -> None:
-        self._ready.append(process)
+        heappush(
+            self._heap, (self._now_ps + delay_ps, next(self._sequence), _KIND_RESUME, process)
+        )
 
     # ------------------------------------------------------------------
     # run-loop helpers
@@ -210,11 +210,12 @@ class Simulator:
     def _execute_delta_cycles(self) -> None:
         """Run evaluation phases until no delta activity remains at the current time."""
         delta_count = 0
+        limit = self._max_delta_cycles_per_timestep
         while self._ready or self._pending_delta_notifications or self._pending_delta_resumes:
             delta_count += 1
-            if delta_count > self._max_delta_cycles_per_timestep:
+            if delta_count > limit:
                 raise SimulationError(
-                    f"more than {self._max_delta_cycles_per_timestep} delta cycles at "
+                    f"more than {limit} delta cycles at "
                     f"time {self.now}; the model probably contains a zero-delay loop"
                 )
             # promote delta resumes and notifications scheduled by the previous phase
@@ -233,7 +234,8 @@ class Simulator:
             self._delta_cycles += 1
             current, self._ready = self._ready, deque()
             for process in current:
-                if process.terminated:
+                state = process._state
+                if state is _TERMINATED or state is _FAULTED:
                     continue
                 self._process_activations += 1
                 process._run()
@@ -244,8 +246,9 @@ class Simulator:
             raise SimulationError("event queue produced a time in the past")
         self._now_ps = time_ps
         self._time_advances += 1
-        while self._heap and self._heap[0][0] == time_ps:
-            _, _, kind, payload = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] == time_ps:
+            _, _, kind, payload = heappop(heap)
             if kind == _KIND_NOTIFY:
                 payload._fire()
             else:

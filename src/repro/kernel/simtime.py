@@ -23,6 +23,15 @@ constructors (:func:`picoseconds`, :func:`nanoseconds`,
 :func:`microseconds`, :func:`milliseconds`, :func:`seconds`) accept
 floats and round to the nearest picosecond.
 
+Both classes are the *API edge* of the kernel.  Inside, the scheduler,
+the channels and the environment drivers keep plain ``int`` picoseconds
+(read the clock with :attr:`Simulator.now_ps
+<repro.kernel.scheduler.Simulator.now_ps>`) and build ``Time`` values
+only when a caller asks for them (``Simulator.now``,
+``exchange_instants``, ``offer_instants``, ...).  A process waits by
+yielding a ``Duration``; a plain ``Duration`` takes the kernel's
+exact-type path, a subclass the general one.
+
 Example
 -------
 >>> from repro.kernel.simtime import microseconds, Time

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.kernel import ProcessState, Simulator
-from repro.kernel.simtime import Duration, Time, microseconds
+from repro.kernel.simtime import ZERO_DURATION, Duration, Time, microseconds
 
 
 class TestEvents:
@@ -315,3 +315,197 @@ class TestScheduler:
         simulator.spawn(process, name="p0")
         simulator.spawn(process, name="p1")
         assert [p.name for p in simulator.processes] == ["p0", "p1"]
+
+
+class _SubDuration(Duration):
+    """A Duration subclass: takes the general dispatch path, not the exact-type one."""
+
+    __slots__ = ()
+
+
+class TestFastPathContract:
+    """Wait dispatch and integer time keep the behaviour of the general path."""
+
+    def test_yielding_a_time_is_rejected_with_the_same_message(self, simulator):
+        def process():
+            yield Time.from_microseconds(1)
+
+        simulator.spawn(process, name="p")
+        with pytest.raises(SimulationError) as info:
+            simulator.run()
+        assert str(info.value) == "process 'p' yielded an unsupported wait request of type Time"
+
+    def test_negative_duration_message(self, simulator):
+        def process():
+            yield Duration(-5)
+
+        simulator.spawn(process, name="p")
+        with pytest.raises(SimulationError) as info:
+            simulator.run()
+        assert str(info.value) == "process 'p' waited for a negative duration"
+
+    def test_negative_duration_subclass_rejected(self, simulator):
+        def process():
+            yield _SubDuration(-5)
+
+        simulator.spawn(process, name="p")
+        with pytest.raises(SimulationError, match="negative duration"):
+            simulator.run()
+
+    def test_duration_subclass_is_honoured(self, simulator):
+        log = []
+
+        def process():
+            yield _SubDuration(7)
+            log.append(simulator.now_ps)
+
+        simulator.spawn(process)
+        stats = simulator.run()
+        assert log == [7]
+        assert stats.timed_notifications == 1
+
+    @pytest.mark.parametrize("collection", [list, set, frozenset, tuple])
+    def test_event_collections_are_honoured(self, simulator, collection):
+        result = []
+        fast = simulator.create_event("fast")
+        slow = simulator.create_event("slow")
+
+        def waiter():
+            fired = yield collection((fast, slow))
+            result.append((fired, simulator.now_ps))
+
+        def driver():
+            yield Duration(3)
+            slow.notify_immediate()
+            yield Duration(3)
+            fast.notify_immediate()
+
+        simulator.spawn(waiter)
+        simulator.spawn(driver)
+        simulator.run()
+        assert result == [(slow, 3)]
+        assert fast.waiting_processes == 0
+
+    def test_invalid_collection_message(self, simulator):
+        def process():
+            yield [simulator.create_event(), "not an event"]
+
+        simulator.spawn(process, name="p")
+        with pytest.raises(SimulationError) as info:
+            simulator.run()
+        assert str(info.value) == (
+            "process 'p' yielded an invalid wait request: "
+            "collections must contain only Event instances and be non-empty"
+        )
+
+    def test_raise_mid_delta_cycle_faults_and_counts_the_activation(self, simulator):
+        first = simulator.create_event("first")
+        second = simulator.create_event("second")
+        log = []
+
+        def bystander():
+            yield first
+            log.append(simulator.now.picoseconds)
+
+        def victim():
+            yield second
+            raise ValueError("boom")
+
+        def notifier():
+            yield Duration(1)
+            first.notify_immediate()  # fires first, so the bystander runs first
+            second.notify_immediate()
+
+        simulator.spawn(bystander, name="bystander")
+        faulty = simulator.spawn(victim, name="victim")
+        simulator.spawn(notifier, name="notifier")
+        with pytest.raises(ValueError, match="boom"):
+            simulator.run()
+        assert faulty.state is ProcessState.FAULTED
+        assert faulty.terminated
+        assert faulty.activation_count == 2
+        assert log == [1]
+        stats = simulator.stats()
+        # 3 initial activations, the notifier's resume, then the bystander's
+        # and the victim's in one delta cycle.
+        assert stats.process_activations == 6
+        assert stats.delta_cycles == 3
+        assert (stats.timed_notifications, stats.delta_notifications) == (1, 2)
+
+    def test_faulted_process_is_never_resumed(self, simulator):
+        event = simulator.create_event()
+
+        def victim():
+            yield event
+            raise ValueError("boom")
+
+        def notifier():
+            yield Duration(1)
+            event.notify_immediate()
+            yield Duration(1)
+            event.notify_immediate()
+
+        faulty = simulator.spawn(victim)
+        simulator.spawn(notifier)
+        with pytest.raises(ValueError):
+            simulator.run()
+        simulator.run()
+        assert faulty.activation_count == 2
+
+    def test_notify_immediate_equals_notify_zero(self):
+        def run(notify):
+            simulator = Simulator("n")
+            event = simulator.create_event()
+            log = []
+
+            def waiter():
+                for _ in range(3):
+                    yield event
+                    log.append(simulator.now_ps)
+
+            def notifier():
+                for _ in range(3):
+                    yield Duration(2)
+                    notify(event)
+
+            simulator.spawn(waiter)
+            simulator.spawn(notifier)
+            return simulator.run(), log, event.notify_count
+
+        immediate = run(lambda event: event.notify_immediate())
+        zero = run(lambda event: event.notify(ZERO_DURATION))
+        assert immediate == zero
+        assert immediate[0].delta_notifications == 3
+
+    def test_notify_keeps_its_argument_checks(self, simulator):
+        event = simulator.create_event("e")
+        with pytest.raises(TypeError, match="expects a Duration"):
+            event.notify(Time(5))
+        with pytest.raises(SimulationError, match="in the past"):
+            event.notify(Duration(-1))
+        assert simulator.stats().total_notifications == 0
+
+    def test_now_ps_matches_now_after_run_until_duration(self, simulator):
+        def process():
+            while True:
+                yield microseconds(10)
+
+        simulator.spawn(process)
+        simulator.run(until=microseconds(35))
+        assert isinstance(simulator.now, Time)
+        assert simulator.now_ps == simulator.now.picoseconds == 35_000_000
+
+    def test_now_ps_matches_now_after_run_until_time(self, simulator):
+        def process():
+            while True:
+                yield microseconds(10)
+
+        simulator.spawn(process)
+        simulator.run(until=Time.from_microseconds(25))
+        assert simulator.now_ps == simulator.now.picoseconds == 25_000_000
+
+    def test_now_ps_matches_now_after_an_idle_horizon(self, simulator):
+        simulator.run(until=microseconds(4))
+        assert simulator.now_ps == simulator.now.picoseconds == 4_000_000
+        simulator.run(until=Time.from_microseconds(9))
+        assert simulator.now_ps == simulator.now.picoseconds == 9_000_000
