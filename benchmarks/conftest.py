@@ -99,12 +99,12 @@ def _append_run_manifests(entries) -> None:
                 metrics["telemetry_overhead_fraction"] = entry["overhead_fraction"]
             if not metrics:
                 continue
-            # The workload identity (problem x mode x batch x items) becomes
-            # the comparison key, so the sentinel only ever judges a
-            # benchmark against reruns of the same matrix cell.
+            # The workload identity (problem x mode x batch x items x sweep
+            # backend) becomes the comparison key, so the sentinel only ever
+            # judges a benchmark against reruns of the same matrix cell.
             parameters = {
                 key: entry[key]
-                for key in ("problem", "mode", "batch", "items", "metric")
+                for key in ("problem", "mode", "batch", "items", "backend", "metric")
                 if key in entry
             }
             label = entry.get("metric") or f"{entry['problem']}/{entry['mode']}"

@@ -89,6 +89,7 @@ from .engine import (
     _TokenTable,
     ArrayProgram,
     Span,
+    exact_sum,
     lower_spec,
     lower_template,
     replay_batch,
@@ -350,7 +351,7 @@ class CompiledProblem:
         self,
         candidate: MappingCandidate,
         spans: Mapping[str, Span],
-        offers: Mapping[str, List[int]],
+        offers: Mapping[str, Sequence[int]],
         actual: Mapping[str, List[int]],
         digests: Mapping[str, Optional[str]],
         start: float,
@@ -360,8 +361,9 @@ class CompiledProblem:
         """Extract the objectives (mirror of ``evaluate_mapping``'s epilogue).
 
         ``spans`` maps each busy resource to its ``(busy, lo, hi)`` as the
-        sweep returned them; ``offers`` and ``actual`` span the whole horizon,
-        and ``digests`` holds the sweep's digest of each output.
+        sweep returned them; ``offers`` (int lists, or the kernel's int64
+        rows) and ``actual`` span the whole horizon, and ``digests`` holds
+        the sweep's digest of each output.
         """
         outputs = self.application.external_outputs()
         if not outputs:
@@ -385,7 +387,7 @@ class CompiledProblem:
         # Exact integer sums (C-speed) instead of a per-item generator; the
         # quotient is the same float because the subtraction is exact.
         mean_latency = (
-            (sum(instants[:pairs]) - sum(offer_list[:pairs])) / pairs if pairs else 0.0
+            (sum(instants[:pairs]) - exact_sum(offer_list[:pairs])) / pairs if pairs else 0.0
         )
 
         utilization = _utilization(candidate.resources_used(), spans)

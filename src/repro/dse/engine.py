@@ -2,21 +2,22 @@
 
 A design problem's allocation-independent TDG template is lowered once
 (:func:`lower_template`) into a :class:`TemplateProgram`: a node index
-vocabulary, every allocation-independent arc with its constant stream or
-the execute slot whose duration table it reads, the stimulus offer
-schedules as plain int lists, and the execute slots' node indices.
+vocabulary, each node's constant arcs as flat ``(source, delay, column)``
+int triples, the execute slots its slot arcs read, and the execute
+slots' node indices.  Every weight stream and offer schedule is a column
+of the problem's :class:`StreamTable`, added the first time it is met.
 :func:`lower_spec` writes what one candidate's mapping decides over it
--- its service-order and server-free arcs, the duration table bound to
-each slot and each slot's resource -- orders and checks the patched
-tables, and turns them into an :class:`ArrayProgram`: per-node
-predecessor arc lists over per-iteration duration streams, and per
-resource the rows of its execute slots.  Replaying the Reception/Emission
-protocol is then a tight loop over list indices -- and, when ``numpy``
-imports and the kernel loads, one call of a compiled C transcription of
-that loop over the whole batch in int64 numpy buffers, followed by a
-second call that scores every resource's busy span in the same buffers.
-Every candidate the compiled path scores goes through here; the protocol
-is written twice, in :func:`replay_program` and in the C kernel.
+-- its service-order and server-free arcs, the column of the duration
+table bound to each slot and each slot's resource -- orders and checks
+the patched tables, and copies them into an :class:`ArrayProgram`: flat
+int tables of plan nodes, arc pointers and arcs, inputs, outputs and
+per resource its execute slots.  Both sweeps read that one format:
+:func:`replay_program`, a tight loop over list indices, and -- when
+``numpy`` imports and the kernel loads -- one call of a compiled C
+transcription of that loop over a whole batch in int64 numpy buffers,
+which also scores every resource's busy span as it sweeps.  Every
+candidate the compiled path scores goes through here; the protocol is
+written twice, in :func:`replay_program` and in the C kernel.
 
 A replay returns ``(offers, actual, spans)``: the offer instants per
 input relation, the output instants per output relation, and per busy
@@ -53,10 +54,14 @@ Invariants:
 * **Every weight is a stream.**  A template weight is either constant or
   an execute slot's workload, and the compiled problem binds every such
   slot to a :class:`_TabulatedWeight` table, so every candidate lowers.
+* **The kernel never reads out of range.**  It checks every table of a
+  candidate before sweeping it and leaves one it cannot follow safely to
+  :func:`replay_program`, whatever built the program.
 
 This module also owns :class:`_TabulatedWeight` and :class:`_TokenTable`
-(shared per-iteration duration/token streams) and the span routines
-(:func:`_interleaved_span`, :func:`_merged_span`, :func:`_merged_busy`).
+(shared per-iteration duration/token streams), :class:`StreamTable` and
+the span routines (:func:`_interleaved_span`, :func:`_merged_span`,
+:func:`_merged_busy`).
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import atexit
 import functools
 import hashlib
 import logging
+import operator
 import os
 import shlex
 import shutil
@@ -89,7 +95,9 @@ __all__ = [
     "NEG_EPSILON",
     "EPSILON_THRESHOLD",
     "ArrayProgram",
+    "StreamTable",
     "TemplateProgram",
+    "exact_sum",
     "lower_spec",
     "lower_template",
     "numpy_available",
@@ -201,43 +209,138 @@ class _TokenTable:
         return tokens[k]
 
 
-#: One lowered dependency: (source node index, delay, per-iteration weight
-#: stream).  The stream is always a materialised int list of length >= the
-#: program horizon, so the replay loop indexes instead of calling.
-Arc = Tuple[int, int, Sequence[int]]
+def _classify(values: Sequence[int], horizon: int) -> Tuple[bool, bool, bool]:
+    """``(zero, non_negative, usable)`` of one stream over iterations ``< horizon``.
+
+    ``zero``: every weight is 0 and the stream covers the horizon, so an arc
+    over it is a plain max over its source.  ``non_negative``: no weight
+    below 0.  ``usable``: the stream covers the horizon and every weight
+    fits int64, so the compiled kernel may read it.  A stream shorter than
+    the horizon is neither zero nor usable: it fails where it is read.
+    """
+    head = values[:horizon]
+    full = len(head) >= horizon
+    lo, hi = min(head, default=0), max(head, default=0)
+    return full and lo == hi == 0, lo >= 0, full and -(1 << 63) <= lo and hi < 1 << 63
+
+
+class StreamTable:
+    """One problem's per-iteration int streams, one column each, met once.
+
+    Every weight a lowered program reads and every offer schedule is a
+    column: :func:`lower_template` adds the constant streams and the offer
+    schedules, and :meth:`bind` adds a duration table the first time a
+    candidate binds it (materialised, hence validated, for the horizon).
+    Each column is classified once, when it is added (:func:`_classify`).
+    :meth:`matrix` holds the compiled kernel's int64 ``[horizon, columns]``
+    matrix: built on first use, extended only by the columns added since,
+    so an earlier column never moves or changes.
+    """
+
+    __slots__ = ("horizon", "columns", "kinds", "_bound", "_matrix", "_usable")
+
+    def __init__(self, horizon: int) -> None:
+        self.horizon = horizon
+        self.columns: List[Sequence[int]] = []
+        #: per column: (zero, non_negative, usable), see :func:`_classify`.
+        self.kinds: List[Tuple[bool, bool, bool]] = []
+        self._bound: Dict[_TabulatedWeight, int] = {}
+        self._matrix: Any = None
+        self._usable: Any = None
+
+    def add(self, values: Sequence[int]) -> int:
+        """Append ``values`` as a new column; returns its index."""
+        self.kinds.append(_classify(values, self.horizon))
+        self.columns.append(values)
+        return len(self.columns) - 1
+
+    def bind(self, table: _TabulatedWeight) -> int:
+        """The column of a duration table, added the first time it is met.
+
+        Materialising the table validates every duration of the horizon, so
+        the first invalid one raises its :class:`~repro.errors.GraphError`
+        here (and again on the next candidate that binds the table).
+        """
+        column = self._bound.get(table)
+        if column is None:
+            column = self._bound[table] = self.add(table.stream_ps(self.horizon))
+        return column
+
+    def matrix(self) -> Tuple[Any, Any]:
+        """The int64 ``[horizon, columns]`` matrix and per-column usable flags.
+
+        An unusable column (short, or beyond int64) is zeros in the matrix;
+        the kernel leaves every candidate that reads it to the reference.
+        """
+        import numpy as np
+
+        built = 0 if self._matrix is None else self._matrix.shape[1]
+        if self._matrix is None or built < len(self.columns):
+            horizon, fresh = self.horizon, range(built, len(self.columns))
+            usable = [self.kinds[c][2] for c in fresh]
+            rows = [
+                self.columns[c][:horizon] if ok else [0] * horizon for c, ok in zip(fresh, usable)
+            ]
+            block = np.array(rows, dtype=np.int64).reshape(len(fresh), horizon)
+            flags = np.array(usable, dtype=np.int64)
+            if built:
+                block = np.vstack((self._matrix.T, block))
+                flags = np.concatenate((self._usable, flags))
+            self._matrix, self._usable = np.ascontiguousarray(block.T), flags
+        return self._matrix, self._usable
 
 
 class ArrayProgram(NamedTuple):
     """One candidate's model lowered onto flat integer tables.
 
-    Everything the replay needs, with every name resolved to an index and
-    every weight resolved to a per-iteration int stream:
+    Every name is resolved to an index and every weight to a column of
+    ``streams``, the problem's :class:`StreamTable`, whose horizon is the
+    program's:
 
-    * ``plan_nodes[p]`` / ``plan_arcs[p]`` -- the computed (non-input) nodes
-      in this candidate's topological order, each with its predecessor arcs;
-    * ``inputs`` -- per boundary input, in protocol order: the relation, the
-      exchange node's index, the stimulus offer schedule (ps per iteration)
-      and the *delayed* arcs of the ready node (the ``peek_delayed`` set);
-    * ``outputs`` -- per boundary output: the relation and offer node index;
-    * ``slots`` -- per resource, in template execute-slot order: its name
-      and the (start node index, end node index) of each execute slot it
-      serves, from which the replay scores the resource's busy span;
+    * ``plan_nodes`` -- the computed (non-input) nodes in this candidate's
+      topological order;
+    * ``arc_ptr`` / ``arcs`` -- the predecessor arcs as ``(source, delay,
+      column)`` int triples, flat in ``arcs``; group ``g`` is
+      ``arcs[arc_ptr[g]:arc_ptr[g + 1]]``: plan node ``p`` is group ``p``
+      and input ``i``'s ready node group ``len(plan_nodes) + i`` (its
+      *delayed* arcs, the ``peek_delayed`` set);
+    * ``inputs`` / ``exchanges`` / ``schedules`` -- per boundary input, in
+      protocol order: the relation, the exchange node and the column of its
+      stimulus offer schedule;
+    * ``outputs`` / ``offer_nodes`` -- per boundary output, the relation and
+      its offer node;
+    * ``resources`` / ``slot_ptr`` / ``slot_nodes`` -- per resource, in
+      template execute-slot order, its name and the (start node, end node)
+      int pairs of each execute slot it serves, flat in
+      ``slot_nodes[slot_ptr[r]:slot_ptr[r + 1]]``, from which the replay
+      scores the resource's busy span;
     * ``periods`` -- per input, the constant offer period of its stimulus
       when the program is to be replayed in steady mode, else ``None``.
       Steady mode presumes every weight stream constant over the horizon.
 
-    Programs share the template's streams and schedules read-only, so the
-    programs of a whole batch coexist.
+    The candidates of one problem share its stream table and the template's
+    tables read-only, so the programs of a whole batch coexist.
     """
 
-    iterations: int
+    streams: StreamTable
     node_count: int
-    plan_nodes: List[int]
-    plan_arcs: List[Tuple[Arc, ...]]
-    inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]]
-    outputs: List[Tuple[str, int]]
-    slots: List[Tuple[str, List[Tuple[int, int]]]]
+    plan_nodes: Sequence[int]
+    arc_ptr: Sequence[int]
+    arcs: Sequence[int]
+    inputs: Sequence[str]
+    exchanges: Sequence[int]
+    schedules: Sequence[int]
+    outputs: Sequence[str]
+    offer_nodes: Sequence[int]
+    resources: Sequence[str]
+    slot_ptr: Sequence[int]
+    slot_nodes: Sequence[int]
     periods: Optional[Tuple[int, ...]] = None
+
+    @property
+    def iterations(self) -> int:
+        """The horizon: the stream table's."""
+        return self.streams.horizon
 
 
 #: One resource's (busy, lo, hi): the union length of its execute intervals
@@ -247,9 +350,10 @@ Span = Tuple[int, int, int]
 #: replay result: (offer instants per input relation, output instants per
 #: output relation, span per resource with at least one interval, and per
 #: output relation the :func:`~repro.campaign.results.instants_digest` of
-#: its instants -- ``None`` when one leaves int64).
+#: its instants -- ``None`` when one leaves int64).  Instants are int lists;
+#: the kernel's offers are int64 rows (see :func:`exact_sum`).
 ProgramResult = Tuple[
-    Dict[str, List[int]], Dict[str, List[int]], Dict[str, Span], Dict[str, Optional[str]]
+    Dict[str, Sequence[int]], Dict[str, List[int]], Dict[str, Span], Dict[str, Optional[str]]
 ]
 
 
@@ -275,42 +379,69 @@ def resolve_backend(request: None = None) -> str:
     return "numpy" if _kernel is not False and numpy_available() else "python"
 
 
+def exact_sum(values: Sequence[int]) -> int:
+    """``sum(values)`` exactly, for an int list or an int64 numpy row.
+
+    numpy sums a row only when no partial sum can wrap (``len * max|v| <
+    2**63``); anything else is summed on Python ints.
+    """
+    if not hasattr(values, "dtype"):
+        return sum(values)
+    if not len(values):
+        return 0
+    bound = max(-int(values.min()), int(values.max()))
+    if bound * len(values) < 1 << 63:
+        return int(values.sum())
+    return sum(values.tolist())
+
+
 class TemplateProgram(NamedTuple):
     """A problem's allocation-independent TDG template, lowered once onto index tables.
 
     Node ``i`` is the template's ``i``-th node (the index order of every
-    graph specialised from it).  Every template arc is one of two kinds:
+    graph specialised from it).  ``streams`` is the problem's
+    :class:`StreamTable`, holding each constant stream and offer schedule;
+    ``zero`` is the column of the zero-weight stream every schedule arc
+    reads.  Every template arc into a node the replay computes is one of
+    two kinds:
 
-    * ``arcs_into[i]`` -- the constant-weight arcs into node ``i``, as
-      :data:`Arc` triples over materialised constant streams;
+    * ``arcs_into[i]`` -- the constant-weight arcs into node ``i``, as flat
+      ``(source, delay, column)`` int triples, ready to be copied;
     * ``slot_arcs_into[i]`` -- the weight arcs of tabulated execute slots
-      into node ``i``, as ``(source, delay, slot key)``: the duration stream
-      they read is the one the candidate's mapping binds to that slot.
+      into node ``i``, as ``(source, delay, slot)`` with ``slot`` indexing
+      ``slot_keys``: the column they read is that of the duration table the
+      candidate's mapping binds to ``slot_keys[slot]``.
 
-    ``tabulated`` lists those slot keys in template arc order,
-    ``successors[i]`` the targets of node ``i``'s zero-delay template arcs
-    and ``unfed`` the computed nodes without any template arc.  Per boundary
-    input, ``inputs`` holds the relation, the exchange node, the stimulus
-    offer schedule (``None`` without a stimulus), the ready node and the
-    stimulus offer period (``None`` when aperiodic).  ``outputs`` holds
-    each boundary output's relation and offer node, ``slots`` each execute
-    slot's (start, end) nodes in template order, and ``zero`` the
-    zero-weight stream every schedule arc reads.
+    ``tabulated`` lists every tabulated slot key in template arc order (the
+    steady gate's), ``successors[i]`` the targets of node ``i``'s zero-delay
+    template arcs and ``unfed`` the computed nodes without any template
+    arc.  Per boundary input: ``inputs`` (relation), ``exchanges``,
+    ``schedules`` (the offer schedule's column, ``None`` without a
+    stimulus), ``ready`` and ``periods`` (the stimulus offer period,
+    ``None`` when aperiodic); per boundary output ``outputs`` and
+    ``offer_nodes``; ``slots`` holds each execute slot's (start, end) nodes
+    in template order.
     """
 
-    iterations: int
     names: Tuple[str, ...]
     index: Mapping[str, int]
     computed: Tuple[bool, ...]
-    arcs_into: Tuple[Tuple[Arc, ...], ...]
-    slot_arcs_into: Tuple[Tuple[Tuple[int, int, Any], ...], ...]
+    streams: StreamTable
+    zero: int
+    arcs_into: Tuple[Tuple[int, ...], ...]
+    slot_arcs_into: Tuple[Tuple[Tuple[int, int, int], ...], ...]
+    slot_keys: Tuple[Any, ...]
     tabulated: Tuple[Any, ...]
     successors: Tuple[Tuple[int, ...], ...]
     unfed: Tuple[int, ...]
-    inputs: Tuple[Tuple[str, int, Optional[List[int]], int, Optional[int]], ...]
-    outputs: Tuple[Tuple[str, int], ...]
+    inputs: Tuple[str, ...]
+    exchanges: Tuple[int, ...]
+    schedules: Tuple[Optional[int], ...]
+    ready: Tuple[int, ...]
+    periods: Tuple[Optional[int], ...]
+    outputs: Tuple[str, ...]
+    offer_nodes: Tuple[int, ...]
     slots: Tuple[Tuple[int, int], ...]
-    zero: List[int]
 
 
 def lower_template(template: Any, stimuli: Mapping[str, Stimulus]) -> TemplateProgram:
@@ -318,56 +449,76 @@ def lower_template(template: Any, stimuli: Mapping[str, Stimulus]) -> TemplatePr
 
     Runs once per problem.  The horizon is the shortest boundary-input
     stimulus; constant streams and offer schedules are materialised for it
-    here and shared by every candidate's program.  A template arc whose
-    weight is neither ``None`` nor a :class:`~repro.kernel.simtime.Duration`
-    is an execute slot's workload weight (the builder lays no other
-    non-constant arc), so it is lowered as a reference to its slot.
+    into the problem's :class:`StreamTable`, shared by every candidate's
+    program.  A template arc whose weight is neither ``None`` nor a
+    :class:`~repro.kernel.simtime.Duration` is an execute slot's workload
+    weight (the builder lays no other non-constant arc), so it is lowered as
+    a reference to its slot.  Arcs into an input node that is no input's
+    ready node are never read, and are dropped.
     """
     names = tuple(node.name for node in template.nodes)
     index = {name: i for i, name in enumerate(names)}
     stimulus_of = [stimuli.get(boundary.relation) for boundary in template.boundary_inputs]
     iterations = min((len(s) for s in stimulus_of if s is not None), default=0)
-    constants: Dict[int, List[int]] = {}
-    arcs_into: List[List[Arc]] = [[] for _ in names]
-    slot_arcs_into: List[List[Tuple[int, int, Any]]] = [[] for _ in names]
+    streams = StreamTable(iterations)
+    constants: Dict[int, int] = {}
+    computed = tuple(node.kind is not NodeKind.INPUT for node in template.nodes)
+    ready = tuple(index[boundary.ready_node] for boundary in template.boundary_inputs)
+    read = [*computed]
+    for node in ready:
+        read[node] = True
+    arcs_into: List[List[int]] = [[] for _ in names]
+    slot_arcs_into: List[List[Tuple[int, int, int]]] = [[] for _ in names]
+    fed = [False] * len(names)
     successors: List[List[int]] = [[] for _ in names]
+    slot_of: Dict[Any, int] = {}
     tabulated: List[Any] = []
     for arc in template.arcs:
         source, target = index[arc.source], index[arc.target]
+        fed[target] = True
         if arc.delay == 0:
             successors[source].append(target)
         if arc.weight is None or isinstance(arc.weight, Duration):
             value = 0 if arc.weight is None else arc.weight.picoseconds
-            stream = constants.setdefault(value, [value] * iterations)
-            arcs_into[target].append((source, arc.delay, stream))
+            if value not in constants:
+                constants[value] = streams.add([value] * iterations)
+            if read[target]:
+                arcs_into[target] += (source, arc.delay, constants[value])
         else:
-            slot_arcs_into[target].append((source, arc.delay, arc.slot))
             tabulated.append(arc.slot)
-    computed = tuple(node.kind is not NodeKind.INPUT for node in template.nodes)
-    inputs = []
-    for boundary, stimulus in zip(template.boundary_inputs, stimulus_of):
-        schedule = period = None
-        if stimulus is not None:
-            schedule = [stimulus.offer_time_ps(k) for k in range(iterations)]
-            period = stimulus.offer_period_ps()
-        ready = index[boundary.ready_node]
-        inputs.append((boundary.relation, index[boundary.exchange_node], schedule, ready, period))
+            if read[target]:
+                slot = slot_of.setdefault(arc.slot, len(slot_of))
+                slot_arcs_into[target].append((source, arc.delay, slot))
+    zero = constants[0] if 0 in constants else streams.add([0] * iterations)
+    schedules: List[Optional[int]] = []
+    for stimulus in stimulus_of:
+        schedules.append(
+            None
+            if stimulus is None
+            else streams.add([stimulus.offer_time_ps(k) for k in range(iterations)])
+        )
     return TemplateProgram(
-        iterations=iterations,
         names=names,
         index=index,
         computed=computed,
+        streams=streams,
+        zero=zero,
         arcs_into=tuple(map(tuple, arcs_into)),
         slot_arcs_into=tuple(map(tuple, slot_arcs_into)),
+        slot_keys=tuple(slot_of),
         tabulated=tuple(tabulated),
         successors=tuple(map(tuple, successors)),
-        unfed=tuple(
-            i for i in range(len(names)) if computed[i] and not arcs_into[i] + slot_arcs_into[i]
+        unfed=tuple(i for i in range(len(names)) if computed[i] and not fed[i]),
+        inputs=tuple(boundary.relation for boundary in template.boundary_inputs),
+        exchanges=tuple(index[boundary.exchange_node] for boundary in template.boundary_inputs),
+        schedules=tuple(schedules),
+        ready=ready,
+        periods=tuple(
+            None if stimulus is None else stimulus.offer_period_ps() for stimulus in stimulus_of
         ),
-        inputs=tuple(inputs),
-        outputs=tuple((b.relation, index[b.offer_node]) for b in template.boundary_outputs),
+        outputs=tuple(boundary.relation for boundary in template.boundary_outputs),
+        offer_nodes=tuple(index[boundary.offer_node] for boundary in template.boundary_outputs),
         slots=tuple((index[s.start_node], index[s.end_node]) for s in template.execute_slots),
-        zero=constants.setdefault(0, [0] * iterations),
     )
 
 
@@ -390,6 +541,11 @@ def lower_spec(
     duration table constant over the horizon); otherwise the fallback is
     counted and the program is swept in full.
 
+    Each plan node's arcs are its template fragment (``arcs_into``), then
+    the candidate's schedule arcs into it, then its slot arcs over the
+    columns of the bound tables.  A table met for the first time is bound
+    into the stream table where the evaluation first reads it.
+
     Raises what the object-graph path raises, in its order, so these
     candidates are reported infeasible with the same message: the
     :class:`~repro.errors.GraphError` of
@@ -401,17 +557,20 @@ def lower_spec(
     (:class:`~repro.errors.ComputationError`, as
     :meth:`~repro.tdg.evaluator.TDGEvaluator.peek_delayed` raises it).
     """
-    iterations, index, zero = program.iterations, program.index, program.zero
-    slot_arcs_into = program.slot_arcs_into
-    arcs_into = list(program.arcs_into)
+    index, zero, streams = program.index, program.zero, program.streams
     successors = list(program.successors)
+    extra: Dict[int, List[int]] = {}
     for source, target, delay, _ in schedule_arcs:
-        arcs_into[index[target]] += ((index[source], delay, zero),)
+        head, tail = index[source], index[target]
+        if tail in extra:
+            extra[tail] += (head, delay, zero)
+        else:
+            extra[tail] = [head, delay, zero]
         if not delay:
-            successors[index[source]] += (index[target],)
-    unfed = [node for node in program.unfed if not arcs_into[node]]
+            successors[head] += (tail,)
+    unfed = [node for node in program.unfed if node not in extra]
     order = zero_delay_order(program.names, successors, unfed)
-    missing = sorted(relation for relation, _, offers, _, _ in program.inputs if offers is None)
+    missing = sorted(r for r, s in zip(program.inputs, program.schedules) if s is None)
     if missing:
         raise ModelError(f"missing stimuli for external inputs: {missing}")
     if steady:
@@ -422,42 +581,64 @@ def lower_spec(
             telemetry.count("dse.steady.fallbacks")
             telemetry.count(f"dse.steady.fallback.{reason}")
             steady = False
-
-    def arcs_of(node: int) -> Tuple[Arc, ...]:
-        arcs = arcs_into[node]
-        if slot_arcs_into[node]:
-            arcs += tuple(
-                (source, delay, tables[slot].stream_ps(iterations))
-                for source, delay, slot in slot_arcs_into[node]
-            )
-        return arcs
-
-    plan_nodes = [node for node in order if program.computed[node]]
-    plan_arcs = [arcs_of(node) for node in plan_nodes]
-    inputs: List[Tuple[str, int, List[int], Tuple[Arc, ...]]] = []
-    for relation, exchange, schedule, ready, _ in program.inputs:
-        ready_arcs = arcs_of(ready)
-        for source, delay, _ in ready_arcs:
-            if delay == 0:
+    keys = program.slot_keys
+    bound = streams._bound
+    try:
+        column_of = [bound[tables[key]] for key in keys].__getitem__
+    except KeyError:  # a table met for the first time: bound where it is read
+        column_of = lambda slot: streams.bind(tables[keys[slot]])
+    computed, arcs_into, slot_arcs_into = (
+        program.computed,
+        program.arcs_into,
+        program.slot_arcs_into,
+    )
+    plan_nodes = [node for node in order if computed[node]]
+    arcs: List[int] = []
+    arc_ptr = [0]
+    for group, node in enumerate([*plan_nodes, *program.ready]):
+        first = len(arcs)
+        arcs += arcs_into[node]
+        if node in extra:
+            arcs += extra[node]
+        for source, delay, slot in slot_arcs_into[node]:
+            arcs += (source, delay, column_of(slot))
+        arc_ptr.append(len(arcs))
+        if group < len(plan_nodes):
+            continue
+        for at in range(first + 1, len(arcs), 3):  # an input's ready node: delays only
+            if not arcs[at]:
                 raise ComputationError(
-                    f"peek_delayed({program.names[ready]!r}) requires delayed arcs only, "
-                    f"but the arc from {program.names[source]!r} has delay 0"
+                    f"peek_delayed({program.names[node]!r}) requires delayed arcs only, "
+                    f"but the arc from {program.names[arcs[at - 1]]!r} has delay 0"
                 )
-        inputs.append((relation, exchange, schedule, ready_arcs))
     # Slots group by resource in template order, which breaks ties of the
     # span routines' stable slot sort.
-    slots: Dict[str, List[Tuple[int, int]]] = {}
+    grouped: Dict[str, List[int]] = {}
     for resource, pair in zip(resources, program.slots):
-        slots.setdefault(resource, []).append(pair)
+        if resource in grouped:
+            grouped[resource] += pair
+        else:
+            grouped[resource] = list(pair)
+    slot_nodes: List[int] = []
+    slot_ptr = [0]
+    for pairs in grouped.values():
+        slot_nodes += pairs
+        slot_ptr.append(len(slot_nodes))
     return ArrayProgram(
-        iterations=iterations,
+        streams=streams,
         node_count=len(program.names),
         plan_nodes=plan_nodes,
-        plan_arcs=plan_arcs,
-        inputs=inputs,
-        outputs=list(program.outputs),
-        slots=list(slots.items()),
-        periods=tuple(entry[4] for entry in program.inputs) if steady else None,
+        arc_ptr=arc_ptr,
+        arcs=arcs,
+        inputs=program.inputs,
+        exchanges=program.exchanges,
+        schedules=program.schedules,
+        outputs=program.outputs,
+        offer_nodes=program.offer_nodes,
+        resources=list(grouped),
+        slot_ptr=slot_ptr,
+        slot_nodes=slot_nodes,
+        periods=program.periods if steady else None,
     )
 
 
@@ -472,10 +653,10 @@ def _steady_gate(
     (every other weight is a constant).  Only then does an observed uniform
     drift certify the future.
     """
-    if any(period is None for *_, period in program.inputs):
+    if any(period is None for period in program.periods):
         return "aperiodic_stimulus"
     for slot in program.tabulated:
-        if tables[slot].constant_stream_ps(program.iterations) is None:
+        if tables[slot].constant_stream_ps(program.streams.horizon) is None:
             return "data_dependent"
     return None
 
@@ -511,36 +692,34 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     (see :func:`_interleaved_span`).  Steady mode returns exactly what the
     full sweep returns, ``None`` included.
     """
-    iterations = program.iterations
+    streams = program.streams
+    iterations = streams.horizon
+    columns, kinds = streams.columns, streams.kinds
     neg = NEG_EPSILON
     eps = EPSILON_THRESHOLD
-    inputs = program.inputs
     periods = program.periods
+    flat, ptr = program.arcs, program.arc_ptr
+    triples = list(zip(flat[::3], flat[1::3], flat[2::3]))
+    groups = [triples[a // 3 : b // 3] for a, b in zip(ptr, ptr[1:])]
+    plan_nodes, exchanges = program.plan_nodes, program.exchanges
+    plan_arcs, ready_groups = groups[: len(plan_nodes)], groups[len(plan_nodes) :]
     # Every history row starts with `pad` ε entries, so iteration k lives at
     # k + pad and a delayed read k + pad - delay never reaches before the
     # row: iterations before 0 read ε without a bounds check.  A row the
     # sweep writes grows by one entry per iteration, so a certified steady
     # run never allocates the horizon; a row nothing writes stays ε over
     # the whole horizon.
-    arc_groups = [*program.plan_arcs, *(ready_arcs for _, _, _, ready_arcs in inputs)]
-    pad = max((delay for arcs in arc_groups for _, delay, _ in arcs), default=0)
-    written = {*program.plan_nodes, *(exchange_idx for _, exchange_idx, _, _ in inputs)}
+    pad = max((delay for arcs in groups for _, delay, _ in arcs), default=0)
+    written = {*plan_nodes, *exchanges}
     hist: List[List[int]] = [
         [neg] * (pad if row in written else pad + iterations) for row in range(program.node_count)
     ]
-    offer_lists: List[List[int]] = [[] for _ in inputs]
-    out_lists: List[List[int]] = [[] for _ in program.outputs]
-    prev = [neg] * len(inputs)  # previous exchange instants (ε = neg)
-    # Each distinct weight stream is classified once: is it all zero over the
-    # horizon (the arc is then a plain max over its source) and free of
-    # negative weights?  A stream shorter than the horizon stays weighted and
-    # fails where it is read.  The steady mode presumes constant streams (its
-    # certificate does), so their first weight stands for the horizon.
-    kinds: Dict[int, Tuple[bool, bool]] = {}
-    for weights in {id(w): w for arcs in program.plan_arcs for _, _, w in arcs}.values():
-        sample = weights if periods is None else weights[:1]
-        zero = len(weights) >= iterations and not any(sample)
-        kinds[id(weights)] = (zero, min(sample, default=0) >= 0)
+    offer_lists: List[List[int]] = [[] for _ in exchanges]
+    out_lists: List[List[int]] = [[] for _ in program.offer_nodes]
+    prev = [neg] * len(exchanges)  # previous exchange instants (ε = neg)
+    # Each column of the stream table was classified once when it was added
+    # (see _classify): all zero over the horizon (the arc is then a plain
+    # max over its source), free of negative weights.
     # Bind history rows into the tables once, so the hot loop below works
     # on list references instead of re-indexing the vocabulary per visit.
     # Each node's arcs are split into zero-weight (row, delay) pairs and
@@ -556,10 +735,10 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     # through other nodes of the same iteration.  above[n] is the bitmask of
     # the sources node n is never below.
     above: Dict[int, int] = {}
-    for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs):
+    for node_idx, arcs in zip(plan_nodes, plan_arcs):
         mask = 0
         for src, delay, w in arcs:
-            if not delay and kinds[id(w)][1]:
+            if not delay and kinds[w][1]:
                 mask |= 1 << src | above.get(src, 0)
         above[node_idx] = mask
     # Iterations in a row in which no plan node was ε.  Once they cover
@@ -567,20 +746,18 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
     # window, and same-iteration reads follow the topological order up from
     # the exchange instants, which are never ε; with no negative weight, no
     # sum falls back to ε either.  From then on the sweep skips the ε test.
-    can_settle = all(
-        src in written and kinds[id(w)][1] for arcs in program.plan_arcs for src, _, w in arcs
-    )
+    can_settle = all(src in written and kinds[w][1] for arcs in plan_arcs for src, _, w in arcs)
     kept = []
-    for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs):
+    for node_idx, arcs in zip(plan_nodes, plan_arcs):
         if len(arcs) > 1:
             covered: Dict[int, int] = {}  # delay -> sources another arc is never below
             for src, delay, w in arcs:
-                if kinds[id(w)][1]:
+                if kinds[w][1]:
                     covered[delay] = covered.get(delay, 0) | above.get(src, 0)
             arcs = [
                 (src, delay, w)
                 for src, delay, w in arcs
-                if not (kinds[id(w)][0] and covered.get(delay, 0) >> src & 1)
+                if not (kinds[w][0] and covered.get(delay, 0) >> src & 1)
             ]
         # A node left with one zero-weight arc of the same iteration copies
         # its source, value for value, where every value is ε or an instant
@@ -589,18 +766,20 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
         # bound below, once every copy shares its source's row.
         if can_settle and periods is None and len(arcs) == 1 and not arcs[0][1]:
             src, _, w = arcs[0]
-            if kinds[id(w)][0]:
+            if kinds[w][0]:
                 hist[node_idx] = hist[src]
                 continue
         kept.append((node_idx, arcs))
     plan = []
     for node_idx, arcs in kept:
-        zero_arcs = tuple((hist[src], delay) for src, delay, w in arcs if kinds[id(w)][0])
-        weighted = tuple((hist[src], delay, w) for src, delay, w in arcs if not kinds[id(w)][0])
+        zero_arcs = tuple((hist[src], delay) for src, delay, w in arcs if kinds[w][0])
+        weighted = tuple(
+            (hist[src], delay, columns[w]) for src, delay, w in arcs if not kinds[w][0]
+        )
         single = pair = None
         if len(arcs) == 1 and (weighted or periods is None):
             src, delay, w = arcs[0]
-            single = (hist[src], delay, w)
+            single = (hist[src], delay, columns[w])
         elif len(zero_arcs) == 2 and not weighted:
             pair = zero_arcs[0] + zero_arcs[1]
         plan.append((hist[node_idx], zero_arcs, weighted, single, pair))
@@ -609,14 +788,15 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
         (
             i,
             hist[exchange_idx],
-            schedule,
-            tuple((hist[src], delay, weights) for src, delay, weights in ready_arcs),
+            columns[schedule],
+            tuple((hist[src], delay, columns[w]) for src, delay, w in ready_arcs),
         )
-        for i, (_, exchange_idx, schedule, ready_arcs) in enumerate(inputs)
+        for i, (exchange_idx, schedule, ready_arcs) in enumerate(
+            zip(exchanges, program.schedules, ready_groups)
+        )
     ]
     bound_outputs = [
-        (hist[offer_idx], out_lists[out_i])
-        for out_i, (_, offer_idx) in enumerate(program.outputs)
+        (hist[offer_idx], emitted) for offer_idx, emitted in zip(program.offer_nodes, out_lists)
     ]
     # Steady mode: the drift of the current run of uniformly drifting
     # iteration pairs, the run's length, and the certified (extra, c) tail.
@@ -736,12 +916,14 @@ def replay_program(program: ArrayProgram) -> Optional[ProgramResult]:
         # The horizon ended before the regime settled (or it never does).
         telemetry.count("dse.compile.replay_steps", iterations)
         telemetry.count("dse.steady.exhausted")
-    offers = {relation: offer_lists[i] for i, (relation, _, _, _) in enumerate(inputs)}
-    actual = {relation: out_lists[i] for i, (relation, _) in enumerate(program.outputs)}
+    offers = dict(zip(program.inputs, offer_lists))
+    actual = dict(zip(program.outputs, out_lists))
     digests = {relation: _output_digest(instants, tail) for relation, instants in actual.items()}
     spans: Dict[str, Span] = {}
     written_out = False
-    for resource, pairs in program.slots:
+    slot_ptr, slot_nodes = program.slot_ptr, program.slot_nodes
+    for resource, a, b in zip(program.resources, slot_ptr, slot_ptr[1:]):
+        pairs = zip(slot_nodes[a:b:2], slot_nodes[a + 1 : b : 2])
         rows = [(hist[start][pad:], hist[end][pad:]) for start, end in pairs]
         span = _interleaved_span(rows, tail)  # ε is the int sentinel here, not None
         if span is None or span[1] <= eps:
@@ -920,12 +1102,12 @@ def replay_batch(
     the reference replay would fall back to the event-driven harness for
     that candidate; ``backends[p]`` names the path that swept program ``p``:
     ``"numpy"`` for the compiled kernel, ``"python"`` for
-    :func:`replay_program`.  The kernel sweeps and scores each horizon
-    group of full-horizon programs with one call of each entry point.
-    :func:`replay_program` sweeps steady-mode programs (their certified
-    prefixes are a few dozen iterations, and the kernel only sweeps full
-    horizons), candidates whose sums leave int64, and every program when
-    numpy or the kernel is unavailable.
+    :func:`replay_program`.  The kernel sweeps and scores the full-horizon
+    programs of each stream table with one call.  :func:`replay_program`
+    sweeps steady-mode programs (their certified prefixes are a few dozen
+    iterations, and the kernel only sweeps full horizons), candidates the
+    kernel leaves with status 2, and every program when numpy or the kernel
+    is unavailable.
     """
     programs = list(programs)
     telemetry.count("dse.engine.batches")
@@ -936,16 +1118,14 @@ def replay_batch(
         telemetry.count("dse.engine.kernel_unavailable", len(full))
     results: List[Optional[ProgramResult]] = [None] * len(programs)
     backends = ["python"] * len(programs)
+    groups: Dict[int, List[int]] = {}
     for p, program in enumerate(programs):
         if kernel is None or program.periods is not None:
             results[p] = replay_program(program)
-    for horizon in {programs[p].iterations for p in full} if kernel else ():
-        positions = [p for p in full if programs[p].iterations == horizon]
-        try:
-            swept = _kernel_sweep(kernel, [programs[p] for p in positions])
-        except OverflowError:  # a duration or offer time beyond int64
-            telemetry.count("dse.engine.kernel_overflow_fallbacks", len(positions))
-            swept = [(replay_program(programs[p]), "python") for p in positions]
+        else:
+            groups.setdefault(id(program.streams), []).append(p)
+    for positions in groups.values():
+        swept = _kernel_sweep(kernel, [programs[p] for p in positions])
         for position, (result, backend) in zip(positions, swept):
             results[position], backends[position] = result, backend
     for backend in BACKENDS:
@@ -954,101 +1134,81 @@ def replay_batch(
     return results, backends
 
 
+#: The int tables of an :class:`ArrayProgram` the kernel reads, in the order of
+#: its arguments and of a candidate's lengths (the C ``enum`` after ``NODES``).
+_KERNEL_TABLES = (
+    "plan_nodes",
+    "arc_ptr",
+    "arcs",
+    "exchanges",
+    "schedules",
+    "offer_nodes",
+    "slot_ptr",
+    "slot_nodes",
+)
+
+
 def _kernel_sweep(
     kernel: Any, programs: List[ArrayProgram]
 ) -> List[Tuple[Optional[ProgramResult], str]]:
-    """Sweep and score programs sharing a horizon with one call of each kernel.
+    """Sweep and score programs sharing a stream table with one kernel call.
 
-    Every candidate's nodes get a row block of one ``[nodes, K]`` history
-    buffer; plan nodes, arcs, inputs (with their ready arcs), outputs and
-    resource slots become CSR tables of global rows, and every distinct
-    weight stream or offer schedule (by ``id()``) one row of a
-    ``[streams, K]`` matrix.  The sweep leaves a status per candidate: 0
-    swept, 1 an output went ε or decreased (``None``), 2 a sum left int64
-    (or an index or stream length was out of range) -- the reference re-runs
-    it.  The span kernel then scores every resource of each swept candidate
-    in place; a resource it flags is merged on Python integers.  Returns
-    each program's result with the path that swept it (``"python"`` for a
-    status-2 re-run).  Raises :class:`OverflowError` when a stream does not
-    fit int64.
+    The batch is the programs' own tables concatenated, plus one row of
+    table lengths per candidate (the kernel walks its offsets from them) and
+    the stream table's ``[K, streams]`` matrix.  Each candidate gets its
+    own iteration-major ``[K, nodes]`` history block, which the kernel
+    ε-fills row by row, and contiguous offer and output rows.  The kernel
+    leaves a status per candidate: 0 swept, 1 an output went ε or decreased
+    (``None``), 2 a sum left int64, or an index, delay or column was out of
+    range or unusable -- the reference re-runs it.  It scores every
+    resource's busy span iteration by iteration as it sweeps; a resource it
+    flags is merged on Python integers.  Returns each program's result with
+    the path that swept it (``"python"`` for a status-2 re-run).
     """
     import numpy as np
 
-    iterations = programs[0].iterations
-    streams: List[Any] = []
-    stream_of: Dict[int, int] = {}
-    src, delay, stream, arc_ptr = [], [], [], [0]
+    streams = programs[0].streams
+    iterations = streams.horizon
+    weights, usable = streams.matrix()
+    tables: List[List[int]] = [[] for _ in _KERNEL_TABLES]
+    own_tables = operator.attrgetter(*_KERNEL_TABLES)
+    head: List[int] = []  # per candidate: its node count and the length of each table
+    status: List[int] = []
+    places = []  # per candidate: (history offset, first input, first output, first resource)
+    rows = inputs = outputs = resources = slots = widest = 0
+    for program in programs:
+        places.append((rows, inputs, outputs, resources))
+        own = own_tables(program)
+        nodes = program.node_count
+        head += (nodes, *map(len, own))
+        for table, values in zip(tables, own):
+            table += values
+        status.append(0 if _in_bounds(program) else 2)
+        # The kernel walks its offsets with the same arithmetic.
+        rows += iterations * max(nodes, 0)
+        widest = max(widest, nodes)
+        inputs += len(program.exchanges)
+        outputs += len(program.offer_nodes)
+        resources += max(len(program.slot_ptr) - 1, 0)
+        slots += len(program.slot_nodes) // 2
 
-    def stream_row(values: Sequence[int]) -> int:
-        row = stream_of.get(id(values))
-        if row is None:
-            row = stream_of[id(values)] = len(streams)
-            streams.append(values[:iterations])
-        return row
-
-    def add_arcs(arcs: Sequence[Arc], base: int) -> None:
-        for source, arc_delay, weights in arcs:
-            src.append(base + source)
-            delay.append(arc_delay)
-            stream.append(stream_row(weights))
-        arc_ptr.append(len(src))
-
-    # Per candidate, one arc group per input (its ready arcs), then one per
-    # plan node.  A program with an index the kernel could not follow
-    # safely stays empty here and is left to the reference.
-    bases, rows = [], 0
-    plan_ptr, plan_node, in_ptr, in_exchange, in_schedule = [0], [], [0], [], []
-    out_ptr, out_node = [0], []
-    res_ptr, slot_ptr, slot_start, slot_end = [0], [0], [], []
-    status = np.zeros(len(programs), dtype=np.int64)  # the kernel skips status 2
-    for c, program in enumerate(programs):
-        bases.append(rows)
-        fit = _in_bounds(program)
-        for _, exchange, schedule, ready_arcs in program.inputs if fit else ():
-            in_exchange.append(rows + exchange)
-            in_schedule.append(stream_row(schedule))
-            add_arcs(ready_arcs, rows)
-        for node, arcs in zip(program.plan_nodes, program.plan_arcs) if fit else ():
-            plan_node.append(rows + node)
-            add_arcs(arcs, rows)
-        out_node.extend(rows + offer for _, offer in program.outputs if fit)
-        for _, pairs in program.slots if fit else ():
-            slot_start.extend(rows + start for start, _ in pairs)
-            slot_end.extend(rows + end for _, end in pairs)
-            slot_ptr.append(len(slot_start))
-        status[c] = 0 if fit else 2
-        rows += program.node_count if fit else 0
-        plan_ptr.append(len(plan_node))
-        in_ptr.append(len(in_exchange))
-        out_ptr.append(len(out_node))
-        res_ptr.append(len(slot_ptr) - 1)
-
-    hist = np.full((rows, iterations), NEG_EPSILON, dtype=np.int64)
-    offers = np.empty((len(in_exchange), iterations), dtype=np.int64)
-    tables = (plan_ptr, plan_node, in_ptr, in_exchange, in_schedule, out_ptr, out_node)
-    buffers = [np.asarray(t, dtype=np.int64) for t in tables + (arc_ptr, src, delay, stream)]
-    buffers += [
-        np.array(streams, dtype=np.int64).reshape(len(streams), iterations),  # OverflowError
-        hist,
-        offers,
-        np.full(len(in_exchange), NEG_EPSILON, dtype=np.int64),  # prev exchange: ε
-        status,
-    ]
-    kernel.sweep(len(programs), iterations, *[buffer.ctypes.data for buffer in buffers])
+    int64 = np.int64
+    hist = np.empty(rows, dtype=int64)
+    offers = np.empty((inputs, iterations), dtype=int64)
+    output = np.empty((outputs, iterations), dtype=int64)
+    spans = np.empty((resources, 4), dtype=int64)  # (flag, busy, lo, hi)
+    states = np.array(status, dtype=int64)
+    buffers = [np.array(head, dtype=int64)]
+    buffers += [np.array(table, dtype=int64) for table in tables]
+    buffers += [weights, usable, hist, offers, output, spans]
+    buffers += [np.empty(slots, dtype=int64), np.empty(widest, dtype=int64), states]  # scratch
+    kernel(len(programs), iterations, len(usable), *[buffer.ctypes.data for buffer in buffers])
     telemetry.count("dse.engine.kernel_swept", len(programs))
-    # Per resource: (0, busy, lo, hi) in closed form, or 1 -> merged below.
-    spans = np.empty((len(slot_ptr) - 1, 4), dtype=np.int64)
-    tables = [np.asarray(t, dtype=np.int64) for t in (res_ptr, slot_ptr, slot_start, slot_end)]
-    order = np.empty(len(slot_start), dtype=np.int64)  # the kernel's sort scratch
-    buffers = [status, *tables, hist, order, spans]
-    kernel.spans(len(programs), iterations, *[buffer.ctypes.data for buffer in buffers])
 
-    statuses = status.tolist()
+    statuses = states.tolist()
     span_rows = spans.tolist()
-    output_rows = hist[np.asarray(out_node, dtype=np.intp)]
-    output_values = output_rows.tolist()
-    output_bytes = output_rows.astype("<i8", copy=False)  # the digests' byte order
-    offer_values = offers.tolist()
+    output_values = output.tolist()
+    output_bytes = output.astype("<i8", copy=False)  # the digests' byte order
     results: List[Tuple[Optional[ProgramResult], str]] = [(None, "numpy")] * len(programs)
     for c, code in enumerate(statuses):
         program = programs[c]
@@ -1058,26 +1218,32 @@ def _kernel_sweep(
             continue
         if code:
             continue
+        base, first_input, first_output, first_resource = places[c]
         resource_spans: Dict[str, Span] = {}
-        for (resource, pairs), (flag, busy, lo, hi) in zip(
-            program.slots, span_rows[res_ptr[c] : res_ptr[c + 1]]
-        ):
+        for r, resource in enumerate(program.resources):
+            flag, busy, lo, hi = span_rows[first_resource + r]
             if not flag:
                 resource_spans[resource] = (busy, lo, hi)
                 continue
-            base = bases[c]
+            block = hist[base : base + iterations * program.node_count]
+            block = block.reshape(iterations, program.node_count)
+            pairs = program.slot_nodes[program.slot_ptr[r] : program.slot_ptr[r + 1]]
             merged = _merged_rows(
-                [(hist[base + s].tolist(), hist[base + e].tolist()) for s, e in pairs]
+                [
+                    (block[:, start].tolist(), block[:, end].tolist())
+                    for start, end in zip(pairs[::2], pairs[1::2])
+                ]
             )
             if merged is not None:
                 resource_spans[resource] = merged
-        outputs = [(r, out_ptr[c] + o) for o, (r, _) in enumerate(program.outputs)]
+        outs = range(first_output, first_output + len(program.outputs))
+        digests = (packed_digest(output_bytes[o].tobytes()) for o in outs)
         results[c] = (
             (
-                {r: offer_values[in_ptr[c] + i] for i, (r, _, _, _) in enumerate(program.inputs)},
-                {r: output_values[row] for r, row in outputs},
+                dict(zip(program.inputs, offers[first_input : first_input + len(program.inputs)])),
+                dict(zip(program.outputs, (output_values[o] for o in outs))),
                 resource_spans,
-                {r: packed_digest(output_bytes[row].tobytes()) for r, row in outputs},
+                dict(zip(program.outputs, digests)),
             ),
             "numpy",
         )
@@ -1085,41 +1251,92 @@ def _kernel_sweep(
 
 
 def _in_bounds(program: ArrayProgram) -> bool:
-    """Whether every row index, delay and stream length the kernel would follow is in range."""
-    arcs = [arc for arcs in program.plan_arcs for arc in arcs]
-    arcs += [arc for entry in program.inputs for arc in entry[3]]
-    rows = [source for source, _, _ in arcs] + [entry[1] for entry in program.inputs]
-    rows += [*program.plan_nodes, *(node for _, node in program.outputs)]
-    rows += [row for _, pairs in program.slots for pair in pairs for row in pair]
-    streams = [weights for _, _, weights in arcs] + [entry[2] for entry in program.inputs]
-    n, k = program.node_count, program.iterations
+    """Whether the program's relation and resource names match its int tables.
+
+    The kernel checks every index, delay, column and table length itself and
+    leaves a candidate that fails with status 2.
+    """
     return (
-        all(delay >= 0 for _, delay, _ in arcs)
-        and all(0 <= row < n for row in rows)
-        and all(len(values) >= k for values in streams)
+        len(program.inputs) == len(program.exchanges)
+        and len(program.outputs) == len(program.offer_nodes)
+        and len(program.resources) + 1 == len(program.slot_ptr)
     )
 
 
-#: The compiled kernels over :func:`_kernel_sweep`'s tables: the sweep,
-#: :func:`replay_program`'s masked form transcribed line for line, and the
-#: per-resource span scoring of :func:`_interleaved_span`.  The sha256 of the
-#: source keys the build cache.
+#: The compiled kernel over :func:`_kernel_sweep`'s tables:
+#: :func:`replay_program`'s masked sweep transcribed line for line, with
+#: the span scoring of :func:`_interleaved_span` fused into it.  The sha256
+#: of the source keys the build cache.
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
 
 #define NEG (-(INT64_C(1) << 62))
 #define EPS (-(INT64_C(1) << 61))
 
-/* (max, +) over arcs [a, stop): hist[src][k - delay] + weights[stream][k] for
+/* The lengths of one candidate's tables: head[HEAD * c + ...]. */
+enum { NODES, PLAN, ARC_PTR, ARCS, EXCHANGES, SCHEDULES, OUTPUTS, SLOT_PTR, SLOTS, HEAD };
+
+/* Whether the kernel can sweep a candidate without reading out of range.
+   Every pointer table must be well formed, every index in range, every delay
+   non-negative and every column usable.  Each node is written at most once
+   per iteration -- input i's exchange at step i, plan node p at step
+   inputs + p -- and an arc of delay 0 may only read a node written at an
+   earlier step, or never (its row stays epsilon).  step is scratch. */
+static int well_formed(const int64_t *len, int64_t S, const int64_t *plan,
+                       const int64_t *ptr, const int64_t *arcs, const int64_t *exchange,
+                       const int64_t *schedule, const int64_t *out_node, const int64_t *slot_ptr,
+                       const int64_t *slot, const int64_t *usable, int64_t *step)
+{
+    int64_t N = len[NODES], P = len[PLAN], I = len[EXCHANGES], R = len[SLOT_PTR] - 1;
+    if (N < 0 || P < 0 || I < 0 || R < 0 || len[ARC_PTR] != P + I + 1 ||
+        len[ARCS] % 3 || len[SCHEDULES] != I || len[SLOTS] % 2)
+        return 0;
+    if (ptr[0] != 0 || ptr[P + I] != len[ARCS] || slot_ptr[0] != 0 || slot_ptr[R] != len[SLOTS])
+        return 0;
+    for (int64_t g = 0; g < P + I; g++)
+        if (ptr[g + 1] < ptr[g] || (ptr[g + 1] - ptr[g]) % 3)
+            return 0;
+    for (int64_t r = 0; r < R; r++)
+        if (slot_ptr[r + 1] < slot_ptr[r] || (slot_ptr[r + 1] - slot_ptr[r]) % 2)
+            return 0;
+    for (int64_t n = 0; n < N; n++)
+        step[n] = -1;
+    for (int64_t i = 0; i < I; i++) {
+        if (exchange[i] < 0 || exchange[i] >= N || step[exchange[i]] >= 0 ||
+            schedule[i] < 0 || schedule[i] >= S || !usable[schedule[i]])
+            return 0;
+        step[exchange[i]] = i;
+    }
+    for (int64_t p = 0; p < P; p++) {
+        if (plan[p] < 0 || plan[p] >= N || step[plan[p]] >= 0)
+            return 0;
+        step[plan[p]] = I + p;
+    }
+    for (int64_t g = 0; g < P + I; g++) {
+        int64_t at = g < P ? I + g : g - P;
+        for (const int64_t *arc = arcs + ptr[g]; arc < arcs + ptr[g + 1]; arc += 3)
+            if (arc[0] < 0 || arc[0] >= N || arc[1] < 0 || arc[2] < 0 || arc[2] >= S ||
+                !usable[arc[2]] || (arc[1] == 0 && step[arc[0]] >= at))
+                return 0;
+    }
+    for (int64_t o = 0; o < len[OUTPUTS]; o++)
+        if (out_node[o] < 0 || out_node[o] >= N)
+            return 0;
+    for (int64_t s = 0; s < len[SLOTS]; s++)
+        if (slot[s] < 0 || slot[s] >= N)
+            return 0;
+    return 1;
+}
+
+/* (max, +) over the arcs [arc, stop): h[k - delay][source] + w[column] for
    every defined (> EPS) source value, NEG when none.  1 on int64 overflow. */
-static int best_of(int64_t a, int64_t stop, int64_t k, int64_t K, const int64_t *src,
-                   const int64_t *delay, const int64_t *stream, const int64_t *weights,
-                   const int64_t *hist, int64_t *out)
+static int best_of(const int64_t *arc, const int64_t *stop, int64_t k, int64_t N,
+                   const int64_t *h, const int64_t *w, int64_t *out)
 {
     int64_t best = NEG, value, sum;
-    for (; a < stop; a++)
-        if (k >= delay[a] && (value = hist[src[a] * K + k - delay[a]]) > EPS) {
-            if (__builtin_add_overflow(value, weights[stream[a] * K + k], &sum))
+    for (; arc < stop; arc += 3)
+        if (k >= arc[1] && (value = h[(k - arc[1]) * N + arc[0]]) > EPS) {
+            if (__builtin_add_overflow(value, w[arc[2]], &sum))
                 return 1;
             if (sum > best)
                 best = sum;
@@ -1128,128 +1345,143 @@ static int best_of(int64_t a, int64_t stop, int64_t k, int64_t K, const int64_t 
     return 0;
 }
 
-/* status[c]: 0 swept, 1 an output went epsilon or decreased, 2 int64 overflow.
-   Candidates entering with a non-zero status are skipped.  Arc groups run per
-   candidate, inputs' ready arcs first: input i reads group plan_ptr[c] + i
-   and plan node p group in_ptr[c + 1] + p. */
-void repro_sweep(int64_t n_candidates, int64_t K, const int64_t *plan_ptr,
-                 const int64_t *plan_node, const int64_t *in_ptr, const int64_t *in_exchange,
-                 const int64_t *in_schedule, const int64_t *out_ptr, const int64_t *out_node,
-                 const int64_t *arc_ptr, const int64_t *src, const int64_t *delay,
-                 const int64_t *stream, const int64_t *weights, int64_t *hist,
-                 int64_t *offers, int64_t *prev, int64_t *status)
+/* _interleaved_span, one iteration at a time, on the row just swept: the
+   resource's slots (n start/end pairs) are ordered stably by their first
+   (start, end), like Python's sorted, and their instants must never decrease
+   from one to the next, across iterations too.  span = (flag, busy, lo,
+   last); a flag of 1 (epsilon, a decrease, an overflow of busy) leaves the
+   resource to the caller's merge.  order is the resource's sort scratch. */
+static void span_step(int64_t k, const int64_t *row, const int64_t *pair, int64_t n,
+                      int64_t *order, int64_t *span)
 {
-    for (int64_t c = 0; c < n_candidates; c++) {
-        if (status[c])
-            continue;
-        int64_t now = 0, ready;
-        for (int64_t k = 0; k < K; k++) {
-            for (int64_t i = in_ptr[c]; i < in_ptr[c + 1]; i++) {
-                /* Reception: wait until the abstracted consumer is ready. */
-                int64_t g = plan_ptr[c] + i;
-                if (best_of(arc_ptr[g], arc_ptr[g + 1], k, K, src, delay, stream, weights,
-                            hist, &ready))
-                    goto overflow;
-                if (ready > now)
-                    now = ready;
-                /* Stimulus driver: u(k) = max(previous exchange, offer time). */
-                int64_t scheduled = weights[in_schedule[i] * K + k];
-                int64_t arrival = prev[i] > scheduled ? prev[i] : scheduled;
-                offers[i * K + k] = arrival;
-                /* Rendezvous: the exchange completes when both sides arrived. */
-                if (arrival > now)
-                    now = arrival;
-                hist[in_exchange[i] * K + k] = prev[i] = now;
+    int64_t length;
+    if (k == 0) {
+        for (int64_t i = 0, j; i < n; i++) { /* insertion sort: stable */
+            int64_t s0 = row[pair[2 * i]], e0 = row[pair[2 * i + 1]];
+            for (j = i; j > 0; j--) {
+                int64_t t0 = row[pair[2 * order[j - 1]]];
+                if (t0 < s0 || (t0 == s0 && row[pair[2 * order[j - 1] + 1]] <= e0))
+                    break;
+                order[j] = order[j - 1];
             }
-            /* ComputeInstant(): the (max, +) sweep in topological order. */
-            for (int64_t p = plan_ptr[c], g = in_ptr[c + 1] + p; p < plan_ptr[c + 1]; p++, g++)
-                if (best_of(arc_ptr[g], arc_ptr[g + 1], k, K, src, delay, stream, weights,
-                            hist, &hist[plan_node[p] * K + k]))
-                    goto overflow;
-            for (int64_t o = out_ptr[c]; o < out_ptr[c + 1]; o++) {
-                const int64_t *row = hist + out_node[o] * K;
-                if (row[k] <= EPS || (k > 0 && row[k] < row[k - 1])) {
-                    status[c] = 1;
-                    goto next;
-                }
-            }
+            order[j] = i;
         }
-        continue;
-    overflow:
-        status[c] = 2;
-    next:;
+        span[2] = row[pair[2 * order[0]]];
+    }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t start = row[pair[2 * order[i]]], end = row[pair[2 * order[i] + 1]];
+        /* last starts just above EPS: the first start must be an instant, and
+           a sequence that never decreases keeps every later one so. */
+        if (start < span[3] || end < start || __builtin_sub_overflow(end, start, &length) ||
+            __builtin_add_overflow(span[1], length, &span[1])) {
+            span[0] = 1;
+            return;
+        }
+        span[3] = end;
     }
 }
 
-/* _interleaved_span transcribed, per resource r of each candidate whose status is
-   0 (resources res_ptr[c] to res_ptr[c + 1], slots slot_ptr[r] to
-   slot_ptr[r + 1]).  The slots are ordered stably by their first (start, end),
-   like Python's sorted, and their instants interleaved iteration by iteration.
-   spans[r] = (0, busy, lo, hi) when that sequence never decreases and starts
-   above EPS (so no instant is epsilon), else (1, ...): also for no slot,
-   K == 0 and an int64 overflow of busy; the caller then merges.  order is
-   scratch for the sorted slots. */
-void repro_spans(int64_t n_candidates, int64_t K, const int64_t *status,
-                 const int64_t *res_ptr, const int64_t *slot_ptr, const int64_t *slot_start,
-                 const int64_t *slot_end, const int64_t *hist, int64_t *order, int64_t *spans)
+/* One candidate over its [K, N] history block h: 0 swept, 1 an output went
+   epsilon or decreased, 2 int64 overflow.  Plan node p reads arc group p,
+   input i's ready node group P + i; the previous exchange of input i is its
+   row one iteration back. */
+static int64_t sweep(const int64_t *len, int64_t K, int64_t S, const int64_t *plan,
+                     const int64_t *ptr, const int64_t *arcs, const int64_t *exchange,
+                     const int64_t *schedule, const int64_t *out_node, const int64_t *slot_ptr,
+                     const int64_t *slot, const int64_t *weights, int64_t *h, int64_t *offers,
+                     int64_t *outputs, int64_t *spans, int64_t *order)
 {
-    for (int64_t c = 0; c < n_candidates; c++) {
-        if (status[c])
-            continue;
-        for (int64_t r = res_ptr[c]; r < res_ptr[c + 1]; r++) {
-            int64_t a = slot_ptr[r], n = slot_ptr[r + 1] - a, *ord = order + a;
-            int64_t *out = spans + 4 * r;
-            out[0] = 1;
-            if (n == 0 || K == 0)
-                continue;
-            for (int64_t i = 0, j; i < n; i++) { /* insertion sort: stable */
-                int64_t s0 = hist[slot_start[a + i] * K], e0 = hist[slot_end[a + i] * K];
-                for (j = i; j > 0; j--) {
-                    int64_t t0 = hist[slot_start[ord[j - 1]] * K];
-                    if (t0 < s0 || (t0 == s0 && hist[slot_end[ord[j - 1]] * K] <= e0))
-                        break;
-                    ord[j] = ord[j - 1];
-                }
-                ord[j] = a + i;
-            }
-            /* last starts just above EPS: the first start must be an instant,
-               and a sequence that never decreases keeps every later one so. */
-            int64_t last = EPS + 1, busy = 0, length;
-            for (int64_t k = 0; k < K; k++)
-                for (int64_t i = 0; i < n; i++) {
-                    int64_t start = hist[slot_start[ord[i]] * K + k];
-                    int64_t end = hist[slot_end[ord[i]] * K + k];
-                    if (start < last || end < start ||
-                        __builtin_sub_overflow(end, start, &length) ||
-                        __builtin_add_overflow(busy, length, &busy))
-                        goto merge;
-                    last = end;
-                }
-            out[0] = 0;
-            out[1] = busy;
-            out[2] = hist[slot_start[ord[0]] * K];
-            out[3] = last;
-        merge:;
+    int64_t N = len[NODES], P = len[PLAN], I = len[EXCHANGES], R = len[SLOT_PTR] - 1;
+    int64_t now = 0, value;
+    for (int64_t r = 0; r < R; r++) {
+        int64_t *span = spans + 4 * r;
+        span[0] = K == 0 || slot_ptr[r] == slot_ptr[r + 1];
+        span[1] = 0;
+        span[3] = EPS + 1;
+    }
+    for (int64_t k = 0; k < K; k++) {
+        int64_t *row = h + k * N;
+        const int64_t *w = weights + k * S;
+        for (int64_t n = 0; n < N; n++)
+            row[n] = NEG;
+        for (int64_t i = 0; i < I; i++) {
+            /* Reception: wait until the abstracted consumer is ready. */
+            if (best_of(arcs + ptr[P + i], arcs + ptr[P + i + 1], k, N, h, w, &value))
+                return 2;
+            if (value > now)
+                now = value;
+            /* Stimulus driver: u(k) = max(previous exchange, offer time). */
+            int64_t previous = k ? row[exchange[i] - N] : NEG;
+            int64_t arrival = previous > w[schedule[i]] ? previous : w[schedule[i]];
+            offers[i * K + k] = arrival;
+            /* Rendezvous: the exchange completes when both sides arrived. */
+            if (arrival > now)
+                now = arrival;
+            row[exchange[i]] = now;
         }
+        /* ComputeInstant(): the (max, +) sweep in topological order. */
+        for (int64_t p = 0; p < P; p++)
+            if (best_of(arcs + ptr[p], arcs + ptr[p + 1], k, N, h, w, row + plan[p]))
+                return 2;
+        for (int64_t o = 0; o < len[OUTPUTS]; o++) {
+            int64_t *out = outputs + o * K;
+            out[k] = row[out_node[o]];
+            if (out[k] <= EPS || (k > 0 && out[k] < out[k - 1]))
+                return 1;
+        }
+        for (int64_t r = 0; r < R; r++)
+            if (!spans[4 * r])
+                span_step(k, row, slot + slot_ptr[r], (slot_ptr[r + 1] - slot_ptr[r]) / 2,
+                          order + slot_ptr[r] / 2, spans + 4 * r);
+    }
+    return 0;
+}
+
+/* Sweeps and scores n candidates over one [K, S] weight matrix.  Each
+   candidate's tables follow the previous one's in every table, with the
+   lengths in head; its history block, offer rows, output rows, spans and
+   sort scratch likewise.  Candidates entering with a non-zero status, or
+   whose tables are not well formed (status 2), are skipped. */
+void repro_sweep(int64_t n, int64_t K, int64_t S, const int64_t *head, const int64_t *plan,
+                 const int64_t *ptr, const int64_t *arcs, const int64_t *exchange,
+                 const int64_t *schedule, const int64_t *out_node, const int64_t *slot_ptr,
+                 const int64_t *slot, const int64_t *weights, const int64_t *usable,
+                 int64_t *hist, int64_t *offers, int64_t *outputs, int64_t *spans,
+                 int64_t *order, int64_t *step, int64_t *status)
+{
+    for (int64_t c = 0; c < n; c++) {
+        const int64_t *len = head + HEAD * c;
+        if (!status[c] && !well_formed(len, S, plan, ptr, arcs, exchange, schedule, out_node,
+                                       slot_ptr, slot, usable, step))
+            status[c] = 2;
+        if (!status[c])
+            status[c] = sweep(len, K, S, plan, ptr, arcs, exchange, schedule, out_node, slot_ptr,
+                              slot, weights, hist, offers, outputs, spans, order);
+        hist += K * (len[NODES] > 0 ? len[NODES] : 0);
+        offers += K * len[EXCHANGES];
+        outputs += K * len[OUTPUTS];
+        spans += 4 * (len[SLOT_PTR] > 1 ? len[SLOT_PTR] - 1 : 0);
+        order += len[SLOTS] / 2;
+        plan += len[PLAN];
+        ptr += len[ARC_PTR];
+        arcs += len[ARCS];
+        exchange += len[EXCHANGES];
+        schedule += len[SCHEDULES];
+        out_node += len[OUTPUTS];
+        slot_ptr += len[SLOT_PTR];
+        slot += len[SLOTS];
     }
 }
 """
 
 _LOG = logging.getLogger("repro.dse.engine")
 _KERNEL_LOCK = threading.Lock()
-#: ``None`` until the first numpy sweep; then the kernel, or ``False`` when it
-#: could not be built or loaded in this process.
+#: ``None`` until the first numpy sweep; then the kernel's entry point, or
+#: ``False`` when it could not be built or loaded in this process.
 _kernel: Any = None
 
 
-class _Kernel(NamedTuple):
-    """The two entry points of one loaded kernel object."""
-
-    sweep: Any
-    spans: Any
-
-
-def _sweep_kernel() -> Optional[_Kernel]:
+def _sweep_kernel() -> Any:
     """The compiled kernel, built and loaded on first use; ``None`` if unavailable."""
     global _kernel
     with _KERNEL_LOCK:
@@ -1266,7 +1498,7 @@ def _sweep_kernel() -> Optional[_Kernel]:
         return _kernel or None
 
 
-def _load_kernel() -> _Kernel:
+def _load_kernel() -> Any:
     """Load the cached kernel, (re)building it once if missing or unloadable."""
     import ctypes
 
@@ -1275,15 +1507,12 @@ def _load_kernel() -> _Kernel:
     if not os.path.exists(path):
         _build_kernel(path)
     try:
-        library = ctypes.CDLL(path)
-        kernel = _Kernel(library.repro_sweep, library.repro_spans)
+        kernel = ctypes.CDLL(path).repro_sweep
     except (OSError, AttributeError):  # truncated, foreign or stale object
         _build_kernel(path)
-        library = ctypes.CDLL(path)
-        kernel = _Kernel(library.repro_sweep, library.repro_spans)
-    kernel.sweep.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 16
-    kernel.spans.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
-    kernel.sweep.restype = kernel.spans.restype = None
+        kernel = ctypes.CDLL(path).repro_sweep
+    kernel.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 18
+    kernel.restype = None
     return kernel
 
 

@@ -233,12 +233,20 @@ class Simulator:
                 continue
             self._delta_cycles += 1
             current, self._ready = self._ready, deque()
-            for process in current:
-                state = process._state
-                if state is _TERMINATED or state is _FAULTED:
-                    continue
-                self._process_activations += 1
-                process._run()
+            pending = iter(current)
+            try:
+                for process in pending:
+                    state = process._state
+                    if state is _TERMINATED or state is _FAULTED:
+                        continue
+                    self._process_activations += 1
+                    process._run()
+            except BaseException:
+                # The processes queued behind the one that raised have not
+                # run: they go back to the front of the ready queue, ahead of
+                # what this cycle woke, so a later run() resumes them.
+                self._ready.extendleft(reversed(list(pending)))
+                raise
 
     def _advance_to(self, time_ps: int) -> None:
         """Advance simulation time and fire every entry scheduled at ``time_ps``."""

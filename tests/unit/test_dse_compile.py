@@ -23,6 +23,8 @@ from repro.errors import ComputationError, GraphError, ModelError
 from repro.tdg.evaluator import TDGEvaluator
 from repro.tdg.node import NodeKind
 
+from array_programs import with_group
+
 
 @pytest.fixture()
 def problem():
@@ -188,11 +190,9 @@ class TestCompiledProblem:
             # The first output now reads the first exchange plus a weight
             # falling faster than the offers rise, so iteration 1's offer is
             # smaller than iteration 0's.
-            offer, exchange = program.outputs[0][1], program.inputs[0][1]
+            offer, exchange = program.offer_nodes[0], program.exchanges[0]
             falling = [10**15 - 10**14 * k for k in range(program.iterations)]
-            plan_arcs = list(program.plan_arcs)
-            plan_arcs[program.plan_nodes.index(offer)] = ((exchange, 0, falling),)
-            return program._replace(plan_arcs=plan_arcs)
+            return with_group(program, program.plan_nodes.index(offer), [(exchange, 0, falling)])
 
         monkeypatch.setattr(compile_module, "lower_spec", regressing)
         sentinel = CandidateEvaluation(candidate=candidate, infeasible="fallback-sentinel")

@@ -25,7 +25,7 @@ import pytest
 
 from repro import telemetry
 from repro.campaign.results import int64_digest
-from repro.dse import engine
+from repro.dse import CompiledProblem, engine, get_problem
 from repro.dse.engine import (
     EPSILON_THRESHOLD,
     NEG_EPSILON,
@@ -37,6 +37,8 @@ from repro.dse.engine import (
     replay_program,
 )
 
+from array_programs import arc_groups, program as lowered
+
 
 def masked_replay(program: ArrayProgram) -> Optional[ProgramResult]:
     """The sweep before padding, zero-arc and settling (kept verbatim, plus
@@ -45,7 +47,10 @@ def masked_replay(program: ArrayProgram) -> Optional[ProgramResult]:
     neg = NEG_EPSILON
     eps = EPSILON_THRESHOLD
     hist: List[List[int]] = [[neg] * iterations for _ in range(program.node_count)]
-    inputs = program.inputs
+    groups = arc_groups(program)
+    plan_arcs, ready_groups = groups[: len(program.plan_nodes)], groups[len(program.plan_nodes) :]
+    columns = program.streams.columns
+    inputs = list(zip(program.exchanges, program.schedules, ready_groups))
     offer_lists: List[List[int]] = [[] for _ in inputs]
     out_lists: List[List[int]] = [[] for _ in program.outputs]
     prev = [neg] * len(inputs)  # previous exchange instants (ε = neg)
@@ -54,20 +59,20 @@ def masked_replay(program: ArrayProgram) -> Optional[ProgramResult]:
             hist[node_idx],
             tuple((hist[src], delay, weights) for src, delay, weights in arcs),
         )
-        for node_idx, arcs in zip(program.plan_nodes, program.plan_arcs)
+        for node_idx, arcs in zip(program.plan_nodes, plan_arcs)
     ]
     bound_inputs = [
         (
             i,
             hist[exchange_idx],
-            schedule,
+            columns[schedule],
             tuple((hist[src], delay, weights) for src, delay, weights in ready_arcs),
         )
-        for i, (_, exchange_idx, schedule, ready_arcs) in enumerate(inputs)
+        for i, (exchange_idx, schedule, ready_arcs) in enumerate(inputs)
     ]
     bound_outputs = [
         (hist[offer_idx], out_lists[out_i])
-        for out_i, (_, offer_idx) in enumerate(program.outputs)
+        for out_i, offer_idx in enumerate(program.offer_nodes)
     ]
     now = 0  # the Reception process's local clock, persistent across iterations
     for k in range(iterations):
@@ -107,10 +112,12 @@ def masked_replay(program: ArrayProgram) -> Optional[ProgramResult]:
             if offered <= eps or (emitted and offered < emitted[-1]):
                 return None
             emitted.append(offered)
-    offers = {relation: offer_lists[i] for i, (relation, _, _, _) in enumerate(inputs)}
-    actual = {relation: out_lists[i] for i, (relation, _) in enumerate(program.outputs)}
+    offers = dict(zip(program.inputs, offer_lists))
+    actual = dict(zip(program.outputs, out_lists))
     spans = {}
-    for resource, pairs in program.slots:
+    slot_ptr, slot_nodes = program.slot_ptr, program.slot_nodes
+    for resource, a, b in zip(program.resources, slot_ptr, slot_ptr[1:]):
+        pairs = zip(slot_nodes[a:b:2], slot_nodes[a + 1 : b : 2])
         rows = [(hist[start], hist[end]) for start, end in pairs]
         span: Optional[Span] = _interleaved_span(rows)
         if span is None or span[1] <= EPSILON_THRESHOLD:
@@ -177,7 +184,7 @@ def random_program(rng: random.Random, iterations: int) -> ArrayProgram:
         (f"R{r}", [(rng.choice(vocabulary), rng.choice(vocabulary)) for _ in range(2)])
         for r in range(rng.randint(1, 2))
     ]
-    return ArrayProgram(
+    return lowered(
         iterations=iterations,
         node_count=len(vocabulary),
         plan_nodes=plan_nodes,
@@ -203,7 +210,7 @@ def test_replay_program_equals_the_masked_sweep():
 def _two_node_program(arcs_b, arcs_c, node_count=3, output=2, slots=()):
     """Exchange row 0 (offers at 0, 10, 20, ...) and plan nodes 1 (B), 2 (C)."""
     iterations = 12
-    return ArrayProgram(
+    return lowered(
         iterations=iterations,
         node_count=node_count,
         plan_nodes=[1, 2],
@@ -277,6 +284,32 @@ def test_a_short_zero_stream_still_fails_where_read():
     for replay in (masked_replay, replay_program):
         with pytest.raises(IndexError):
             replay(program)
+
+
+
+@pytest.mark.parametrize(
+    "name, evaluator", [("chain", "replay"), ("lte", "replay"), ("chain-periodic", "auto")]
+)
+def test_each_stream_column_is_classified_once(monkeypatch, reference_sweep, name, evaluator):
+    """``replay_program`` reads each column's kinds from the stream table,
+    which classifies a column once, when it is added -- never per program."""
+    calls = []
+    classify = engine._classify
+    monkeypatch.setattr(
+        engine,
+        "_classify",
+        lambda values, horizon: calls.append(horizon) or classify(values, horizon),
+    )
+    problem = get_problem(name)
+    parameters = {"items": 12}
+    compiled = CompiledProblem(problem, parameters)
+    candidates = list(problem.space(parameters).enumerate_candidates(limit=10))
+    first = compiled.evaluate_batch(candidates, evaluator)
+    columns = len(compiled._program.streams.columns)
+    assert len(calls) == columns
+    assert any(evaluation.feasible for evaluation in first)
+    compiled.evaluate_batch(candidates, evaluator)
+    assert len(calls) == len(compiled._program.streams.columns) == columns
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +389,7 @@ def steady_program(rng: random.Random) -> ArrayProgram:
         (f"R{r}", [(rng.choice(rows), rng.choice(rows)) for _ in range(rng.randint(1, 3))])
         for r in range(rng.randint(1, 2))
     ]
-    return ArrayProgram(
+    return lowered(
         iterations=iterations,
         node_count=node_count,
         plan_nodes=plan_nodes,
@@ -384,7 +417,7 @@ def test_steady_mode_equals_the_full_sweep():
             seen["zero drift"] += cycle == 0
             seen["dominance lock"] += any(cycle != period for period in program.periods)
             seen["merged tail"] += bool(counters.get("dse.steady.tail_materialized"))
-            seen["crossing"] += any(name == "crossing" for name, _ in program.outputs)
+            seen["crossing"] += "crossing" in program.outputs
         if counters.get("dse.steady.exhausted"):
             seen["short horizon"] += program.iterations <= 3
     # Every shape the certificate has to get right is reached, repeatedly.
@@ -434,7 +467,7 @@ def test_steady_mode_returns_the_full_result_object_for_object():
     # paced by the consumer (cycle 25 > period 10), so the input locks by
     # dominance and the sweep stops after a few iterations.
     iterations = 40
-    program = ArrayProgram(
+    program = lowered(
         iterations=iterations,
         node_count=3,
         plan_nodes=[1, 2],

@@ -166,9 +166,16 @@ class TestTemplatePatch:
             counters = scope.snapshot()["counters"]
         assert all(evaluation.feasible for evaluation in evaluations)
         # Every candidate writes its own patch over the template lowered
-        # once; the shared tables come out as they went in.
+        # once; the shared tables come out as they went in.  The stream
+        # table only grows: a duration table gets its column the first time
+        # a candidate binds it, after every column already there.
         assert counters["dse.compile.specializations"] == len(candidates)
-        assert compiled._program == template
+        program = compiled._program
+        assert program._replace(streams=None) == template._replace(streams=None)
+        before, after = template.streams, program.streams
+        assert after.columns[: len(before.columns)] == before.columns
+        assert after.kinds[: len(before.kinds)] == before.kinds
+        assert len(after.columns) > len(before.columns)
 
     def test_warm_problem_matches_a_fresh_one(self):
         params = {"items": 10}

@@ -25,13 +25,14 @@ from repro.dse.compile import _CACHE, _utilization
 from repro.dse.engine import (
     EPSILON_THRESHOLD,
     NEG_EPSILON,
-    ArrayProgram,
     _interleaved_span,
     _merged_busy,
     _merged_span,
     replay_program,
 )
 from repro.errors import ReproError
+
+from array_programs import program as lowered
 
 
 @pytest.fixture(autouse=True)
@@ -114,7 +115,7 @@ def span_program(resources, iterations):
         (name, [(row(starts), row(ends)) for starts, ends in histories])
         for name, histories in resources
     ]
-    return ArrayProgram(
+    return lowered(
         iterations=iterations,
         node_count=1 + len(plan_nodes),
         plan_nodes=plan_nodes,

@@ -432,6 +432,38 @@ class TestFastPathContract:
         assert stats.delta_cycles == 3
         assert (stats.timed_notifications, stats.delta_notifications) == (1, 2)
 
+    def test_processes_queued_behind_a_fault_still_run(self, simulator):
+        # The victim and the bystander wake in one delta cycle, victim first:
+        # after the victim's ValueError, the next run() resumes the bystander.
+        first = simulator.create_event("first")
+        second = simulator.create_event("second")
+        log = []
+
+        def victim():
+            yield first
+            raise ValueError("boom")
+
+        def bystander():
+            yield second
+            log.append(simulator.now.picoseconds)
+
+        def notifier():
+            yield Duration(1)
+            first.notify_immediate()  # fires first, so the victim runs first
+            second.notify_immediate()
+
+        faulty = simulator.spawn(victim, name="victim")
+        waiting = simulator.spawn(bystander, name="bystander")
+        simulator.spawn(notifier, name="notifier")
+        with pytest.raises(ValueError, match="boom"):
+            simulator.run()
+        assert faulty.state is ProcessState.FAULTED
+        assert waiting.activation_count == 1 and log == []
+        simulator.run()
+        assert waiting.activation_count == 2
+        assert waiting.terminated and log == [1]
+        assert faulty.activation_count == 2
+
     def test_faulted_process_is_never_resumed(self, simulator):
         event = simulator.create_event()
 

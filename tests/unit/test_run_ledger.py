@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +189,32 @@ class TestRunLedger:
         ledger.append(_manifest(label="chain"))
         groups = telemetry.group_by_key(ledger.load())
         assert sorted(len(group) for group in groups.values()) == [1, 2]
+
+
+class TestBenchmarkManifests:
+    def test_each_sweep_backend_is_its_own_family(self, tmp_path, monkeypatch):
+        """The batch-speedup benchmark runs once per sweep: entries that differ
+        only in ``backend`` must never share a regression family."""
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("benchmark_conftest", path)
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv(LEDGER_ENV, str(ledger))
+        cell = {"problem": "chain", "mode": "batch", "batch": 32, "items": 200}
+        harness._append_run_manifests(
+            [
+                {**cell, "backend": "python", "candidates_per_second": 660.0},
+                {**cell, "backend": "numpy", "candidates_per_second": 3180.0},
+                {**cell, "backend": "python", "candidates_per_second": 680.0},
+            ]
+        )
+        groups = telemetry.group_by_key(telemetry.RunLedger(ledger).load())
+        rates = sorted(
+            sorted(manifest.metric("candidates_per_s") for manifest in group)
+            for group in groups.values()
+        )
+        assert rates == [[660.0, 680.0], [3180.0]]
 
 
 class TestExplorerIntegration:
